@@ -15,28 +15,11 @@ import sys
 from fractions import Fraction
 
 from . import generator, model, procedure, stability, verify
-from .errors import (
-    BudgetExceededError,
-    ContractMatchError,
-    InfeasibleOutcomeError,
-    PreconditionViolatedError,
-)
+from .errors import ContractMatchError, FormatError
 from .model import EnumerationBudget, Outcome, money_str
 from .procedure import POLICIES
-from .verify import PropertyReport
 
 BUDGET_ENV_VAR = "CONTRACTMATCH_MAX_OUTCOMES"
-
-PROPERTY_NAMES = (
-    "pairwise-efficiency",
-    "disjoint-yields",
-    "firm-pareto",
-    "firm-optimality",
-    "employment-invariance",
-    "sides-opposed",
-    "pair-tradeoff",
-    "group-tradeoff",
-)
 
 
 def _jsonable(value):
@@ -61,11 +44,19 @@ def _print_json(data) -> None:
 
 def _budget(args) -> EnumerationBudget:
     if getattr(args, "max", None) is not None:
-        return EnumerationBudget(args.max)
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        return EnumerationBudget(int(env))
-    return EnumerationBudget()
+        cap, source = args.max, "--max"
+    else:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        if not env:
+            return EnumerationBudget()
+        try:
+            cap = int(env)
+        except ValueError:
+            raise FormatError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+        source = BUDGET_ENV_VAR
+    if cap < 1:
+        raise FormatError(f"{source} must be a positive integer, got {cap}")
+    return EnumerationBudget(cap)
 
 
 def _cmd_solve(args) -> int:
@@ -101,90 +92,20 @@ def _cmd_core(args) -> int:
     return 0
 
 
-def _stable_pairs(inst, budget, cap=6):
-    core = stability.enumerate_core(inst, budget)[:cap]
-    return [(o1, o2) for o1 in core for o2 in core if o1 != o2]
-
-
-def _run_property(name: str, inst, budget) -> PropertyReport:
-    if name == "pairwise-efficiency":
-        return verify.is_pairwise_efficient(inst)
-    if name == "disjoint-yields":
-        return verify.has_disjoint_yields(inst)
-    if name == "firm-pareto":
-        witnesses = []
-        for outcome in procedure.enumerate_procedure_outcomes(inst, budget):
-            report = verify.is_weakly_pareto_optimal_for_firms(inst, outcome, budget)
-            if not report.holds:
-                witnesses.append((outcome,) + report.witnesses)
-        return PropertyReport("firm-pareto", not witnesses, tuple(witnesses))
-    if name == "firm-optimality":
-        if not verify.is_pairwise_efficient(inst).holds:
-            raise PreconditionViolatedError("pairwise-efficiency")
-        if not verify.has_disjoint_yields(inst).holds:
-            raise PreconditionViolatedError("disjoint-yields")
-        outcomes = procedure.enumerate_procedure_outcomes(inst, budget)
-        if len(outcomes) != 1:
-            return PropertyReport(
-                "firm-optimality", False, tuple(outcomes), {"reason": "not a singleton"}
-            )
-        report = verify.check_firm_optimality(inst, outcomes[0], budget)
-        return PropertyReport("firm-optimality", report.holds, report.witnesses)
-    if name == "employment-invariance":
-        return verify.check_employment_invariance(inst, budget)
-    if name == "sides-opposed":
-        witnesses = []
-        for o1, o2 in _stable_pairs(inst, budget):
-            report = verify.check_sides_opposed(inst, o1, o2)
-            if not report.holds:
-                witnesses.append((o1, o2) + report.witnesses)
-        return PropertyReport("sides-opposed", not witnesses, tuple(witnesses))
-    if name == "pair-tradeoff":
-        witnesses = []
-        for o1, o2 in _stable_pairs(inst, budget):
-            report = verify.check_pair_tradeoff(inst, o1, o2)
-            if not report.holds:
-                witnesses.append((o1, o2) + report.witnesses)
-        return PropertyReport("pair-tradeoff", not witnesses, tuple(witnesses))
-    if name == "group-tradeoff":
-        witnesses = []
-        checked = 0
-        outcomes = model.enumerate_outcomes(inst, budget)[:8]
-        core = stability.enumerate_core(inst, budget)[:4]
-        for o in outcomes:
-            vo = o.payoff_map()
-            for s in core:
-                vs = s.payoff_map()
-                group = [a for a in inst.agents if vs[a] > vo[a]]
-                if not group:
-                    continue
-                try:
-                    report = verify.check_group_tradeoff(inst, o, s, group)
-                except PreconditionViolatedError:
-                    continue
-                checked += 1
-                if not report.holds:
-                    witnesses.append((o, s, tuple(group)) + report.witnesses)
-        return PropertyReport(
-            "group-tradeoff", not witnesses, tuple(witnesses), {"samples": checked}
-        )
-    raise ContractMatchError(f"unknown property {name!r}")
-
-
 def _cmd_verify(args) -> int:
     inst = model.read_instance_file(args.instance)
-    budget = _budget(args)
+    battery = verify.PropertyBattery(inst, _budget(args))
     explicit = args.properties is not None
-    names = args.properties.split(",") if explicit else list(PROPERTY_NAMES)
+    names = args.properties.split(",") if explicit else list(verify.PROPERTY_NAMES)
     exit_code = 0
     for name in names:
         name = name.strip()
-        if name not in PROPERTY_NAMES:
+        if name not in verify.PROPERTY_NAMES:
             print(f"error: unknown property {name!r}", file=sys.stderr)
             return 2
         try:
-            report = _run_property(name, inst, budget)
-        except (PreconditionViolatedError, ContractMatchError) as exc:
+            report = battery.run(name)
+        except ContractMatchError as exc:
             if explicit:
                 print(f"error: {name}: {exc}", file=sys.stderr)
                 return 2
@@ -284,13 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceededError, InfeasibleOutcomeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ContractMatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ContractMatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -76,8 +76,10 @@ class GenParams:
     force_disjoint_yields draws each agent's amounts from per-partner
     disjoint pools, on both sides of the market, so no firm can earn the
     same amount with two workers and no worker can be paid the same amount
-    by two firms. With both flags set, every payoff comparison an instance
-    can pose is strict.
+    by two firms. With both flags set, no two contracts pay the same agent
+    the same amount. That does not make every comparison strict when 0 is
+    in value_range: a contract can still pay an agent the 0 of staying
+    single, which ties with being single.
     """
 
     n_firms: int

@@ -438,16 +438,16 @@ def instance_from_dict(data: Mapping) -> Instance:
         agents = [int(a) for a in data["agents"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("instance needs an integer 'agents' list") from exc
+    entries = data.get("menus", [])
+    if not isinstance(entries, (list, tuple)):
+        raise FormatError("instance 'menus' must be a list")
     menus = []
-    for entry in data.get("menus", ()):
+    for entry in entries:
         try:
-            pair = entry["pair"]
-            contracts = entry["contracts"]
-        except (KeyError, TypeError) as exc:
+            contracts = [{int(a): v for a, v in c.items()} for c in entry["contracts"]]
+            menus.append(ContractMenu.of(entry["pair"], contracts))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise FormatError(f"malformed menu entry {entry!r}") from exc
-        menus.append(
-            ContractMenu.of(pair, [{int(a): v for a, v in c.items()} for c in contracts])
-        )
     firms = data.get("firms")
     workers = data.get("workers")
     return validate_instance(

@@ -3,22 +3,27 @@
 Each checker returns a PropertyReport; a False report carries witnesses
 that replay to a concrete violation. Checkers raise only when their
 hypotheses fail (PreconditionViolatedError and friends), never to signal
-a property failure.
+a property failure. PropertyBattery runs the named properties of the
+`verify` command on one instance, sharing the enumerations they need.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable
 
+from . import procedure, stability
 from .errors import (
     BudgetExceededError,
+    ContractMatchError,
     InfeasibleOutcomeError,
     NotTwoSidedError,
     PreconditionViolatedError,
     UnstableInputError,
 )
 from .model import (
+    Allocation,
     EnumerationBudget,
     Instance,
     Matching,
@@ -53,18 +58,6 @@ def _require_stable(inst: Instance, outcome: Outcome, label: str) -> None:
     _require_feasible(inst, outcome)
     if payoffs_are_blocked(inst, outcome.payoff_map()):
         raise UnstableInputError(f"{label} admits a blocking pair")
-
-
-def _budget_iter(inst: Instance, budget: EnumerationBudget | None):
-    cap = (budget or EnumerationBudget()).max_outcomes
-    count = 0
-    for pairs, v in iter_raw_outcomes(inst):
-        count += 1
-        if count > cap:
-            raise BudgetExceededError(
-                f"more than {cap} outcomes examined; raise the enumeration budget"
-            )
-        yield pairs, v
 
 
 def is_pairwise_efficient(inst: Instance) -> PropertyReport:
@@ -115,16 +108,67 @@ def has_disjoint_yields(inst: Instance) -> PropertyReport:
 def is_weakly_pareto_optimal_for_firms(
     inst: Instance, outcome: Outcome, budget: EnumerationBudget | None = None
 ) -> PropertyReport:
-    """No feasible outcome pays every firm strictly more than this one."""
+    """No feasible outcome pays every firm strictly more than this one.
+
+    Such an outcome exists exactly when every firm can be matched to its
+    own worker on a contract that pays the firm more than it gets here and
+    pays the worker at least zero. The check searches for that
+    firm-saturating matching by augmenting paths, one breadth-first search
+    per firm, so it takes time polynomial in the size of the menus and
+    enumerates nothing; `budget` is accepted for compatibility and unused.
+    A false report's witness pays each matched pair the first such
+    contract of its menu.
+    """
     _require_two_sided(inst)
     _require_feasible(inst, outcome)
-    firms = inst.firms
     v = outcome.payoff_map()
-    for pairs, alt in _budget_iter(inst, budget):
-        if all(alt[f] > v[f] for f in firms):
-            witness = Outcome.of(Matching(pairs), alt)
-            return PropertyReport("firm-pareto", False, (witness,))
-    return PropertyReport("firm-pareto", True)
+    firm_set = set(inst.firms)
+    better: dict[int, dict[int, Allocation]] = {f: {} for f in inst.firms}
+    for m in inst.menus:
+        a, b = m.pair
+        f, w = (a, b) if a in firm_set else (b, a)
+        for c in m.contracts:
+            if c[f] > v[f] and c[w] >= 0:
+                better[f][w] = c
+                break
+    firm_of: dict[int, int] = {}
+    worker_of: dict[int, int] = {}
+    for f in inst.firms:
+        if not _augment(f, better, firm_of, worker_of):
+            return PropertyReport("firm-pareto", True)
+    payoffs = {a: 0 for a in inst.agents}
+    for w, f in firm_of.items():
+        payoffs.update(better[f][w].payments)
+    witness = Outcome.of(Matching.from_pairs(firm_of.items()), payoffs)
+    return PropertyReport("firm-pareto", False, (witness,))
+
+
+def _augment(root: int, edges, firm_of: dict, worker_of: dict) -> bool:
+    """Match the unmatched firm `root` along an augmenting path, if there is one.
+
+    Breadth-first over alternating paths; `firm_of` (worker to firm) and
+    `worker_of` (firm to worker) hold the matching and are updated in place.
+    """
+    reached_from: dict[int, int] = {}
+    frontier = [root]
+    while frontier:
+        following = []
+        for f in frontier:
+            for w in edges[f]:
+                if w in reached_from:
+                    continue
+                reached_from[w] = f
+                if w not in firm_of:
+                    while w is not None:
+                        f = reached_from[w]
+                        previous = worker_of.get(f)
+                        firm_of[w] = f
+                        worker_of[f] = w
+                        w = previous
+                    return True
+                following.append(firm_of[w])
+        frontier = following
+    return False
 
 
 def check_firm_optimality(
@@ -133,16 +177,15 @@ def check_firm_optimality(
     """Every stable outcome pays every firm at most what this outcome does."""
     _require_two_sided(inst)
     _require_feasible(inst, outcome)
-    firms = inst.firms
+    return _firm_bound(inst, outcome, stability.enumerate_core(inst, budget))
+
+
+def _firm_bound(inst: Instance, outcome: Outcome, core: list[Outcome]) -> PropertyReport:
     v = outcome.payoff_map()
     witnesses = []
-    for pairs, alt in _budget_iter(inst, budget):
-        if payoffs_are_blocked(inst, alt):
-            continue
-        losers = [f for f in firms if v[f] < alt[f]]
-        if losers:
-            stable = Outcome.of(Matching(pairs), alt)
-            witnesses.extend((f, stable) for f in losers)
+    for stable in core:
+        alt = stable.payoff_map()
+        witnesses.extend((f, stable) for f in inst.firms if v[f] < alt[f])
     return PropertyReport("firm-optimality", not witnesses, tuple(witnesses))
 
 
@@ -225,6 +268,14 @@ def check_group_tradeoff(
     return PropertyReport("group-tradeoff", not witnesses, tuple(witnesses))
 
 
+def _require_hypotheses(inst: Instance) -> None:
+    """Pairwise efficiency and disjoint yields, which several properties assume."""
+    if not is_pairwise_efficient(inst).holds:
+        raise PreconditionViolatedError("pairwise-efficiency")
+    if not has_disjoint_yields(inst).holds:
+        raise PreconditionViolatedError("disjoint-yields")
+
+
 def check_employment_invariance(
     inst: Instance, budget: EnumerationBudget | None = None
 ) -> PropertyReport:
@@ -234,26 +285,23 @@ def check_employment_invariance(
     strictly positive payoff.
     """
     _require_two_sided(inst)
-    if not is_pairwise_efficient(inst).holds:
-        raise PreconditionViolatedError("pairwise-efficiency")
-    if not has_disjoint_yields(inst).holds:
-        raise PreconditionViolatedError("disjoint-yields")
-    firms = inst.firms
-    workers = inst.workers
+    _require_hypotheses(inst)
+    return _employment_invariance(inst, stability.enumerate_core(inst, budget))
+
+
+def _employment_invariance(inst: Instance, core: list[Outcome]) -> PropertyReport:
     reference = None
     witnesses = []
-    for pairs, v in _budget_iter(inst, budget):
-        if payoffs_are_blocked(inst, v):
-            continue
+    for stable in core:
+        v = stable.payoff_map()
         employed = (
-            frozenset(f for f in firms if v[f] > 0),
-            frozenset(w for w in workers if v[w] > 0),
+            frozenset(f for f in inst.firms if v[f] > 0),
+            frozenset(w for w in inst.workers if v[w] > 0),
         )
-        current = (Outcome.of(Matching(pairs), v), employed)
         if reference is None:
-            reference = current
+            reference = (stable, employed)
         elif employed != reference[1]:
-            witnesses.append((reference[0], current[0], reference[1], employed))
+            witnesses.append((reference[0], stable, reference[1], employed))
     return PropertyReport("employment-invariance", not witnesses, tuple(witnesses))
 
 
@@ -266,10 +314,7 @@ def check_sides_opposed(inst: Instance, o1: Outcome, o2: Outcome) -> PropertyRep
     antecedent holds.
     """
     _require_two_sided(inst)
-    if not is_pairwise_efficient(inst).holds:
-        raise PreconditionViolatedError("pairwise-efficiency")
-    if not has_disjoint_yields(inst).holds:
-        raise PreconditionViolatedError("disjoint-yields")
+    _require_hypotheses(inst)
     _require_stable(inst, o1, "first outcome")
     _require_stable(inst, o2, "second outcome")
     witnesses = []
@@ -281,3 +326,144 @@ def check_sides_opposed(inst: Instance, o1: Outcome, o2: Outcome) -> PropertyRep
                 if not vx[w] >= vy[w]:
                     witnesses.append((direction, w, vx[w], vy[w]))
     return PropertyReport("sides-opposed", not witnesses, tuple(witnesses))
+
+
+# --- the verify battery ----------------------------------------------------
+
+
+class PropertyBattery:
+    """Runs named properties on one instance, sharing their enumerations.
+
+    The core and the outcomes reachable under some tie resolution are each
+    computed at most once, when a property first needs them; an error one
+    of them raised is raised again to every later property that needs it.
+    """
+
+    def __init__(self, inst: Instance, budget: EnumerationBudget | None = None):
+        self.inst = inst
+        self.budget = budget or EnumerationBudget()
+        self._memo: dict[str, tuple] = {}
+
+    def _once(self, key: str, compute):
+        if key not in self._memo:
+            try:
+                self._memo[key] = (compute(self.inst, self.budget), None)
+            except ContractMatchError as exc:
+                self._memo[key] = (None, exc)
+        value, error = self._memo[key]
+        if error is not None:
+            raise error
+        return value
+
+    def core(self) -> list[Outcome]:
+        return self._once("core", stability.enumerate_core)
+
+    def runs(self) -> list[Outcome]:
+        return self._once("runs", procedure.enumerate_procedure_outcomes)
+
+    def run(self, name: str) -> PropertyReport:
+        """The report of the property `name`, one of PROPERTY_NAMES.
+
+        Raises PreconditionViolatedError or another ContractMatchError when
+        the property cannot be decided on this instance.
+        """
+        return PROPERTIES[name](self)
+
+
+def _firm_pareto(battery: PropertyBattery) -> PropertyReport:
+    witnesses = []
+    for outcome in battery.runs():
+        report = is_weakly_pareto_optimal_for_firms(battery.inst, outcome)
+        if not report.holds:
+            witnesses.append((outcome,) + report.witnesses)
+    return PropertyReport("firm-pareto", not witnesses, tuple(witnesses))
+
+
+def _firm_optimality(battery: PropertyBattery) -> PropertyReport:
+    inst = battery.inst
+    _require_hypotheses(inst)
+    outcomes = battery.runs()
+    if len(outcomes) != 1:
+        return PropertyReport(
+            "firm-optimality", False, tuple(outcomes), {"reason": "not a singleton"}
+        )
+    return _firm_bound(inst, outcomes[0], battery.core())
+
+
+def _employment(battery: PropertyBattery) -> PropertyReport:
+    _require_hypotheses(battery.inst)
+    return _employment_invariance(battery.inst, battery.core())
+
+
+def _over_stable_pairs(battery: PropertyBattery, name: str, checker) -> PropertyReport:
+    # Every ordered pair of distinct outcomes among the first six of the
+    # core. The checker tests its own hypotheses, so with fewer than two
+    # stable outcomes the property holds without them being tested.
+    core = battery.core()[:6]
+    witnesses = []
+    for o1 in core:
+        for o2 in core:
+            if o1 == o2:
+                continue
+            report = checker(battery.inst, o1, o2)
+            if not report.holds:
+                witnesses.append((o1, o2) + report.witnesses)
+    return PropertyReport(name, not witnesses, tuple(witnesses))
+
+
+def _sides_opposed(battery: PropertyBattery) -> PropertyReport:
+    return _over_stable_pairs(battery, "sides-opposed", check_sides_opposed)
+
+
+def _pair_tradeoff(battery: PropertyBattery) -> PropertyReport:
+    return _over_stable_pairs(battery, "pair-tradeoff", check_pair_tradeoff)
+
+
+def _group_tradeoff(battery: PropertyBattery) -> PropertyReport:
+    # The first eight outcomes against the first four stable ones.
+    inst = battery.inst
+    outcomes = [
+        Outcome.of(Matching(pairs), v) for pairs, v in islice(iter_raw_outcomes(inst), 8)
+    ]
+    try:
+        core = battery.core()[:4]
+    except BudgetExceededError as exc:
+        # The core sweep ran out exactly when there are more outcomes than
+        # the budget; say so in the words outcome enumeration uses.
+        raise BudgetExceededError(
+            f"more than {battery.budget.max_outcomes} outcomes; "
+            "raise the enumeration budget"
+        ) from exc
+    witnesses = []
+    checked = 0
+    for o in outcomes:
+        vo = o.payoff_map()
+        for s in core:
+            vs = s.payoff_map()
+            group = [a for a in inst.agents if vs[a] > vo[a]]
+            if not group:
+                continue
+            try:
+                report = check_group_tradeoff(inst, o, s, group)
+            except PreconditionViolatedError:
+                continue
+            checked += 1
+            if not report.holds:
+                witnesses.append((o, s, tuple(group)) + report.witnesses)
+    return PropertyReport(
+        "group-tradeoff", not witnesses, tuple(witnesses), {"samples": checked}
+    )
+
+
+PROPERTIES = {
+    "pairwise-efficiency": lambda battery: is_pairwise_efficient(battery.inst),
+    "disjoint-yields": lambda battery: has_disjoint_yields(battery.inst),
+    "firm-pareto": _firm_pareto,
+    "firm-optimality": _firm_optimality,
+    "employment-invariance": _employment,
+    "sides-opposed": _sides_opposed,
+    "pair-tradeoff": _pair_tradeoff,
+    "group-tradeoff": _group_tradeoff,
+}
+
+PROPERTY_NAMES = tuple(PROPERTIES)

@@ -59,3 +59,15 @@ def oracle_core(inst):
         for pairs, items in oracle_outcomes(inst)
         if not oracle_blocking(inst, dict(items))
     }
+
+
+def oracle_firm_pareto(inst, payoffs):
+    """True iff no feasible outcome pays every firm strictly more than `payoffs`.
+
+    A sweep over every feasible outcome: the reference for the library's
+    matching test.
+    """
+    return not any(
+        all(dict(items)[f] > payoffs[f] for f in inst.firms)
+        for _, items in oracle_outcomes(inst)
+    )

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from contractmatch import instance_to_dict, outcome_to_dict
+from contractmatch import instance_to_dict, outcome_to_dict, procedure, stability
 from contractmatch.cli import main
 
 
@@ -80,6 +80,21 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "/nonexistent.json")
         assert code == 2 and err
 
+    @pytest.mark.parametrize(
+        "menus",
+        [
+            [{"pair": [1, 2, 3], "contracts": [{"1": 1, "2": 1}]}],
+            [{"pair": [1, 2], "contracts": [[1, 1]]}],
+            [{"pair": [1, 2], "contracts": [{"x": 1, "2": 1}]}],
+            5,
+        ],
+        ids=["three-agent-pair", "contract-not-an-object", "non-integer-key", "not-a-list"],
+    )
+    def test_malformed_menus_exit_2(self, capsys, tmp_path, menus):
+        data = {"agents": [1, 2, 3], "firms": [1], "workers": [2, 3], "menus": menus}
+        code, _, err = run_cli(capsys, "solve", write_json(tmp_path / "bad.json", data))
+        assert code == 2 and err.startswith("error:")
+
 
 class TestCheck:
     def test_stable_outcome_exits_0(self, capsys, tmp_path, illustration_file):
@@ -154,6 +169,15 @@ class TestCore:
         code, _, err = run_cli(capsys, "core", gs4_file)
         assert code == 2 and "budget" in err
 
+    def test_zero_budget_flag_exits_2(self, capsys, illustration_file):
+        code, out, err = run_cli(capsys, "core", illustration_file, "--max", "0")
+        assert code == 2 and err.startswith("error:") and not out
+
+    def test_non_integer_budget_env_var_exits_2(self, capsys, illustration_file, monkeypatch):
+        monkeypatch.setenv("CONTRACTMATCH_MAX_OUTCOMES", "abc")
+        code, out, err = run_cli(capsys, "core", illustration_file)
+        assert code == 2 and err.startswith("error:") and not out
+
 
 class TestVerify:
     def test_pairwise_efficiency_holds_on_modified(self, capsys, modified_file):
@@ -200,6 +224,44 @@ class TestVerify:
         }
         # disjoint-yields fails on this instance, so the battery reports 1
         assert code == 1
+
+    @pytest.fixture()
+    def enumeration_calls(self, monkeypatch):
+        calls = {"core": 0, "runs": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(stability, "enumerate_core", counted("core", stability.enumerate_core))
+        monkeypatch.setattr(
+            procedure,
+            "enumerate_procedure_outcomes",
+            counted("runs", procedure.enumerate_procedure_outcomes),
+        )
+        return calls
+
+    def test_full_battery_enumerates_core_and_ties_once(
+        self, capsys, illustration_file, enumeration_calls
+    ):
+        code, out, _ = run_cli(capsys, "verify", illustration_file)
+        assert len(json_lines(out)) == 8 and code == 1
+        assert enumeration_calls == {"core": 1, "runs": 1}
+
+    def test_menu_properties_enumerate_nothing(
+        self, capsys, illustration_file, enumeration_calls
+    ):
+        run_cli(
+            capsys,
+            "verify",
+            illustration_file,
+            "--properties",
+            "pairwise-efficiency,disjoint-yields",
+        )
+        assert enumeration_calls == {"core": 0, "runs": 0}
 
     def test_unknown_property_exits_2(self, capsys, modified_file):
         code, _, err = run_cli(capsys, "verify", modified_file, "--properties", "bogus")

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ from contractmatch import (
     EnumerationBudget,
     BudgetExceededError,
     GenParams,
+    InfeasibleParamsError,
     Instance,
     Matching,
+    NegativeContractWarning,
     NotTwoSidedError,
     Outcome,
     PreconditionViolatedError,
@@ -30,6 +33,7 @@ from contractmatch import (
     run_procedure,
     validate_instance,
 )
+from oracles import oracle_firm_pareto, oracle_outcomes
 
 
 def outcome_of(inst, pairs, payoffs):
@@ -57,6 +61,18 @@ def forced_instances(n, start_seed):
                 seed=seed,
             )
         )
+
+
+def check_wpo_against_oracle(inst, outcome):
+    """The check's verdict, asserted equal to brute force; a witness must replay."""
+    v = outcome.payoff_map()
+    report = is_weakly_pareto_optimal_for_firms(inst, outcome)
+    assert report.holds == oracle_firm_pareto(inst, v)
+    if not report.holds:
+        (witness,) = report.witnesses
+        assert outcome_is_feasible(inst, witness)
+        assert all(witness.payoff(f) > v[f] for f in inst.firms)
+    return report.holds
 
 
 @pytest.fixture(scope="module")
@@ -170,11 +186,74 @@ class TestWeakParetoOptimality:
                 assert is_weakly_pareto_optimal_for_firms(inst, o).holds
 
     def test_budget_applies(self, illustration):
-        o = outcome_of(illustration, [(1, 3), (2, 4)], {1: 3, 2: 4, 3: 1, 4: 2})
-        with pytest.raises(BudgetExceededError):
-            is_weakly_pareto_optimal_for_firms(
-                illustration, o, EnumerationBudget(max_outcomes=3)
+        # The budget bounds enumeration only. This check searches for a
+        # matching instead, so a budget below the outcome count does not
+        # stop it.
+        budget = EnumerationBudget(max_outcomes=3)
+        assert len(enumerate_outcomes(illustration)) > budget.max_outcomes
+        verdicts = []
+        for payoffs in ({1: 3, 2: 4, 3: 1, 4: 2}, {1: 1, 2: 2, 3: 3, 4: 4}):
+            o = outcome_of(illustration, [(1, 3), (2, 4)], payoffs)
+            report = is_weakly_pareto_optimal_for_firms(illustration, o, budget)
+            assert report.holds == oracle_firm_pareto(illustration, o.payoff_map())
+            verdicts.append(report.holds)
+        assert verdicts == [True, False]
+
+    def test_agrees_with_brute_force_over_generator_modes(self):
+        # Every feasible outcome of markets from every generator mode, with
+        # amounts that include 0, negative amounts, and empty menus.
+        checked = {True: 0, False: 0}
+        for seed in range(120):
+            lo, hi = ((0, 5), (-3, 4), (1, 6))[seed % 3]
+            mode = seed // 3 % 4
+            params = GenParams(
+                n_firms=1 + seed % 3,
+                n_workers=1 + seed // 2 % 3,
+                contracts_per_pair=(1, 3),
+                value_range=(lo, hi),
+                menu_density=0.0 if seed % 7 == 0 else (0.5, 0.9)[seed % 2],
+                force_pairwise_efficient=mode in (1, 3),
+                force_disjoint_yields=mode in (2, 3),
+                seed=4000 + seed,
             )
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", NegativeContractWarning)
+                    inst = gen_random(params)
+            except InfeasibleParamsError:
+                continue
+            for pairs, items in sorted(oracle_outcomes(inst)):
+                o = Outcome.of(Matching(pairs), dict(items))
+                checked[check_wpo_against_oracle(inst, o)] += 1
+        assert checked[True] >= 100 and checked[False] >= 100
+
+    def test_market_without_menus_holds(self):
+        inst = two_sided([], firms=(1, 2), workers=(3,))
+        o = outcome_of(inst, [], {})
+        assert check_wpo_against_oracle(inst, o)
+
+    def test_market_without_firms_fails_vacuously(self):
+        # With no firms, every outcome pays "every firm" more.
+        inst = two_sided([], firms=(), workers=(1, 2))
+        o = outcome_of(inst, [], {})
+        assert not check_wpo_against_oracle(inst, o)
+
+    def test_needs_an_augmenting_path(self):
+        # Firm 1 gains only with worker 3 or 4, firm 2 only with worker 3:
+        # first matching firm 1 to worker 3 must be undone.
+        inst = two_sided(
+            [
+                ContractMenu.of((1, 3), [{1: 2, 3: 0}]),
+                ContractMenu.of((1, 4), [{1: 2, 4: 1}]),
+                ContractMenu.of((2, 3), [{2: 2, 3: 1}]),
+            ],
+            firms=(1, 2),
+            workers=(3, 4),
+        )
+        o = outcome_of(inst, [], {})
+        assert not check_wpo_against_oracle(inst, o)
+        witness = is_weakly_pareto_optimal_for_firms(inst, o).witnesses[0]
+        assert witness.matching.pairs == ((1, 4), (2, 3))
 
 
 class TestFirmOptimality:
