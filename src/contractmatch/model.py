@@ -57,6 +57,18 @@ def parse_money(value) -> Fraction:
     )
 
 
+def parse_agent(value) -> int:
+    """Parse an agent id from an int (not a bool) or an integer string like "3"."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise FormatError(f"agent id must be an integer, got {value!r}")
+
+
 def money_str(value: Fraction) -> str:
     """Canonical string form: "3" for integers, "3/2" otherwise."""
     if value.denominator == 1:
@@ -77,7 +89,7 @@ class Allocation:
 
     @classmethod
     def of(cls, payments: Mapping[int, object]) -> "Allocation":
-        return cls(tuple(sorted((int(a), parse_money(v)) for a, v in payments.items())))
+        return cls(tuple(sorted((parse_agent(a), parse_money(v)) for a, v in payments.items())))
 
     def __getitem__(self, agent: int) -> Fraction:
         for a, v in self.payments:
@@ -114,7 +126,7 @@ class ContractMenu:
         allocs = tuple(
             c if isinstance(c, Allocation) else Allocation.of(c) for c in contracts
         )
-        return cls((int(a), int(b)), allocs)
+        return cls((parse_agent(a), parse_agent(b)), allocs)
 
 
 @dataclass(frozen=True)
@@ -135,10 +147,10 @@ class Instance:
         workers: Iterable[int] | None = None,
     ) -> "Instance":
         return cls(
-            tuple(int(a) for a in agents),
+            tuple(parse_agent(a) for a in agents),
             tuple(menus),
-            None if firms is None else tuple(int(a) for a in firms),
-            None if workers is None else tuple(int(a) for a in workers),
+            None if firms is None else tuple(parse_agent(a) for a in firms),
+            None if workers is None else tuple(parse_agent(a) for a in workers),
         )
 
     @property
@@ -155,6 +167,13 @@ class Instance:
     def menu_map(self) -> dict[tuple[int, int], ContractMenu]:
         return {m.pair: m for m in self.menus}
 
+    def oriented_menus(self) -> Iterator[tuple[int, int, ContractMenu]]:
+        """Yield (firm, worker, menu) for every menu of a two-sided instance."""
+        firm_set = set(self.firms)
+        for m in self.menus:
+            a, b = m.pair
+            yield (a, b, m) if a in firm_set else (b, a, m)
+
 
 def validate_instance(inst: Instance) -> Instance:
     """Check every instance invariant and return the canonical form.
@@ -164,7 +183,7 @@ def validate_instance(inst: Instance) -> Instance:
     (first occurrence wins). Idempotent. Contracts with negative amounts
     are legal but unreachable in outcomes; they trigger a warning.
     """
-    agents = tuple(sorted({int(a) for a in inst.agents}))
+    agents = tuple(sorted({parse_agent(a) for a in inst.agents}))
     if not agents:
         raise InstanceError("instance must have at least one agent")
     if agents[0] < 1:
@@ -175,8 +194,8 @@ def validate_instance(inst: Instance) -> Instance:
         raise InvalidPartitionError("firms and workers must be given together")
     firms = workers = None
     if inst.firms is not None:
-        firms = tuple(sorted({int(a) for a in inst.firms}))
-        workers = tuple(sorted({int(a) for a in inst.workers}))
+        firms = tuple(sorted({parse_agent(a) for a in inst.firms}))
+        workers = tuple(sorted({parse_agent(a) for a in inst.workers}))
         for a in firms + workers:
             if a not in agent_set:
                 raise UnknownAgentError(f"partition references unknown agent {a}")
@@ -195,7 +214,7 @@ def validate_instance(inst: Instance) -> Instance:
             a, b = m.pair
         except ValueError as exc:
             raise MalformedMenuError(f"menu pair must have two agents: {m.pair!r}") from exc
-        a, b = int(a), int(b)
+        a, b = parse_agent(a), parse_agent(b)
         if a == b:
             raise MalformedMenuError(f"menu pair {m.pair!r} repeats an agent")
         for x in (a, b):
@@ -269,7 +288,9 @@ class Matching:
         canonical = []
         used: set[int] = set()
         for p in pairs:
-            a, b = (int(x) for x in p)
+            if not isinstance(p, (list, tuple)) or len(p) != 2:
+                raise FormatError(f"matched pair must list two agents, got {p!r}")
+            a, b = (parse_agent(x) for x in p)
             if a == b:
                 raise FormatError(f"matched pair {p!r} repeats an agent")
             if a in used or b in used:
@@ -301,7 +322,7 @@ class Outcome:
     def of(cls, matching: Matching, payoffs: Mapping[int, object]) -> "Outcome":
         return cls(
             matching,
-            tuple(sorted((int(a), parse_money(v)) for a, v in payoffs.items())),
+            tuple(sorted((parse_agent(a), parse_money(v)) for a, v in payoffs.items())),
         )
 
     def payoff(self, agent: int) -> Fraction:
@@ -430,28 +451,38 @@ def instance_to_dict(inst: Instance) -> dict:
     return d
 
 
+def _id_list(data: Mapping, key: str) -> list[int] | None:
+    values = data.get(key)
+    if values is None:
+        return None
+    if not isinstance(values, list):
+        raise FormatError(f"instance '{key}' must be a list of agent ids")
+    return [parse_agent(a) for a in values]
+
+
 def instance_from_dict(data: Mapping) -> Instance:
     """Build and validate an instance from its dict form."""
     if not isinstance(data, Mapping):
         raise FormatError("instance data must be a JSON object")
-    try:
-        agents = [int(a) for a in data["agents"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError("instance needs an integer 'agents' list") from exc
+    agents = _id_list(data, "agents")
+    if agents is None:
+        raise FormatError("instance needs an integer 'agents' list")
     entries = data.get("menus", [])
     if not isinstance(entries, (list, tuple)):
         raise FormatError("instance 'menus' must be a list")
     menus = []
     for entry in entries:
+        if not isinstance(entry, Mapping) or not isinstance(entry.get("pair"), list):
+            raise FormatError(f"malformed menu entry {entry!r}")
         try:
-            contracts = [{int(a): v for a, v in c.items()} for c in entry["contracts"]]
+            contracts = [{parse_agent(a): v for a, v in c.items()} for c in entry["contracts"]]
             menus.append(ContractMenu.of(entry["pair"], contracts))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise FormatError(f"malformed menu entry {entry!r}") from exc
-    firms = data.get("firms")
-    workers = data.get("workers")
     return validate_instance(
-        Instance.of(agents, menus, firms=firms, workers=workers)
+        Instance.of(
+            agents, menus, firms=_id_list(data, "firms"), workers=_id_list(data, "workers")
+        )
     )
 
 
@@ -468,9 +499,11 @@ def outcome_from_dict(data: Mapping) -> Outcome:
         raise FormatError("outcome data must be a JSON object")
     try:
         matches = data["matches"]
-        payoffs = {int(a): parse_money(v) for a, v in data["payoffs"].items()}
+        payoffs = {parse_agent(a): parse_money(v) for a, v in data["payoffs"].items()}
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError("outcome needs 'matches' and a 'payoffs' map") from exc
+    if not isinstance(matches, list):
+        raise FormatError("outcome 'matches' must be a list of pairs")
     matching = Matching.from_pairs(matches)
     known = set(payoffs)
     for a in matching.matched_agents():
@@ -478,7 +511,9 @@ def outcome_from_dict(data: Mapping) -> Outcome:
             raise FormatError(f"matched agent {a} has no payoff entry")
     singles = data.get("singles")
     if singles is not None:
-        declared = set(int(a) for a in singles) | matching.matched_agents()
+        if not isinstance(singles, list):
+            raise FormatError("outcome 'singles' must be a list of agent ids")
+        declared = {parse_agent(a) for a in singles} | matching.matched_agents()
         if declared != known:
             raise FormatError("matches plus singles must cover exactly the payoff keys")
     return Outcome.of(matching, payoffs)

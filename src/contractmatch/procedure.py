@@ -61,14 +61,12 @@ class TieBreakPolicy:
     firm_prefers_low_worker: among a firm's payoff-tied contracts, propose
         to the lower (else higher) worker id first; equal-worker ties go to
         the lexicographically smaller allocation.
-    worker_prefers_low_firm: among a worker's payoff-tied offers, keep the
-        lower (else higher) firm id.
     worker_keeps_held: a held offer wins payoff ties against new offers;
-        when False the firm rule decides even against the incumbent.
+        when False the lower firm id wins even against the incumbent.
+    Among a worker's payoff-tied new offers the lower firm id always wins.
     """
 
     firm_prefers_low_worker: bool = True
-    worker_prefers_low_firm: bool = True
     worker_keeps_held: bool = True
 
 
@@ -84,27 +82,17 @@ POLICIES: dict[str, TieBreakPolicy] = {
 }
 
 
-@dataclass(frozen=True)
-class ProposalSpace:
-    """Per-firm acceptable proposals, best first; ties ordered by policy."""
-
-    by_firm: dict[int, tuple[Proposal, ...]]
-
-    def worker_accepts(self, proposal: Proposal) -> bool:
-        return proposal.worker_payoff >= 0
-
-
 def build_proposal_space(
     inst: Instance, policy: TieBreakPolicy = DEFAULT_POLICY
-) -> ProposalSpace:
-    """Each firm's contracts paying it more than zero, sorted best-first."""
+) -> dict[int, tuple[Proposal, ...]]:
+    """Each firm's contracts paying it more than zero, sorted best-first.
+
+    Payoff ties are ordered by the policy's firm rule.
+    """
     if not inst.two_sided:
         raise NotTwoSidedError("instance has no firm/worker partition")
-    firm_set = set(inst.firms)
     lists: dict[int, list[Proposal]] = {f: [] for f in inst.firms}
-    for m in inst.menus:
-        a, b = m.pair
-        f, w = (a, b) if a in firm_set else (b, a)
+    for f, w, m in inst.oriented_menus():
         for c in m.contracts:
             if c[f] > 0:
                 lists[f].append(Proposal(f, w, c))
@@ -113,7 +101,7 @@ def build_proposal_space(
         worker = p.worker if policy.firm_prefers_low_worker else -p.worker
         return (-p.firm_payoff, worker, p.allocation)
 
-    return ProposalSpace({f: tuple(sorted(ps, key=key)) for f, ps in lists.items()})
+    return {f: tuple(sorted(ps, key=key)) for f, ps in lists.items()}
 
 
 @dataclass(frozen=True)
@@ -124,9 +112,16 @@ class TraceStep:
     proposers: tuple[int, ...]
     proposals: dict[int, Proposal]
     received: dict[int, tuple[Proposal, ...]]
-    acceptable: dict[int, tuple[Proposal, ...]]
     held: dict[int, Proposal]
     rejected: tuple[Proposal, ...]
+
+    @property
+    def acceptable(self) -> dict[int, tuple[Proposal, ...]]:
+        """The received offers that pay their worker at least zero."""
+        return {
+            w: tuple(p for p in ps if p.worker_payoff >= 0)
+            for w, ps in self.received.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -147,31 +142,19 @@ class _Branch(Exception):
         self.n_options = n_options
 
 
-def _policy_firm_pick(policy: TieBreakPolicy):
-    # Lists are already sorted with the policy's key, so the leading
-    # payoff-tied group arrives in policy order.
-    def pick(firm: int, options: tuple[Proposal, ...]) -> Proposal:
-        return options[0]
+def _execute(
+    inst: Instance,
+    by_firm: dict[int, tuple[Proposal, ...]],
+    worker_keeps_held: bool,
+    pick,
+):
+    """One proposing run; pick(options) resolves every tie of two or more.
 
-    return pick
-
-
-def _policy_worker_pick(policy: TieBreakPolicy):
-    def pick(
-        worker: int, options: tuple[Proposal, ...], held: Proposal | None
-    ) -> Proposal:
-        if len(options) == 1:
-            return options[0]
-        if policy.worker_keeps_held and held is not None and held in options:
-            return held
-        firm = (lambda p: p.firm) if policy.worker_prefers_low_firm else (lambda p: -p.firm)
-        return min(options, key=lambda p: (firm(p), p.allocation))
-
-    return pick
-
-
-def _execute(inst: Instance, space: ProposalSpace, pick_firm, pick_worker):
-    remaining = {f: list(ps) for f, ps in space.by_firm.items()}
+    Options arrive in the policy's order: a firm's tied contracts as
+    build_proposal_space sorted them, a worker's tied offers with the
+    incumbent first when worker_keeps_held, then by firm id.
+    """
+    remaining = {f: list(ps) for f, ps in by_firm.items()}
     held: dict[int, Proposal] = {}
     held_firms: set[int] = set()
     steps: list[TraceStep] = []
@@ -182,39 +165,38 @@ def _execute(inst: Instance, space: ProposalSpace, pick_firm, pick_worker):
             f for f in sorted(remaining) if f not in held_firms and remaining[f]
         )
         if not active:
-            steps.append(TraceStep(stage, (), {}, {}, {}, dict(held), ()))
+            steps.append(TraceStep(stage, (), {}, {}, dict(held), ()))
             break
         proposals: dict[int, Proposal] = {}
-        for f in active:
-            top = remaining[f][0].firm_payoff
-            group = tuple(p for p in remaining[f] if p.firm_payoff == top)
-            choice = pick_firm(f, group)
-            remaining[f].remove(choice)
-            proposals[f] = choice
         received: dict[int, tuple[Proposal, ...]] = {}
         for f in active:
-            p = proposals[f]
-            received[p.worker] = received.get(p.worker, ()) + (p,)
+            untried = remaining[f]
+            top = untried[0].firm_payoff
+            n = 1
+            while n < len(untried) and untried[n].firm_payoff == top:
+                n += 1
+            choice = untried[0] if n == 1 else pick(tuple(untried[:n]))
+            untried.remove(choice)
+            proposals[f] = choice
+            received[choice.worker] = received.get(choice.worker, ()) + (choice,)
         received = dict(sorted(received.items()))
-        acceptable = {
-            w: tuple(p for p in ps if space.worker_accepts(p))
-            for w, ps in received.items()
-        }
         rejected: list[Proposal] = []
         for w, ps in received.items():
             prev = held.get(w)
-            pool = list(acceptable[w]) + ([prev] if prev is not None else [])
+            pool = [p for p in ps if p.worker_payoff >= 0]
+            if prev is not None:
+                pool.append(prev)
             if not pool:
                 rejected.extend(ps)
                 continue
             best = max(p.worker_payoff for p in pool)
-            tied = tuple(
-                sorted(
-                    (p for p in pool if p.worker_payoff == best),
-                    key=lambda p: (p.firm, p.allocation),
-                )
-            )
-            choice = pick_worker(w, tied, prev)
+            tied = [p for p in pool if p.worker_payoff == best]
+            if len(tied) == 1:
+                choice = tied[0]
+            else:
+                incumbent = prev if worker_keeps_held else None
+                tied.sort(key=lambda p: (p is not incumbent, p.firm))
+                choice = pick(tuple(tied))
             rejected.extend(p for p in ps if p != choice)
             if prev is not None and prev != choice:
                 rejected.append(prev)
@@ -222,7 +204,7 @@ def _execute(inst: Instance, space: ProposalSpace, pick_firm, pick_worker):
             held[w] = choice
             held_firms.add(choice.firm)
         steps.append(
-            TraceStep(stage, active, proposals, received, acceptable, dict(held), tuple(rejected))
+            TraceStep(stage, active, proposals, received, dict(held), tuple(rejected))
         )
 
     payoffs = {a: ZERO for a in inst.agents}
@@ -243,8 +225,8 @@ def run_procedure(
     Returns the resulting outcome (always stable) and the full trace.
     Identical instance and policy give a bit-for-bit identical trace.
     """
-    space = build_proposal_space(inst, policy)
-    return _execute(inst, space, _policy_firm_pick(policy), _policy_worker_pick(policy))
+    by_firm = build_proposal_space(inst, policy)
+    return _execute(inst, by_firm, policy.worker_keeps_held, lambda options: options[0])
 
 
 def enumerate_procedure_outcomes(
@@ -256,7 +238,7 @@ def enumerate_procedure_outcomes(
     sides. The budget bounds the number of replayed runs, since distinct
     tie resolutions may collapse to few distinct outcomes.
     """
-    space = build_proposal_space(inst, DEFAULT_POLICY)
+    by_firm = build_proposal_space(inst, DEFAULT_POLICY)
     cap = (budget or EnumerationBudget()).max_outcomes
 
     def replay(script: tuple[int, ...]):
@@ -264,20 +246,12 @@ def enumerate_procedure_outcomes(
 
         def scripted(options):
             nonlocal cursor
-            if len(options) == 1:
-                return options[0]
             if cursor < len(script):
-                i = script[cursor]
                 cursor += 1
-                return options[i]
+                return options[script[cursor - 1]]
             raise _Branch(len(options))
 
-        return _execute(
-            inst,
-            space,
-            lambda f, options: scripted(options),
-            lambda w, options, held: scripted(options),
-        )
+        return _execute(inst, by_firm, DEFAULT_POLICY.worker_keeps_held, scripted)
 
     outcomes: set[Outcome] = set()
     stack: list[tuple[int, ...]] = [()]

@@ -69,11 +69,8 @@ def is_pairwise_efficient(inst: Instance) -> PropertyReport:
     biconditional.
     """
     _require_two_sided(inst)
-    firm_set = set(inst.firms)
     witnesses = []
-    for m in inst.menus:
-        a, b = m.pair
-        f, w = (a, b) if a in firm_set else (b, a)
+    for f, w, m in inst.oriented_menus():
         cs = m.contracts
         for i in range(len(cs)):
             for j in range(i + 1, len(cs)):
@@ -87,11 +84,8 @@ def is_pairwise_efficient(inst: Instance) -> PropertyReport:
 def has_disjoint_yields(inst: Instance) -> PropertyReport:
     """No firm can earn the same amount with two different workers."""
     _require_two_sided(inst)
-    firm_set = set(inst.firms)
     yields: dict[int, list[tuple[int, set[Fraction]]]] = {f: [] for f in inst.firms}
-    for m in inst.menus:
-        a, b = m.pair
-        f, w = (a, b) if a in firm_set else (b, a)
+    for f, w, m in inst.oriented_menus():
         yields[f].append((w, {c[f] for c in m.contracts}))
     witnesses = []
     for f in sorted(yields):
@@ -122,11 +116,8 @@ def is_weakly_pareto_optimal_for_firms(
     _require_two_sided(inst)
     _require_feasible(inst, outcome)
     v = outcome.payoff_map()
-    firm_set = set(inst.firms)
     better: dict[int, dict[int, Allocation]] = {f: {} for f in inst.firms}
-    for m in inst.menus:
-        a, b = m.pair
-        f, w = (a, b) if a in firm_set else (b, a)
+    for f, w, m in inst.oriented_menus():
         for c in m.contracts:
             if c[f] > v[f] and c[w] >= 0:
                 better[f][w] = c

@@ -4,7 +4,14 @@ import sys
 
 import pytest
 
-from contractmatch import instance_to_dict, outcome_to_dict, procedure, stability
+from contractmatch import (
+    GenParams,
+    gen_random,
+    instance_to_dict,
+    outcome_to_dict,
+    procedure,
+    stability,
+)
 from contractmatch.cli import main
 
 
@@ -95,6 +102,123 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", write_json(tmp_path / "bad.json", data))
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"agents": [1.7, 2, 3]},
+            {"agents": [True, 2, 3]},
+            {"agents": "123"},
+            {"firms": [1.5]},
+            {"workers": 5},
+            {"menus": [{"pair": [1.5, 2], "contracts": [{"1": 1, "2": 1}]}]},
+            {"menus": [{"pair": "12", "contracts": [{"1": 1, "2": 1}]}]},
+        ],
+        ids=["float-agent", "bool-agent", "agents-string", "float-firm",
+             "workers-not-a-list", "float-pair", "pair-string"],
+    )
+    def test_non_integer_agent_ids_exit_2(self, capsys, tmp_path, changes):
+        data = {"agents": [1, 2, 3], "firms": [1], "workers": [2, 3], "menus": []}
+        data.update(changes)
+        code, _, err = run_cli(capsys, "solve", write_json(tmp_path / "bad.json", data))
+        assert code == 2 and err.startswith("error:")
+
+
+def proposal(text):
+    """A trace proposal from "firm-worker:firm amount/worker amount"."""
+    pair, amounts = text.split(":")
+    firm, worker = pair.split("-")
+    x, y = amounts.split("/")
+    return {"contract": {firm: x, worker: y}, "firm": int(firm), "worker": int(worker)}
+
+
+def stage(n, proposers, proposals, received, acceptable, held, rejected):
+    def offers(by_worker):
+        return {w: [proposal(t) for t in ts] for w, ts in by_worker.items()}
+
+    return {
+        "stage": n,
+        "proposers": proposers,
+        "proposals": [proposal(t) for t in proposals],
+        "received": offers(received),
+        "acceptable": offers(acceptable),
+        "held": {w: proposal(t) for w, t in held.items()},
+        "rejected": [proposal(t) for t in rejected],
+    }
+
+
+class TestPinnedRuns:
+    """Every `solve --trace` record and the `--all-tiebreaks` output of two markets."""
+
+    # Worker 2 rejects the only contract, which pays it -1, so the stage's
+    # acceptable offers differ from the received ones.
+    REJECTED = {
+        "agents": [1, 2],
+        "firms": [1],
+        "workers": [2],
+        "menus": [{"pair": [1, 2], "contracts": [{"1": 3, "2": -1}]}],
+    }
+    REJECTED_OUTCOME = {"matches": [], "payoffs": {"1": "0", "2": "0"}, "singles": [1, 2]}
+    REJECTED_STAGES = [
+        stage(1, [1], ["1-2:3/-1"], {"2": ["1-2:3/-1"]}, {"2": []}, {}, ["1-2:3/-1"]),
+        stage(2, [], [], {}, {}, {}, []),
+    ]
+
+    # Multi-contract menus where the incumbency rule changes the outcome:
+    # in stage 2 worker 3 holds firm 2's offer and firm 1 offers the same 3.
+    KEPT = {"matches": [[1, 4], [2, 3]], "payoffs": {"1": "1", "2": "3", "3": "3", "4": "2"}, "singles": []}
+    SWITCHED = {"matches": [[1, 3], [2, 4]], "payoffs": {"1": "1", "2": "1", "3": "3", "4": "4"}, "singles": []}
+    FIRST_STAGE = stage(
+        1, [1, 2], ["1-3:1/1", "2-3:3/3"],
+        {"3": ["1-3:1/1", "2-3:3/3"]}, {"3": ["1-3:1/1", "2-3:3/3"]},
+        {"3": "2-3:3/3"}, ["1-3:1/1"],
+    )
+    TIE_STAGES = {
+        "default": [
+            FIRST_STAGE,
+            stage(2, [1], ["1-3:1/3"], {"3": ["1-3:1/3"]}, {"3": ["1-3:1/3"]},
+                  {"3": "2-3:3/3"}, ["1-3:1/3"]),
+            stage(3, [1], ["1-4:1/2"], {"4": ["1-4:1/2"]}, {"4": ["1-4:1/2"]},
+                  {"3": "2-3:3/3", "4": "1-4:1/2"}, []),
+            stage(4, [], [], {}, {}, {"3": "2-3:3/3", "4": "1-4:1/2"}, []),
+        ],
+        "high-worker": [
+            stage(1, [1, 2], ["1-4:1/2", "2-3:3/3"],
+                  {"3": ["2-3:3/3"], "4": ["1-4:1/2"]}, {"3": ["2-3:3/3"], "4": ["1-4:1/2"]},
+                  {"3": "2-3:3/3", "4": "1-4:1/2"}, []),
+            stage(2, [], [], {}, {}, {"3": "2-3:3/3", "4": "1-4:1/2"}, []),
+        ],
+        "strict-list": [
+            FIRST_STAGE,
+            stage(2, [1], ["1-3:1/3"], {"3": ["1-3:1/3"]}, {"3": ["1-3:1/3"]},
+                  {"3": "1-3:1/3"}, ["2-3:3/3"]),
+            stage(3, [2], ["2-4:1/4"], {"4": ["2-4:1/4"]}, {"4": ["2-4:1/4"]},
+                  {"3": "1-3:1/3", "4": "2-4:1/4"}, []),
+            stage(4, [], [], {}, {}, {"3": "1-3:1/3", "4": "2-4:1/4"}, []),
+        ],
+    }
+    TIE_OUTCOMES = {"default": KEPT, "high-worker": KEPT, "strict-list": SWITCHED}
+
+    def solve(self, capsys, path, *flags):
+        code, out, _ = run_cli(capsys, "solve", path, *flags)
+        assert code == 0
+        return json_lines(out)
+
+    @pytest.mark.filterwarnings("ignore::contractmatch.NegativeContractWarning")
+    @pytest.mark.parametrize("policy", sorted(procedure.POLICIES))
+    def test_worker_rejects_negative_offer(self, capsys, tmp_path, policy):
+        path = write_json(tmp_path / "rejected.json", self.REJECTED)
+        records = self.solve(capsys, path, "--policy", policy, "--trace")
+        assert records == [self.REJECTED_OUTCOME] + self.REJECTED_STAGES
+        assert self.solve(capsys, path, "--all-tiebreaks") == [self.REJECTED_OUTCOME]
+
+    @pytest.mark.parametrize("policy", sorted(procedure.POLICIES))
+    def test_incumbency_decides_multi_contract_tie(self, capsys, tmp_path, policy):
+        inst = gen_random(GenParams(2, 2, (1, 2), (1, 4), 1.0, seed=46))
+        path = write_json(tmp_path / "tie.json", instance_to_dict(inst))
+        records = self.solve(capsys, path, "--policy", policy, "--trace")
+        assert records == [self.TIE_OUTCOMES[policy]] + self.TIE_STAGES[policy]
+        assert self.solve(capsys, path, "--all-tiebreaks") == [self.SWITCHED, self.KEPT]
+
 
 class TestCheck:
     def test_stable_outcome_exits_0(self, capsys, tmp_path, illustration_file):
@@ -131,6 +255,30 @@ class TestCheck:
         path = write_json(tmp_path / "outcome.json", outcome)
         code, _, err = run_cli(capsys, "check", illustration_file, path)
         assert code == 2 and "feasible" in err
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"matches": [["x", 3]]},
+            {"singles": ["y"]},
+            {"matches": [[1, 3, 4]]},
+            {"matches": 5},
+            {"matches": [[1.5, 3]]},
+            {"singles": [2.0, 4]},
+        ],
+        ids=["string-agent", "string-single", "three-agent-match", "matches-not-a-list",
+             "float-agent", "float-single"],
+    )
+    def test_malformed_outcome_exits_2(self, capsys, tmp_path, illustration_file, changes):
+        outcome = {
+            "matches": [[1, 3]],
+            "singles": [2, 4],
+            "payoffs": {"1": "3", "2": "0", "3": "1", "4": "0"},
+        }
+        outcome.update(changes)
+        path = write_json(tmp_path / "outcome.json", outcome)
+        code, _, err = run_cli(capsys, "check", illustration_file, path)
+        assert code == 2 and err.startswith("error:")
 
     def test_round_trip_solve_then_check(self, capsys, tmp_path, modified_file):
         code, out, _ = run_cli(capsys, "solve", modified_file)

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from contractmatch import (
     GenParams,
     Instance,
     Matching,
+    NegativeContractWarning,
     NotSingletonMenusError,
     NotTwoSidedError,
     Outcome,
@@ -21,6 +23,8 @@ from contractmatch import (
     enumerate_procedure_outcomes,
     gen_random,
     is_stable,
+    is_weakly_pareto_optimal_for_firms,
+    outcome_is_feasible,
     run_procedure,
     validate_instance,
 )
@@ -58,14 +62,14 @@ class TestProposalSpace:
         space = build_proposal_space(illustration)
         got = [
             (p.worker, p.firm_payoff, p.worker_payoff)
-            for p in space.by_firm[1]
+            for p in space[1]
         ]
         # best own payoff first; the payoff-1 tie goes to the lower worker id
         assert got == [(4, 4, 1), (3, 3, 1), (3, 1, 3), (4, 1, 4)]
 
     def test_high_worker_policy_flips_tie_order(self, illustration):
         space = build_proposal_space(illustration, POLICIES["high-worker"])
-        got = [(p.worker, p.firm_payoff) for p in space.by_firm[1]]
+        got = [(p.worker, p.firm_payoff) for p in space[1]]
         assert got == [(4, 4), (3, 3), (4, 1), (3, 1)]
 
     def test_zero_payoff_contracts_are_not_proposable(self):
@@ -73,7 +77,7 @@ class TestProposalSpace:
             [ContractMenu.of((1, 2), [{1: 0, 2: 5}])], firms=(1,), workers=(2,)
         )
         space = build_proposal_space(inst)
-        assert space.by_firm[1] == ()
+        assert space[1] == ()
 
     def test_requires_partition(self, gs4):
         with pytest.raises(NotTwoSidedError):
@@ -151,6 +155,41 @@ class TestProcedureProperties:
             outcome, _ = run_procedure(inst, policy)
             assert is_stable(inst, outcome)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n_firms=st.integers(6, 12),
+        n_workers=st.integers(6, 12),
+        low=st.sampled_from([0, -3]),
+        pairwise_efficient=st.booleans(),
+        disjoint_yields=st.booleans(),
+        density=st.sampled_from([0.5, 0.8, 1.0]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_outcome_is_stable_and_firm_pareto_above_corpus_sizes(
+        self, n_firms, n_workers, low, pairwise_efficient, disjoint_yields, density, seed
+    ):
+        # Disjoint yields need up to 12 * 3 distinct amounts per agent.
+        high = low + (40 if disjoint_yields else 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeContractWarning)
+            inst = gen_random(
+                GenParams(
+                    n_firms=n_firms,
+                    n_workers=n_workers,
+                    contracts_per_pair=(1, 3),
+                    value_range=(low, high),
+                    menu_density=density,
+                    force_pairwise_efficient=pairwise_efficient,
+                    force_disjoint_yields=disjoint_yields,
+                    seed=seed,
+                )
+            )
+        for policy in POLICIES.values():
+            outcome, _ = run_procedure(inst, policy)
+            assert outcome_is_feasible(inst, outcome)
+            assert is_stable(inst, outcome)
+            assert is_weakly_pareto_optimal_for_firms(inst, outcome).holds
+
     def test_monotonicity_and_termination(self):
         for seed in range(40):
             inst = gen_random(
@@ -178,7 +217,7 @@ class TestProcedureProperties:
                         assert p.worker_payoff >= held_payoff[w]
                     held_payoff[w] = p.worker_payoff
             assert trace.terminal_stage <= 1 + sum(
-                len(ps) for ps in space.by_firm.values()
+                len(ps) for ps in space.values()
             )
 
     def test_held_proposal_is_always_a_best_available(self):
