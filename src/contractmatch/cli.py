@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 from . import generator, model, procedure, stability, verify
@@ -201,13 +202,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ContractMatchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # A warning is one "warning: ..." line, like an error, with no
+        # source path or line of the library.
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (ContractMatchError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     BudgetExceededError,
@@ -38,9 +38,25 @@ ZERO = Fraction(0)
 
 DEFAULT_MAX_OUTCOMES = 250_000
 
+#: Largest decimal exponent, in size, a money literal may carry: "1e1000"
+#: parses, "1e1001" is a FormatError. Digit counts are bounded by Python's
+#: limit on integer string conversion (4,300 digits by default).
+MAX_MONEY_EXPONENT = 1000
+
+
+def _shown(text: str) -> str:
+    """The repr of an input literal, cut after 40 characters."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
 
 def parse_money(value) -> Fraction:
-    """Parse an exact amount from an int, or a decimal/fraction string like "1.5" or "3/2"."""
+    """Parse an exact amount from an int, or a decimal/fraction string like "1.5" or "3/2".
+
+    A decimal exponent beyond MAX_MONEY_EXPONENT in size ("1e1001",
+    "1e-1001") is a FormatError, raised before the power of ten is built.
+    """
     if isinstance(value, bool):
         raise FormatError(f"money amount must be an integer or string, got {value!r}")
     if isinstance(value, int):
@@ -48,10 +64,17 @@ def parse_money(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
+        text = value.strip()
+        _, marker, exponent = text.lower().partition("e")
         try:
-            return Fraction(value.strip())
+            if marker and abs(int(exponent)) > MAX_MONEY_EXPONENT:
+                raise FormatError(
+                    f"money amount {_shown(value)} has a decimal exponent beyond "
+                    f"{MAX_MONEY_EXPONENT} in size"
+                )
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"cannot parse money amount {value!r}") from exc
+            raise FormatError(f"cannot parse money amount {_shown(value)}") from exc
     raise FormatError(
         f"money amount must be an integer or string, got {type(value).__name__}"
     )
@@ -228,13 +251,15 @@ def validate_instance(inst: Instance) -> Instance:
             (a in firm_set and b in firm_set) or (a in worker_set and b in worker_set)
         ):
             raise SameSideMenuError(f"pair {key} joins two agents on the same side")
+        lo, hi = key
         contracts: list[Allocation] = []
         for c in m.contracts:
-            if set(c.agents) != {a, b}:
+            p = c.payments  # sorted by agent id
+            if len(p) != 2 or p[0][0] != lo or p[1][0] != hi:
                 raise MalformedMenuError(
                     f"contract {c!r} does not cover exactly the pair {key}"
                 )
-            if any(v < 0 for _, v in c.payments):
+            if p[0][1].numerator < 0 or p[1][1].numerator < 0:
                 negatives += 1
             if c not in contracts:
                 contracts.append(c)
@@ -460,8 +485,26 @@ def _id_list(data: Mapping, key: str) -> list[int] | None:
     return [parse_agent(a) for a in values]
 
 
+class _ParseMemo(dict):
+    """Parsed values of str literals, each literal parsed on first use.
+
+    Only str keys go in, so that True can never stand for 1.
+    """
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text: str):
+        value = self[text] = self.parse(text)
+        return value
+
+
 def instance_from_dict(data: Mapping) -> Instance:
-    """Build and validate an instance from its dict form."""
+    """Build and validate an instance from its dict form.
+
+    Each distinct agent-id string and money string is parsed once.
+    """
     if not isinstance(data, Mapping):
         raise FormatError("instance data must be a JSON object")
     agents = _id_list(data, "agents")
@@ -470,15 +513,25 @@ def instance_from_dict(data: Mapping) -> Instance:
     entries = data.get("menus", [])
     if not isinstance(entries, (list, tuple)):
         raise FormatError("instance 'menus' must be a list")
+    ids, amounts = _ParseMemo(parse_agent), _ParseMemo(parse_money)
     menus = []
     for entry in entries:
         if not isinstance(entry, Mapping) or not isinstance(entry.get("pair"), list):
             raise FormatError(f"malformed menu entry {entry!r}")
         try:
-            contracts = [{parse_agent(a): v for a, v in c.items()} for c in entry["contracts"]]
-            menus.append(ContractMenu.of(entry["pair"], contracts))
+            a, b = entry["pair"]
+            contracts = [
+                {
+                    ids[x] if type(x) is str else parse_agent(x):
+                    amounts[v] if type(v) is str else parse_money(v)
+                    for x, v in c.items()
+                }
+                for c in entry["contracts"]
+            ]
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise FormatError(f"malformed menu entry {entry!r}") from exc
+        allocations = tuple(Allocation(tuple(sorted(c.items()))) for c in contracts)
+        menus.append(ContractMenu((parse_agent(a), parse_agent(b)), allocations))
     return validate_instance(
         Instance.of(
             agents, menus, firms=_id_list(data, "firms"), workers=_id_list(data, "workers")

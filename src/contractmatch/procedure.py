@@ -18,6 +18,7 @@ outcomes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,19 +88,34 @@ def build_proposal_space(
 ) -> dict[int, tuple[Proposal, ...]]:
     """Each firm's contracts paying it more than zero, sorted best-first.
 
-    Payoff ties are ordered by the policy's firm rule.
+    Payoff ties are ordered by the policy's firm rule, then by allocation.
+    The sort runs on integer keys: every amount is scaled by the common
+    denominator of all amounts, which keeps every comparison.
     """
     if not inst.two_sided:
         raise NotTwoSidedError("instance has no firm/worker partition")
+    scale = math.lcm(
+        *{v.denominator for m in inst.menus for c in m.contracts for _, v in c.payments}
+    )
+    side = 1 if policy.firm_prefers_low_worker else -1
     lists: dict[int, list[Proposal]] = {f: [] for f in inst.firms}
     for f, w, m in inst.oriented_menus():
+        firm_index = 0 if f < w else 1
         for c in m.contracts:
-            if c[f] > 0:
+            if c.payments[firm_index][1].numerator > 0:
                 lists[f].append(Proposal(f, w, c))
 
-    def key(p: Proposal):
-        worker = p.worker if policy.firm_prefers_low_worker else -p.worker
-        return (-p.firm_payoff, worker, p.allocation)
+    def key(p: Proposal) -> tuple[int, int, int]:
+        # Orders as (-firm payoff, worker, allocation) does: in one firm's
+        # list, contracts tied on worker and firm payoff differ only in the
+        # worker's amount, which is then how their allocations compare.
+        (a, low), (_, high) = p.allocation.payments
+        mine, theirs = (low, high) if a == p.firm else (high, low)
+        return (
+            -mine.numerator * (scale // mine.denominator),
+            side * p.worker,
+            theirs.numerator * (scale // theirs.denominator),
+        )
 
     return {f: tuple(sorted(ps, key=key)) for f, ps in lists.items()}
 

@@ -83,6 +83,35 @@ class TestSolve:
         assert code == 0
         assert json_lines(out)[0]["payoffs"] == {"1": "3", "2": "3", "3": "2", "4": "3"}
 
+    def test_negative_amounts_warn_in_one_line(self, capsys, tmp_path):
+        data = {
+            "agents": [1, 2],
+            "firms": [1],
+            "workers": [2],
+            "menus": [{"pair": [1, 2], "contracts": [{"1": "3", "2": "-1"}, {"1": 1, "2": 1}]}],
+        }
+        path = write_json(tmp_path / "negative.json", data)
+        for argv in (["solve", path], ["core", path]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and out
+            assert err == (
+                "warning: 1 contract(s) contain negative amounts and can never "
+                "appear in an outcome\n"
+            )
+
+    def test_money_exponent_beyond_the_cap_exits_2(self, capsys, tmp_path):
+        data = {
+            "agents": [1, 2],
+            "firms": [1],
+            "workers": [2],
+            "menus": [{"pair": [1, 2], "contracts": [{"1": "1e1001", "2": "1"}]}],
+        }
+        code, out, err = run_cli(capsys, "solve", write_json(tmp_path / "big.json", data))
+        assert code == 2 and not out
+        assert err == (
+            "error: money amount '1e1001' has a decimal exponent beyond 1000 in size\n"
+        )
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/nonexistent.json")
         assert code == 2 and err

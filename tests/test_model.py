@@ -1,3 +1,5 @@
+import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -31,7 +33,8 @@ from contractmatch import (
     parse_money,
     validate_instance,
 )
-from oracles import oracle_outcomes
+from contractmatch.model import MAX_MONEY_EXPONENT
+from oracles import oracle_instance_from_dict, oracle_outcomes
 
 
 def outcome_of(inst, pairs, payoffs):
@@ -55,6 +58,19 @@ class TestMoney:
             parse_money(True)
         with pytest.raises(FormatError):
             parse_money("three")
+
+    def test_exponent_beyond_the_cap_is_a_format_error(self):
+        assert parse_money(f"1e{MAX_MONEY_EXPONENT}") == 10**MAX_MONEY_EXPONENT
+        assert parse_money(f"1e-{MAX_MONEY_EXPONENT}") == Fraction(1, 10**MAX_MONEY_EXPONENT)
+        for text in (f"1e{MAX_MONEY_EXPONENT + 1}", f"2.5E-{MAX_MONEY_EXPONENT + 1}",
+                     f" 1e+{MAX_MONEY_EXPONENT + 1} "):
+            with pytest.raises(FormatError, match="exponent"):
+                parse_money(text)
+
+    def test_long_literal_is_cut_in_the_message(self):
+        with pytest.raises(FormatError) as info:
+            parse_money("1" * 5000 + "x")
+        assert len(str(info.value)) < 120 and "5001 characters" in str(info.value)
 
     def test_money_str_round_trips(self):
         for text in ("3", "-2", "3/2", "7/3"):
@@ -101,9 +117,15 @@ class TestValidation:
             validate_instance(raw)
 
     def test_contract_domain_must_match_pair(self):
-        raw = Instance.of((1, 2, 3), [ContractMenu.of((1, 2), [{1: 1, 3: 1}])])
-        with pytest.raises(MalformedMenuError):
-            validate_instance(raw)
+        for pair, contract in [
+            ((1, 2), {1: 1, 3: 1}),
+            ((1, 2), {1: 1}),
+            ((1, 3), {1: 1, 2: 1, 3: 1}),
+            ((1, 2), {}),
+        ]:
+            raw = Instance.of((1, 2, 3), [ContractMenu.of(pair, [contract])])
+            with pytest.raises(MalformedMenuError):
+                validate_instance(raw)
 
     def test_partition_must_cover_and_be_disjoint(self):
         with pytest.raises(InvalidPartitionError):
@@ -114,10 +136,11 @@ class TestValidation:
             validate_instance(Instance.of((1, 2), firms=(1,), workers=None))
 
     def test_negative_contracts_warn_but_pass(self):
-        raw = Instance.of((1, 2), [ContractMenu.of((1, 2), [{1: -1, 2: 5}])])
-        with pytest.warns(NegativeContractWarning):
+        contracts = [{1: -1, 2: 5}, {1: 5, 2: "-1/2"}, {1: 0, 2: 0}, {1: -1, 2: -1}]
+        raw = Instance.of((1, 2), [ContractMenu.of((1, 2), contracts)])
+        with pytest.warns(NegativeContractWarning, match="^3 contract"):
             inst = validate_instance(raw)
-        assert len(inst.menus) == 1
+        assert len(inst.menus[0].contracts) == 4
 
     def test_duplicate_contracts_are_dropped(self):
         raw = Instance.of(
@@ -219,6 +242,140 @@ class TestFeasibility:
             Matching.from_pairs([]), {1: -1, 2: 0, 3: 0, 4: 0}
         )
         assert not outcome_is_feasible(illustration, o)
+
+
+def loader_market(seed, rng):
+    """A gen_random market in dict form, relabelled and with mixed amount literals.
+
+    Like the benchmark's copies, agents get fresh ids and every amount is
+    scaled by one odd multiple of 1/2. Amounts are then written as ints,
+    fraction strings or decimal strings at random, a few become one of
+    "15/2", "1/3", "5/6", "1.5", and some menus repeat a contract under
+    other literals.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeContractWarning)
+        inst = gen_random(
+            GenParams(
+                n_firms=1 + seed % 5,
+                n_workers=1 + (seed // 5) % 5,
+                contracts_per_pair=(1, 4),
+                value_range=(-3, 5) if seed % 3 == 0 else (0, 5),
+                menu_density=0.8,
+                seed=seed,
+            )
+        )
+    data = instance_to_dict(inst)
+    new = dict(zip(inst.agents, rng.sample(range(1, 10 * len(inst.agents) + 1), len(inst.agents))))
+    k = Fraction(2 * rng.randrange(50) + 1, 2)
+
+    def literal(x):
+        if rng.random() < 0.1:
+            return rng.choice(["15/2", "1/3", "5/6", "1.5"])
+        if x.denominator == 1 and rng.random() < 0.5:
+            return int(x)
+        if x.denominator == 2 and rng.random() < 0.5:
+            return str(float(x))
+        return money_str(x)
+
+    menus = []
+    for m in data["menus"]:
+        contracts = [
+            {str(new[int(a)]): literal(Fraction(x) * k) for a, x in c.items()}
+            for c in m["contracts"]
+        ]
+        if rng.random() < 0.3:
+            contracts.append({a: literal(parse_money(x)) for a, x in rng.choice(contracts).items()})
+        menus.append({"pair": [new[a] for a in m["pair"]], "contracts": contracts})
+    return {
+        "agents": sorted(new.values()),
+        "firms": [new[a] for a in data["firms"]],
+        "workers": [new[a] for a in data["workers"]],
+        "menus": menus,
+    }
+
+
+def load_both(data):
+    """(instance or error class, warnings) from the loader and from the oracle."""
+    results = []
+    for load in (instance_from_dict, oracle_instance_from_dict):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = load(data)
+            except Exception as exc:  # the class is compared
+                result = type(exc)
+        results.append((result, [str(w.message) for w in caught]))
+    return results
+
+
+class TestSingleParseLoader:
+    def test_equals_the_construction_path_on_seeded_markets(self):
+        rng = random.Random(7)
+        negative = deduplicated = 0
+        for seed in range(150):
+            data = loader_market(seed, rng)
+            (inst, warned), expected = load_both(data)
+            assert isinstance(inst, Instance), (seed, inst)
+            assert (inst, warned) == expected, seed
+            negative += bool(warned)
+            given = sum(len(m["contracts"]) for m in data["menus"])
+            deduplicated += given > sum(len(m.contracts) for m in inst.menus)
+        assert negative >= 20 and deduplicated >= 50
+
+    def test_equal_literals_share_one_parsed_value(self):
+        data = {
+            "agents": [1, 2],
+            "menus": [{"pair": [1, 2], "contracts": [{"1": "5/6", "2": "5/6"}]}],
+        }
+        (a, x), (b, y) = instance_from_dict(data).menus[0].contracts[0].payments
+        assert (a, b, x) == (1, 2, Fraction(5, 6)) and x is y
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"menus": [{"pair": [1, 2, 3], "contracts": [{"1": 1, "2": 1}]}]},
+            {"menus": [{"pair": [1, 2], "contracts": [[1, 1]]}]},
+            {"menus": [{"pair": [1, 2], "contracts": [{"x": 1, "2": 1}]}]},
+            {"menus": 5},
+            {"menus": [5]},
+            {"menus": [{"pair": [1, 2]}]},
+            {"menus": [{"pair": [1, 2], "contracts": 5}]},
+            {"agents": [1.7, 2, 3]},
+            {"agents": [True, 2, 3]},
+            {"agents": "123"},
+            {"firms": [1.5]},
+            {"workers": 5},
+            {"menus": [{"pair": [1.5, 2], "contracts": [{"1": 1, "2": 1}]}]},
+            {"menus": [{"pair": "12", "contracts": [{"1": 1, "2": 1}]}]},
+            {"menus": [{"pair": [True, 2], "contracts": [{"1": 1, "2": 1}]}]},
+            {"menus": [{"pair": [1, 2], "contracts": [{"1": True, "2": 1}]}]},
+            {"menus": [{"pair": [1, 2], "contracts": [{"1": 1, "2": True}]}]},
+            {"menus": [{"pair": [1, 2], "contracts": [{"1": 1.5, "2": 1}]}]},
+            {"menus": [{"pair": [1, 2], "contracts": [{"1": "three", "2": 1}]}]},
+            {"menus": [{"pair": [1, 2], "contracts": [{"1": [1], "2": 1}]}]},
+            {"menus": [{"pair": [1, 2], "contracts": [{"1": "1e1001", "2": 1}]}]},
+            {"menus": [{"pair": [1, 2], "contracts": [{"1": "1/0", "2": 1}]}]},
+            {"menus": [{"pair": [1, 2], "contracts": [{"1": 1, "3": 1}]}]},
+            {"menus": [{"pair": [1, 2], "contracts": [{"1": 1}]}]},
+            {"menus": [{"pair": [1, 2], "contracts": [{}]}]},
+            {"menus": [{"pair": [1, 2], "contracts": []}]},
+            {"menus": [{"pair": [1, 1], "contracts": [{"1": 1}]}]},
+            {"menus": [{"pair": [1, 9], "contracts": [{"1": 1, "9": 1}]}]},
+            {"menus": [{"pair": [2, 3], "contracts": [{"2": 1, "3": 1}]}]},
+            {"menus": [{"pair": [1, 2], "contracts": [{"1": 1, "2": 1}]},
+                       {"pair": [2, 1], "contracts": [{"1": 2, "2": 2}]}]},
+            {"firms": [1, 2]},
+            {"firms": None},
+            {"agents": []},
+            {"agents": [0, 1, 2, 3]},
+        ],
+    )
+    def test_malformed_shapes_raise_the_same_error_class(self, changes):
+        data = {"agents": [1, 2, 3], "firms": [1], "workers": [2, 3], "menus": []}
+        data.update(changes)
+        (got, _), (expected, _) = load_both(data)
+        assert isinstance(expected, type) and got is expected
 
 
 class TestSerialization:

@@ -1,3 +1,4 @@
+import random
 import warnings
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from contractmatch import (
     NotSingletonMenusError,
     NotTwoSidedError,
     Outcome,
+    Proposal,
     TieBreakPolicy,
     build_proposal_space,
     classic_da,
@@ -82,6 +84,44 @@ class TestProposalSpace:
     def test_requires_partition(self, gs4):
         with pytest.raises(NotTwoSidedError):
             build_proposal_space(gs4)
+
+    def test_integer_keys_give_the_fraction_key_order(self):
+        # Amounts -1..2 in halves, thirds and sixths, 3 contracts per pair:
+        # mixed denominators and many payoff ties.
+        amounts = [Fraction(n, d) for n in range(-1, 13) for d in (1, 2, 3, 6) if n <= 2 * d]
+        rng = random.Random(11)
+        ties = 0
+        for seed in range(120):
+            n_firms, n_workers = 1 + seed % 4, 1 + (seed // 4) % 5
+            ids = rng.sample(range(1, 40), n_firms + n_workers)
+            firms, workers = ids[:n_firms], ids[n_firms:]
+            menus = [
+                ContractMenu.of(
+                    (f, w), [{f: rng.choice(amounts), w: rng.choice(amounts)} for _ in range(3)]
+                )
+                for f in firms
+                for w in workers
+                if rng.random() < 0.8
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NegativeContractWarning)
+                inst = two_sided(menus, firms=firms, workers=workers)
+            for policy in POLICIES.values():
+                side = 1 if policy.firm_prefers_low_worker else -1
+                for f, got in build_proposal_space(inst, policy).items():
+                    proposable = [
+                        Proposal(f, w, c)
+                        for g, w, m in inst.oriented_menus()
+                        if g == f
+                        for c in m.contracts
+                        if c[f] > 0
+                    ]
+                    expected = sorted(
+                        proposable, key=lambda p: (-p.firm_payoff, side * p.worker, p.allocation)
+                    )
+                    assert list(got) == expected, (seed, policy, f)
+                    ties += len({p.firm_payoff for p in got}) < len(got)
+        assert ties >= 100
 
 
 class TestRunProcedure:
