@@ -13,8 +13,9 @@ not round-trip exactly.
 from __future__ import annotations
 
 import json
+import math
 import warnings
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -277,6 +278,18 @@ def validate_instance(inst: Instance) -> Instance:
     return Instance(agents, tuple(canonical), firms, workers)
 
 
+def amount_scaler(inst: Instance) -> Callable[[Fraction], int]:
+    """Map each amount of the instance to an int, keeping every comparison.
+
+    The int is the amount times the common denominator of all the
+    instance's amounts.
+    """
+    scale = math.lcm(
+        *{v.denominator for m in inst.menus for c in m.contracts for _, v in c.payments}
+    )
+    return lambda v: v.numerator * (scale // v.denominator)
+
+
 def is_superadditive(inst: Instance) -> bool:
     """True iff every present menu contains the all-zero division.
 
@@ -293,7 +306,7 @@ def is_superadditive(inst: Instance) -> bool:
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Cap on brute-force enumeration; exceeding it raises BudgetExceededError."""
+    """Cap on enumeration work; exceeding it raises BudgetExceededError."""
 
     max_outcomes: int = DEFAULT_MAX_OUTCOMES
 

@@ -18,7 +18,6 @@ outcomes.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +33,7 @@ from .model import (
     Instance,
     Matching,
     Outcome,
+    amount_scaler,
     money_str,
 )
 
@@ -94,9 +94,7 @@ def build_proposal_space(
     """
     if not inst.two_sided:
         raise NotTwoSidedError("instance has no firm/worker partition")
-    scale = math.lcm(
-        *{v.denominator for m in inst.menus for c in m.contracts for _, v in c.payments}
-    )
+    scaled = amount_scaler(inst)
     side = 1 if policy.firm_prefers_low_worker else -1
     lists: dict[int, list[Proposal]] = {f: [] for f in inst.firms}
     for f, w, m in inst.oriented_menus():
@@ -111,11 +109,7 @@ def build_proposal_space(
         # worker's amount, which is then how their allocations compare.
         (a, low), (_, high) = p.allocation.payments
         mine, theirs = (low, high) if a == p.firm else (high, low)
-        return (
-            -mine.numerator * (scale // mine.denominator),
-            side * p.worker,
-            theirs.numerator * (scale // theirs.denominator),
-        )
+        return (-scaled(mine), side * p.worker, scaled(theirs))
 
     return {f: tuple(sorted(ps, key=key)) for f, ps in lists.items()}
 

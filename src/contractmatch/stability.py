@@ -12,12 +12,14 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError, InfeasibleOutcomeError
 from .model import (
+    ZERO,
     Allocation,
     EnumerationBudget,
     Instance,
     Matching,
     Outcome,
-    iter_raw_outcomes,
+    amount_scaler,
+    iter_raw_outcomes,  # unused here; benchmark tracing wraps this attribute
     outcome_is_feasible,
 )
 
@@ -67,17 +69,109 @@ def enumerate_core(
 ) -> list[Outcome]:
     """All stable outcomes, in the order enumerate_outcomes produces them.
 
-    The budget bounds the number of outcomes examined, not the core size.
+    A depth-first search assigns agents in id order: each is single or is
+    matched, on a menu contract paying both at least zero, to a later
+    agent not yet assigned. A branch is rejected as soon as a contract of
+    a newly assigned agent pays it more than its payoff and pays the other
+    member more than that member has or, if still unassigned, more than
+    any contract with an unassigned partner would pay it. Amounts are
+    compared as ints (see amount_scaler), and the search runs on an
+    explicit stack, so its depth is not bounded by the recursion limit.
+
+    The budget bounds the outcomes examined: stable outcomes reached plus
+    branches rejected. A rejected branch with every later agent single is
+    a feasible outcome of its own, so the search never examines more
+    outcomes than enumerate_outcomes would list.
     """
     cap = (budget or EnumerationBudget()).max_outcomes
+    scaled = amount_scaler(inst)
+    agents = inst.agents
+    n = len(agents)
+    index = {a: i for i, a in enumerate(agents)}
+    # choices[i]: single, then (partner, own amount, partner's amount, pair,
+    # menu index, allocation) for each usable contract with a later partner.
+    single = (-1, 0, 0, None, -1, None)
+    choices: list[list[tuple]] = [[single] for _ in agents]
+    # offers[i]: (amount, partner) of i's usable contracts, best first.
+    offers: list[list[tuple[int, int]]] = [[] for _ in agents]
+    # rivals[i]: (own, partner, partner's) of each contract paying both
+    # members more than zero, the only ones that can block; best first.
+    rivals: list[list[tuple[int, int, int]]] = [[] for _ in agents]
+    for m in inst.menus:
+        a, b = m.pair
+        i, j = index[a], index[b]
+        for k, c in enumerate(m.contracts):
+            x, y = scaled(c[a]), scaled(c[b])
+            if x >= 0 and y >= 0:
+                choices[i].append((j, x, y, m.pair, k, c))
+                offers[i].append((x, j))
+                offers[j].append((y, i))
+            if x > 0 and y > 0:
+                rivals[i].append((x, j, y))
+                rivals[j].append((y, i, x))
+    for lists in (offers, rivals):
+        for entries in lists:
+            entries.sort(reverse=True)
+
+    val: list[int | None] = [None] * n
+
+    def blocked(i: int) -> bool:
+        mine = val[i]
+        for own, j, theirs in rivals[i]:
+            if own <= mine:
+                return False
+            has = val[j]
+            if has is None:
+                has = next((x for x, k in offers[j] if val[k] is None), 0)
+            if theirs > has:
+                return True
+        return False
+
+    def undo(z: int, option: tuple) -> None:
+        val[z] = None
+        if option[0] >= 0:
+            val[option[0]] = None
+
     examined = 0
-    core: list[Outcome] = []
-    for pairs, v in iter_raw_outcomes(inst):
-        examined += 1
-        if examined > cap:
-            raise BudgetExceededError(
-                f"more than {cap} outcomes examined; raise the enumeration budget"
-            )
-        if not payoffs_are_blocked(inst, v):
-            core.append(Outcome.of(Matching(pairs), v))
+    leaves: list[tuple] = []
+    trail: list[tuple] = []  # (agent, choice) of each agent assigned by choice
+    frames = [(0, iter(choices[0]))] if n else []
+    while frames:
+        z, options = frames[-1]
+        if val[z] is not None:  # back from the branch below this choice
+            undo(*trail.pop())
+        for option in options:
+            j = option[0]
+            if j >= 0 and val[j] is not None:
+                continue
+            val[z] = option[1]
+            if j >= 0:
+                val[j] = option[2]
+            trail.append((z, option))
+            nxt = z + 1
+            while nxt < n and val[nxt] is not None:
+                nxt += 1
+            rejected = blocked(z) or (j >= 0 and blocked(j))
+            if rejected or nxt == n:
+                examined += 1
+                if examined > cap:
+                    raise BudgetExceededError(
+                        f"more than {cap} outcomes examined; raise the enumeration budget"
+                    )
+                if not rejected:
+                    leaves.append(tuple(o for _, o in trail if o[0] >= 0))
+                undo(*trail.pop())
+                continue
+            frames.append((nxt, iter(choices[nxt])))
+            break
+        else:
+            frames.pop()
+    leaves.sort(key=lambda leaf: (tuple(o[3] for o in leaf), tuple(o[4] for o in leaf)))
+    base = {a: ZERO for a in agents}
+    core = []
+    for leaf in leaves:
+        v = dict(base)
+        for o in leaf:
+            v.update(o[5].payments)
+        core.append(Outcome.of(Matching(tuple(o[3] for o in leaf)), v))
     return core

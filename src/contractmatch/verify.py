@@ -9,6 +9,7 @@ a property failure. PropertyBattery runs the named properties of the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable
@@ -190,6 +191,10 @@ def check_pair_tradeoff(inst: Instance, o1: Outcome, o2: Outcome) -> PropertyRep
     """
     _require_stable(inst, o1, "first outcome")
     _require_stable(inst, o2, "second outcome")
+    return _pair_tradeoff_report(o1, o2)
+
+
+def _pair_tradeoff_report(o1: Outcome, o2: Outcome) -> PropertyReport:
     v1 = o1.payoff_map()
     v2 = o2.payoff_map()
     weak_witnesses = []
@@ -246,12 +251,23 @@ def check_group_tradeoff(
         # A strict gain over a nonnegative payoff means the agent is matched
         # in the stable outcome, so the partner is always a distinct agent.
         b = mate(a)
-        menu = menus.get((a, b) if a < b else (b, a))
-        if menu and any(c[a] > v[a] and c[b] > v[b] for c in menu.contracts):
+        if _blocks(menus, v, a, b):
             raise PreconditionViolatedError(
                 "no-blocking",
                 f"pair {{{a}, {b}}} blocks the first outcome",
             )
+    return _group_tradeoff_report(v, vs, mate, members)
+
+
+def _blocks(menus: dict, v: dict[int, Fraction], a: int, b: int) -> bool:
+    """True iff a contract of the pair {a, b} pays both more than `v` does."""
+    menu = menus.get((a, b) if a < b else (b, a))
+    return bool(menu) and any(c[a] > v[a] and c[b] > v[b] for c in menu.contracts)
+
+
+def _group_tradeoff_report(
+    v: dict[int, Fraction], vs: dict[int, Fraction], mate, members: list[int]
+) -> PropertyReport:
     witnesses = []
     for b in sorted({mate(a) for a in members}):
         if not v[b] >= vs[b]:
@@ -308,6 +324,10 @@ def check_sides_opposed(inst: Instance, o1: Outcome, o2: Outcome) -> PropertyRep
     _require_hypotheses(inst)
     _require_stable(inst, o1, "first outcome")
     _require_stable(inst, o2, "second outcome")
+    return _sides_opposed_report(inst, o1, o2)
+
+
+def _sides_opposed_report(inst: Instance, o1: Outcome, o2: Outcome) -> PropertyReport:
     witnesses = []
     for direction, (x, y) in (("forward", (o1, o2)), ("reverse", (o2, o1))):
         vx = x.payoff_map()
@@ -386,28 +406,33 @@ def _employment(battery: PropertyBattery) -> PropertyReport:
     return _employment_invariance(battery.inst, battery.core())
 
 
-def _over_stable_pairs(battery: PropertyBattery, name: str, checker) -> PropertyReport:
+def _over_stable_pairs(
+    battery: PropertyBattery, name: str, report, require=None
+) -> PropertyReport:
     # Every ordered pair of distinct outcomes among the first six of the
-    # core. The checker tests its own hypotheses, so with fewer than two
-    # stable outcomes the property holds without them being tested.
+    # core. The core is stable, so only the hypotheses `require` tests
+    # remain, and with fewer than two stable outcomes the property holds
+    # without them being tested.
     core = battery.core()[:6]
+    pairs = [(o1, o2) for o1 in core for o2 in core if o1 != o2]
+    if pairs and require is not None:
+        require(battery.inst)
     witnesses = []
-    for o1 in core:
-        for o2 in core:
-            if o1 == o2:
-                continue
-            report = checker(battery.inst, o1, o2)
-            if not report.holds:
-                witnesses.append((o1, o2) + report.witnesses)
+    for o1, o2 in pairs:
+        verdict = report(o1, o2)
+        if not verdict.holds:
+            witnesses.append((o1, o2) + verdict.witnesses)
     return PropertyReport(name, not witnesses, tuple(witnesses))
 
 
 def _sides_opposed(battery: PropertyBattery) -> PropertyReport:
-    return _over_stable_pairs(battery, "sides-opposed", check_sides_opposed)
+    # _require_hypotheses raises NotTwoSidedError first on a pool.
+    report = partial(_sides_opposed_report, battery.inst)
+    return _over_stable_pairs(battery, "sides-opposed", report, _require_hypotheses)
 
 
 def _pair_tradeoff(battery: PropertyBattery) -> PropertyReport:
-    return _over_stable_pairs(battery, "pair-tradeoff", check_pair_tradeoff)
+    return _over_stable_pairs(battery, "pair-tradeoff", _pair_tradeoff_report)
 
 
 def _group_tradeoff(battery: PropertyBattery) -> PropertyReport:
@@ -419,25 +444,29 @@ def _group_tradeoff(battery: PropertyBattery) -> PropertyReport:
     try:
         core = battery.core()[:4]
     except BudgetExceededError as exc:
-        # The core sweep ran out exactly when there are more outcomes than
+        # The core search runs out only when there are more outcomes than
         # the budget; say so in the words outcome enumeration uses.
         raise BudgetExceededError(
             f"more than {battery.budget.max_outcomes} outcomes; "
             "raise the enumeration budget"
         ) from exc
+    # The outcomes are feasible, the core's stable, and each group gains
+    # strictly by construction: of the checker's hypotheses, only
+    # "no-blocking" is left to test.
+    menus = inst.menu_map()
+    stable = [(s, s.payoff_map()) for s in core]
     witnesses = []
     checked = 0
     for o in outcomes:
         vo = o.payoff_map()
-        for s in core:
-            vs = s.payoff_map()
+        for s, vs in stable:
             group = [a for a in inst.agents if vs[a] > vo[a]]
             if not group:
                 continue
-            try:
-                report = check_group_tradeoff(inst, o, s, group)
-            except PreconditionViolatedError:
+            mate = s.matching.mate
+            if any(_blocks(menus, vo, a, mate(a)) for a in group):
                 continue
+            report = _group_tradeoff_report(vo, vs, mate, group)
             checked += 1
             if not report.holds:
                 witnesses.append((o, s, tuple(group)) + report.witnesses)

@@ -3,9 +3,11 @@
 These deliberately take different routes than the library: outcomes are
 enumerated agent-first over all involutions (the library walks pair
 subsets), and blocking is a plain double loop over pairs and contracts.
-The loader reference keeps the library's older construction path, which
-parses every literal on its own.
+The ordered core keeps the library's former core engine, a sweep over
+every outcome. The loader reference keeps the library's older
+construction path, which parses every literal on its own.
 """
+import random
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
@@ -14,9 +16,11 @@ from contractmatch import (
     ContractMenu,
     FormatError,
     Instance,
+    Matching,
+    Outcome,
     validate_instance,
 )
-from contractmatch.model import parse_agent
+from contractmatch.model import iter_raw_outcomes, parse_agent
 
 
 def oracle_outcomes(inst):
@@ -70,6 +74,39 @@ def oracle_core(inst):
         for pairs, items in oracle_outcomes(inst)
         if not oracle_blocking(inst, dict(items))
     }
+
+
+def oracle_ordered_core(inst):
+    """The core as a list, in enumerate_outcomes order: every outcome, swept.
+
+    Each outcome iter_raw_outcomes lists is kept when the naive double
+    loop finds no blocking pair.
+    """
+    return [
+        Outcome.of(Matching(pairs), v)
+        for pairs, v in iter_raw_outcomes(inst)
+        if not oracle_blocking(inst, v)
+    ]
+
+
+def seeded_pool(seed):
+    """A partnership pool of 2-7 agents for differential tests.
+
+    Each pair gets a menu with probability 0.7, holding one or two
+    contracts with amounts from -1 to 4.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    menus = [
+        ContractMenu.of(
+            (a, b),
+            [{a: rng.randint(-1, 4), b: rng.randint(-1, 4)} for _ in range(rng.randint(1, 2))],
+        )
+        for a in range(1, n + 1)
+        for b in range(a + 1, n + 1)
+        if rng.random() < 0.7
+    ]
+    return validate_instance(Instance.of(range(1, n + 1), menus))
 
 
 def oracle_firm_pareto(inst, payoffs):

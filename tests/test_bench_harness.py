@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark harness in `bench/`: one short traced run."""
+"""Smoke tests of the benchmark harness in `bench/`: short traced runs."""
 import json
 import subprocess
 import sys
@@ -7,11 +7,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tie_corpus_run_is_correct_and_fails_no_op():
-    # A traced run does one set-up and at least one plain and one traced
-    # round of the 500 markets, then checks every output.
+def traced_run(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "tie-corpus", "--seed", "101",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "101",
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,
@@ -23,3 +21,15 @@ def test_tie_corpus_run_is_correct_and_fails_no_op():
     assert record["correct"] is True, proc.stderr
     assert record["failed"] == 0, proc.stderr
     assert record["attempted"] > 0
+
+
+def test_tie_corpus_run_is_correct_and_fails_no_op():
+    # A traced run does one set-up and at least one plain and one traced
+    # round of the 500 markets, then checks every output.
+    traced_run("tie-corpus")
+
+
+def test_core_verify_run_is_correct_and_fails_no_op():
+    # Checks `core` against the harness's own brute-force core, and fails
+    # if a module attribute that tracing wraps has gone.
+    traced_run("core-verify")

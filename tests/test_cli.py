@@ -346,6 +346,29 @@ class TestCore:
         code, _, err = run_cli(capsys, "core", gs4_file)
         assert code == 2 and "budget" in err
 
+    def test_thousands_of_agents_never_give_a_traceback(self, tmp_path):
+        # 1,200 disjoint one-contract pairs: the core search assigns 1,200
+        # agents deep, past Python's default recursion limit.
+        pairs = [[2 * a - 1, 2 * a] for a in range(1, 1201)]
+        path = write_json(
+            tmp_path / "pairs.json",
+            {
+                "agents": list(range(1, 2401)),
+                "menus": [{"pair": p, "contracts": [{str(a): 1 for a in p}]} for p in pairs],
+            },
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "contractmatch.cli", "core", path],
+            capture_output=True,
+            text=True,
+        )
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 2:
+            assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        else:
+            assert proc.returncode == 0 and proc.stderr == ""
+            assert json_lines(proc.stdout)[0]["matches"] == pairs
+
     def test_zero_budget_flag_exits_2(self, capsys, illustration_file):
         code, out, err = run_cli(capsys, "core", illustration_file, "--max", "0")
         assert code == 2 and err.startswith("error:") and not out

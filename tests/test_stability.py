@@ -1,13 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from contractmatch import (
     Allocation,
+    BudgetExceededError,
     ContractMenu,
+    EnumerationBudget,
     GenParams,
     InfeasibleOutcomeError,
+    InfeasibleParamsError,
     Instance,
     Matching,
     Outcome,
@@ -20,7 +23,13 @@ from contractmatch import (
     run_procedure,
     validate_instance,
 )
-from oracles import oracle_blocking, oracle_core
+from oracles import (
+    oracle_blocking,
+    oracle_core,
+    oracle_ordered_core,
+    oracle_outcomes,
+    seeded_pool,
+)
 
 
 def outcome_of(inst, pairs, payoffs):
@@ -180,3 +189,64 @@ class TestCore:
         )
         core = enumerate_core(inst)
         assert [payoff_tuple(o) for o in core] == [(1, 1)]
+
+
+class TestCoreSearch:
+    """The pruned core search against the outcome sweep it replaced."""
+
+    @pytest.mark.filterwarnings("ignore::contractmatch.NegativeContractWarning")
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        low=st.sampled_from([-3, 0]),
+        high=st.sampled_from([5, 20]),
+        efficient=st.booleans(),
+        disjoint=st.booleans(),
+        density=st.sampled_from([0.5, 0.75, 1.0]),
+    )
+    def test_equals_the_ordered_sweep_in_every_generator_mode(
+        self, seed, low, high, efficient, disjoint, density
+    ):
+        try:
+            inst = gen_random(
+                GenParams(
+                    n_firms=1 + seed % 4,
+                    n_workers=1 + (seed // 4) % 4,
+                    contracts_per_pair=(1, 3),
+                    value_range=(low, high),
+                    menu_density=density,
+                    force_pairwise_efficient=efficient,
+                    force_disjoint_yields=disjoint,
+                    seed=seed,
+                )
+            )
+        except InfeasibleParamsError:
+            assume(False)
+        core = enumerate_core(inst)
+        assert core == oracle_ordered_core(inst)
+        # Never more outcomes examined than a sweep of all of them.
+        assert enumerate_core(inst, EnumerationBudget(len(oracle_outcomes(inst)))) == core
+
+    @pytest.mark.filterwarnings("ignore::contractmatch.NegativeContractWarning")
+    def test_equals_both_oracles_on_seeded_pools(self):
+        for seed in range(300):
+            inst = seeded_pool(seed)
+            core = enumerate_core(inst)
+            assert core == oracle_ordered_core(inst)
+            assert {(o.matching.pairs, o.payoffs) for o in core} == oracle_core(inst)
+            assert enumerate_core(inst, EnumerationBudget(len(oracle_outcomes(inst)))) == core
+
+    def test_budget_counts_rejected_branches(self, gs4):
+        # gs4 has no stable outcome, so every outcome examined is a
+        # rejected branch: 7 of them, where the sweep examined all 25.
+        with pytest.raises(BudgetExceededError, match="^more than 6 outcomes examined"):
+            enumerate_core(gs4, EnumerationBudget(6))
+        assert enumerate_core(gs4, EnumerationBudget(7)) == []
+        assert len(oracle_outcomes(gs4)) == 25
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        n = 1200
+        menus = [ContractMenu.of((a, a + n), [{a: 1, a + n: 1}]) for a in range(1, n + 1)]
+        inst = validate_instance(Instance.of(range(1, 2 * n + 1), menus))
+        (outcome,) = enumerate_core(inst, EnumerationBudget(5000))
+        assert len(outcome.matching.pairs) == n

@@ -15,6 +15,7 @@ from contractmatch import (
     NotTwoSidedError,
     Outcome,
     PreconditionViolatedError,
+    PropertyReport,
     UnstableInputError,
     check_employment_invariance,
     check_firm_optimality,
@@ -33,7 +34,8 @@ from contractmatch import (
     run_procedure,
     validate_instance,
 )
-from oracles import oracle_firm_pareto, oracle_outcomes
+from contractmatch.verify import PropertyBattery
+from oracles import oracle_firm_pareto, oracle_outcomes, seeded_pool
 
 
 def outcome_of(inst, pairs, payoffs):
@@ -469,3 +471,104 @@ class TestWitnessReplay:
         witness = report.witnesses[0]
         assert outcome_is_feasible(inst, witness)
         assert all(witness.payoff(f) > o.payoff(f) for f in inst.firms)
+
+
+def public_pair_loop(inst, name, checker):
+    """A property over ordered pairs of the first six stable outcomes,
+    each pair through the public checker."""
+    core = enumerate_core(inst)[:6]
+    witnesses = []
+    for o1 in core:
+        for o2 in core:
+            if o1 != o2:
+                report = checker(inst, o1, o2)
+                if not report.holds:
+                    witnesses.append((o1, o2) + report.witnesses)
+    return PropertyReport(name, not witnesses, tuple(witnesses))
+
+
+def public_group_loop(inst):
+    """group-tradeoff over the first eight outcomes and first four stable
+    ones, each sample through check_group_tradeoff."""
+    core = enumerate_core(inst)[:4]
+    witnesses = []
+    checked = 0
+    for o in enumerate_outcomes(inst)[:8]:
+        vo = o.payoff_map()
+        for s in core:
+            vs = s.payoff_map()
+            group = [a for a in inst.agents if vs[a] > vo[a]]
+            if not group:
+                continue
+            try:
+                report = check_group_tradeoff(inst, o, s, group)
+            except PreconditionViolatedError:
+                continue
+            checked += 1
+            if not report.holds:
+                witnesses.append((o, s, tuple(group)) + report.witnesses)
+    return PropertyReport(
+        "group-tradeoff", not witnesses, tuple(witnesses), {"samples": checked}
+    )
+
+
+def verdict(fn, *args):
+    try:
+        return fn(*args)
+    except PreconditionViolatedError as exc:
+        return (type(exc), str(exc), exc.precondition)
+    except NotTwoSidedError as exc:
+        return (type(exc), str(exc))
+
+
+class TestBatteryMatchesPublicCheckers:
+    """The battery checks hypotheses once and trusts the core's stability;
+    its reports and errors are those of the public checkers."""
+
+    LOOPS = {
+        "sides-opposed": lambda inst: public_pair_loop(
+            inst, "sides-opposed", check_sides_opposed
+        ),
+        "pair-tradeoff": lambda inst: public_pair_loop(
+            inst, "pair-tradeoff", check_pair_tradeoff
+        ),
+        "group-tradeoff": public_group_loop,
+    }
+
+    def markets(self):
+        for seed in range(160):
+            try:
+                yield gen_random(
+                    GenParams(
+                        n_firms=1 + seed % 3,
+                        n_workers=1 + (seed // 3) % 3,
+                        contracts_per_pair=(1, 3),
+                        value_range=(0, 4) if seed % 4 else (1, 12),
+                        menu_density=0.8,
+                        force_pairwise_efficient=seed % 4 == 0,
+                        force_disjoint_yields=seed % 8 == 0,
+                        seed=5000 + seed,
+                    )
+                )
+            except InfeasibleParamsError:
+                continue
+        for seed in range(60):
+            yield seeded_pool(seed)
+
+    @pytest.mark.filterwarnings("ignore::contractmatch.NegativeContractWarning")
+    def test_reports_and_errors_agree(self):
+        seen = {"report": 0, "group samples": 0, "hypotheses fail": 0, "pool": 0}
+        for inst in self.markets():
+            battery = PropertyBattery(inst)
+            several = len(battery.core()) >= 2
+            for name, loop in self.LOOPS.items():
+                got = verdict(battery.run, name)
+                assert got == verdict(loop, inst), name
+                if isinstance(got, PropertyReport):
+                    seen["report"] += several
+                    seen["group samples"] += got.details.get("samples", 0)
+                elif several and got[0] is PreconditionViolatedError:
+                    seen["hypotheses fail"] += 1
+                elif several and got[0] is NotTwoSidedError:
+                    seen["pool"] += 1
+        assert all(seen.values()), seen
