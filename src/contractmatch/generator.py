@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .errors import InfeasibleParamsError, UnknownNameError
 from .model import Allocation, ContractMenu, Instance, validate_instance
 
-BUILTIN_NAMES = ("gale-shapley-4", "illustration", "illustration-modified")
+BUILTIN_NAMES = ("gale-shapley-4", "illustration", "illustration-modified", "worker-tie")
 
 
 def _menu(a: int, b: int, divisions) -> ContractMenu:
@@ -25,6 +25,10 @@ def builtin(name: str) -> Instance:
     illustration-modified: the same market with pair {1,4} offering (4,1)
         or (3,3), so firm 1 has two ways to earn 3 and tie-breaking decides
         where the run ends up.
+    worker-tie: firms 1 and 2, workers 3 and 4, one contract per pair;
+        pairwise efficient with disjoint firm yields, but worker 3 is paid
+        9 by either firm. The procedure has two tie outcomes, each paying
+        a different firm 10, so no outcome is firm-optimal.
     """
     if name == "gale-shapley-4":
         worth = {
@@ -55,6 +59,16 @@ def builtin(name: str) -> Instance:
             _menu(1, 4, [(4, 1), (3, 3)]),
             _menu(2, 3, [(3, 2), (2, 3)]),
             _menu(2, 4, [(4, 2), (2, 4)]),
+        ]
+        return validate_instance(
+            Instance.of((1, 2, 3, 4), menus, firms=(1, 2), workers=(3, 4))
+        )
+    if name == "worker-tie":
+        menus = [
+            _menu(1, 3, [(10, 9)]),
+            _menu(1, 4, [(1, 11)]),
+            _menu(2, 3, [(10, 9)]),
+            _menu(2, 4, [(2, 10)]),
         ]
         return validate_instance(
             Instance.of((1, 2, 3, 4), menus, firms=(1, 2), workers=(3, 4))
@@ -92,14 +106,33 @@ class GenParams:
     seed: int = 0
 
 
+#: Size caps of gen_random, checked before anything is built: agents per
+#: side, contracts per pair, contracts in all (n_firms * n_workers *
+#: contracts_per_pair[1]), and the size of either end of value_range.
+MAX_AGENTS_PER_SIDE = 1000
+MAX_CONTRACTS_PER_PAIR = 100
+MAX_CONTRACTS = 250_000
+MAX_AMOUNT = 10**9
+
+
 def _check_params(p: GenParams) -> None:
     lo, hi = p.contracts_per_pair
     if p.n_firms < 1 or p.n_workers < 1:
         raise InfeasibleParamsError("need at least one firm and one worker")
+    if max(p.n_firms, p.n_workers) > MAX_AGENTS_PER_SIDE:
+        raise InfeasibleParamsError(f"at most {MAX_AGENTS_PER_SIDE} agents per side")
     if not 1 <= lo <= hi:
         raise InfeasibleParamsError("contracts_per_pair must be an increasing range from >= 1")
+    if hi > MAX_CONTRACTS_PER_PAIR:
+        raise InfeasibleParamsError(f"at most {MAX_CONTRACTS_PER_PAIR} contracts per pair")
+    if p.n_firms * p.n_workers * hi > MAX_CONTRACTS:
+        raise InfeasibleParamsError(
+            f"firms x workers x most contracts per pair exceeds {MAX_CONTRACTS}"
+        )
     if p.value_range[0] > p.value_range[1]:
         raise InfeasibleParamsError("value_range is empty")
+    if max(abs(v) for v in p.value_range) > MAX_AMOUNT:
+        raise InfeasibleParamsError(f"value_range must lie within -{MAX_AMOUNT}..{MAX_AMOUNT}")
     if not 0.0 <= p.menu_density <= 1.0:
         raise InfeasibleParamsError("menu_density must be within [0, 1]")
 
@@ -110,7 +143,7 @@ def gen_random(p: GenParams) -> Instance:
     rng = random.Random(p.seed)
     firms = tuple(range(1, p.n_firms + 1))
     workers = tuple(range(p.n_firms + 1, p.n_firms + p.n_workers + 1))
-    values = list(range(p.value_range[0], p.value_range[1] + 1))
+    values = range(p.value_range[0], p.value_range[1] + 1)
 
     sizes: dict[tuple[int, int], int] = {}
     for f in firms:

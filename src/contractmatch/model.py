@@ -565,9 +565,15 @@ def outcome_from_dict(data: Mapping) -> Outcome:
         raise FormatError("outcome data must be a JSON object")
     try:
         matches = data["matches"]
-        payoffs = {parse_agent(a): parse_money(v) for a, v in data["payoffs"].items()}
+        entries = [(parse_agent(a), parse_money(v)) for a, v in data["payoffs"].items()]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError("outcome needs 'matches' and a 'payoffs' map") from exc
+    payoffs: dict[int, Fraction] = {}
+    for a, v in entries:
+        # Keys such as "1" and "01" name the same agent.
+        if a in payoffs:
+            raise FormatError(f"outcome 'payoffs' names agent {a} more than once")
+        payoffs[a] = v
     if not isinstance(matches, list):
         raise FormatError("outcome 'matches' must be a list of pairs")
     matching = Matching.from_pairs(matches)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (
     BudgetExceededError,
@@ -83,6 +84,32 @@ POLICIES: dict[str, TieBreakPolicy] = {
 }
 
 
+def _proposal_rows(inst: Instance, policy: TieBreakPolicy) -> dict[int, list[tuple]]:
+    """Each firm's proposable contracts as the engine's rows, sorted best-first.
+
+    A row is (-firm amount, tie key, worker amount, firm, worker, proposal),
+    with both amounts scaled to ints by amount_scaler, which keeps every
+    comparison. Rows sort on their first three entries: a firm's own
+    payoff, then the policy's worker rule, then the worker's amount, which
+    in one firm's list orders contracts tied on worker and firm payoff as
+    their allocations compare.
+    """
+    if not inst.two_sided:
+        raise NotTwoSidedError("instance has no firm/worker partition")
+    scaled = amount_scaler(inst)
+    side = 1 if policy.firm_prefers_low_worker else -1
+    rows: dict[int, list[tuple]] = {f: [] for f in inst.firms}
+    for f, w, m in inst.oriented_menus():
+        for c in m.contracts:
+            (_, low), (_, high) = c.payments
+            mine, theirs = (low, high) if f < w else (high, low)
+            if mine.numerator > 0:
+                rows[f].append((-scaled(mine), side * w, scaled(theirs), f, w, Proposal(f, w, c)))
+    for firm_rows in rows.values():
+        firm_rows.sort(key=itemgetter(0, 1, 2))
+    return rows
+
+
 def build_proposal_space(
     inst: Instance, policy: TieBreakPolicy = DEFAULT_POLICY
 ) -> dict[int, tuple[Proposal, ...]]:
@@ -92,26 +119,9 @@ def build_proposal_space(
     The sort runs on integer keys: every amount is scaled by the common
     denominator of all amounts, which keeps every comparison.
     """
-    if not inst.two_sided:
-        raise NotTwoSidedError("instance has no firm/worker partition")
-    scaled = amount_scaler(inst)
-    side = 1 if policy.firm_prefers_low_worker else -1
-    lists: dict[int, list[Proposal]] = {f: [] for f in inst.firms}
-    for f, w, m in inst.oriented_menus():
-        firm_index = 0 if f < w else 1
-        for c in m.contracts:
-            if c.payments[firm_index][1].numerator > 0:
-                lists[f].append(Proposal(f, w, c))
-
-    def key(p: Proposal) -> tuple[int, int, int]:
-        # Orders as (-firm payoff, worker, allocation) does: in one firm's
-        # list, contracts tied on worker and firm payoff differ only in the
-        # worker's amount, which is then how their allocations compare.
-        (a, low), (_, high) = p.allocation.payments
-        mine, theirs = (low, high) if a == p.firm else (high, low)
-        return (-scaled(mine), side * p.worker, scaled(theirs))
-
-    return {f: tuple(sorted(ps, key=key)) for f, ps in lists.items()}
+    return {
+        f: tuple(row[-1] for row in rows) for f, rows in _proposal_rows(inst, policy).items()
+    }
 
 
 @dataclass(frozen=True)
@@ -153,78 +163,119 @@ class _Branch(Exception):
 
 
 def _execute(
-    inst: Instance,
-    by_firm: dict[int, tuple[Proposal, ...]],
+    firm_rows: list[list[tuple]],
     worker_keeps_held: bool,
-    pick,
-):
-    """One proposing run; pick(options) resolves every tie of two or more.
+    script: tuple[int, ...] | None = None,
+    steps: list[TraceStep] | None = None,
+) -> dict[int, tuple]:
+    """One proposing run over _proposal_rows lists, in firm id order.
 
-    Options arrive in the policy's order: a firm's tied contracts as
-    build_proposal_space sorted them, a worker's tied offers with the
-    incumbent first when worker_keeps_held, then by firm id.
+    A row is (-firm amount, tie key, worker amount, firm, worker, proposal).
+    Returns the held row of every matched worker. Each firm proposes from
+    a cursor into its rows. With no script every tie of two or more
+    options goes to the first, in the policy's order: a firm's tied rows
+    as sorted, a worker's tied offers with the incumbent first when
+    worker_keeps_held, then by firm id. Otherwise script[k] is the option
+    taken at the k-th such tie, and a tie past the script's end raises
+    _Branch. A firm's tie is the leading run of its untried rows with equal
+    payoff; a scripted pick of a later row of that run moves the row to
+    the front, keeping the order of the rest, on a copy of the firm's list
+    made for this run. Stages are appended to steps when it is a list.
     """
-    remaining = {f: list(ps) for f, ps in by_firm.items()}
-    held: dict[int, Proposal] = {}
+    lists = list(firm_rows)
+    pos = [0] * len(lists)
+    held: dict[int, tuple] = {}
     held_firms: set[int] = set()
-    steps: list[TraceStep] = []
+    picks = 0
     stage = 0
     while True:
         stage += 1
-        active = tuple(
-            f for f in sorted(remaining) if f not in held_firms and remaining[f]
-        )
-        if not active:
-            steps.append(TraceStep(stage, (), {}, {}, dict(held), ()))
-            break
-        proposals: dict[int, Proposal] = {}
-        received: dict[int, tuple[Proposal, ...]] = {}
-        for f in active:
-            untried = remaining[f]
-            top = untried[0].firm_payoff
+        offers: dict[int, list[tuple]] = {}
+        proposed = []
+        for i, rows in enumerate(lists):
+            p = pos[i]
+            if p == len(rows) or rows[p][3] in held_firms:
+                continue
             n = 1
-            while n < len(untried) and untried[n].firm_payoff == top:
-                n += 1
-            choice = untried[0] if n == 1 else pick(tuple(untried[:n]))
-            untried.remove(choice)
-            proposals[f] = choice
-            received[choice.worker] = received.get(choice.worker, ()) + (choice,)
-        received = dict(sorted(received.items()))
-        rejected: list[Proposal] = []
-        for w, ps in received.items():
+            if script is not None:
+                top = rows[p][0]
+                while p + n < len(rows) and rows[p + n][0] == top:
+                    n += 1
+            if n > 1:
+                if picks == len(script):
+                    raise _Branch(n)
+                j = script[picks]
+                picks += 1
+                if j:
+                    if rows is firm_rows[i]:
+                        rows = lists[i] = rows.copy()
+                    rows.insert(p, rows.pop(p + j))
+            pos[i] = p + 1
+            row = rows[p]
+            proposed.append(row)
+            offers.setdefault(row[4], []).append(row)
+        if not proposed:
+            if steps is not None:
+                steps.append(
+                    TraceStep(stage, (), {}, {}, {w: r[5] for w, r in held.items()}, ())
+                )
+            return held
+        rejected: list[tuple] = []
+        for w in sorted(offers):
+            ps = offers[w]
             prev = held.get(w)
-            pool = [p for p in ps if p.worker_payoff >= 0]
+            pool = [r for r in ps if r[2] >= 0]
             if prev is not None:
                 pool.append(prev)
             if not pool:
-                rejected.extend(ps)
+                rejected += ps
                 continue
-            best = max(p.worker_payoff for p in pool)
-            tied = [p for p in pool if p.worker_payoff == best]
-            if len(tied) == 1:
-                choice = tied[0]
+            if len(pool) == 1:
+                choice = pool[0]
             else:
-                incumbent = prev if worker_keeps_held else None
-                tied.sort(key=lambda p: (p is not incumbent, p.firm))
-                choice = pick(tuple(tied))
-            rejected.extend(p for p in ps if p != choice)
-            if prev is not None and prev != choice:
-                rejected.append(prev)
-                held_firms.discard(prev.firm)
-            held[w] = choice
-            held_firms.add(choice.firm)
-        steps.append(
-            TraceStep(stage, active, proposals, received, dict(held), tuple(rejected))
-        )
+                best = max(r[2] for r in pool)
+                tied = [r for r in pool if r[2] == best]
+                if len(tied) == 1:
+                    choice = tied[0]
+                else:
+                    incumbent = prev if worker_keeps_held else None
+                    tied.sort(key=lambda r: (r is not incumbent, r[3]))
+                    if script is None:
+                        choice = tied[0]
+                    elif picks == len(script):
+                        raise _Branch(len(tied))
+                    else:
+                        choice = tied[script[picks]]
+                        picks += 1
+            if choice is not prev:
+                if prev is not None:
+                    held_firms.discard(prev[3])
+                held[w] = choice
+                held_firms.add(choice[3])
+            if steps is not None:
+                rejected += (r for r in ps if r is not choice)
+                if prev is not None and prev is not choice:
+                    rejected.append(prev)
+        if steps is not None:
+            steps.append(
+                TraceStep(
+                    stage,
+                    tuple(r[3] for r in proposed),
+                    {r[3]: r[5] for r in proposed},
+                    {w: tuple(r[5] for r in offers[w]) for w in sorted(offers)},
+                    {w: r[5] for w, r in held.items()},
+                    tuple(r[5] for r in rejected),
+                )
+            )
 
+
+def _outcome(inst: Instance, held: dict[int, tuple]) -> Outcome:
     payoffs = {a: ZERO for a in inst.agents}
     pairs = []
-    for w, p in held.items():
-        pairs.append((p.firm, w))
-        payoffs[p.firm] = p.firm_payoff
-        payoffs[w] = p.worker_payoff
-    outcome = Outcome.of(Matching.from_pairs(pairs), payoffs)
-    return outcome, Trace(tuple(steps))
+    for *_, p in held.values():
+        pairs.append((p.firm, p.worker))
+        payoffs.update(p.allocation.payments)
+    return Outcome.of(Matching.from_pairs(pairs), payoffs)
 
 
 def run_procedure(
@@ -235,8 +286,10 @@ def run_procedure(
     Returns the resulting outcome (always stable) and the full trace.
     Identical instance and policy give a bit-for-bit identical trace.
     """
-    by_firm = build_proposal_space(inst, policy)
-    return _execute(inst, by_firm, policy.worker_keeps_held, lambda options: options[0])
+    rows = _proposal_rows(inst, policy)
+    steps: list[TraceStep] = []
+    held = _execute([rows[f] for f in sorted(rows)], policy.worker_keeps_held, steps=steps)
+    return _outcome(inst, held), Trace(tuple(steps))
 
 
 def enumerate_procedure_outcomes(
@@ -246,24 +299,17 @@ def enumerate_procedure_outcomes(
 
     Branches at every choice point with two or more tied options, on both
     sides. The budget bounds the number of replayed runs, since distinct
-    tie resolutions may collapse to few distinct outcomes.
+    tie resolutions may collapse to few distinct outcomes. Each run is
+    replayed from the first stage, with no trace.
     """
-    by_firm = build_proposal_space(inst, DEFAULT_POLICY)
+    rows = _proposal_rows(inst, DEFAULT_POLICY)
+    firm_rows = [rows[f] for f in sorted(rows)]
+    keeps_held = DEFAULT_POLICY.worker_keeps_held
     cap = (budget or EnumerationBudget()).max_outcomes
 
-    def replay(script: tuple[int, ...]):
-        cursor = 0
-
-        def scripted(options):
-            nonlocal cursor
-            if cursor < len(script):
-                cursor += 1
-                return options[script[cursor - 1]]
-            raise _Branch(len(options))
-
-        return _execute(inst, by_firm, DEFAULT_POLICY.worker_keeps_held, scripted)
-
-    outcomes: set[Outcome] = set()
+    # Keyed by the ids of the held rows, which live as long as firm_rows:
+    # an Outcome is built once per distinct set of held contracts.
+    reached: dict[frozenset[int], dict[int, tuple]] = {}
     stack: list[tuple[int, ...]] = [()]
     runs = 0
     while stack:
@@ -274,11 +320,12 @@ def enumerate_procedure_outcomes(
                 f"more than {cap} tie-break branches; raise the enumeration budget"
             )
         try:
-            outcome, _ = replay(script)
+            held = _execute(firm_rows, keeps_held, script)
         except _Branch as b:
             stack.extend(script + (i,) for i in reversed(range(b.n_options)))
             continue
-        outcomes.add(outcome)
+        reached.setdefault(frozenset(map(id, held.values())), held)
+    outcomes = {_outcome(inst, held) for held in reached.values()}
     return sorted(outcomes, key=Outcome.sort_key)
 
 

@@ -5,7 +5,10 @@ enumerated agent-first over all involutions (the library walks pair
 subsets), and blocking is a plain double loop over pairs and contracts.
 The ordered core keeps the library's former core engine, a sweep over
 every outcome. The loader reference keeps the library's older
-construction path, which parses every literal on its own.
+construction path, which parses every literal on its own. The tie replay
+keeps the library's former proposing engine, which compares Fraction
+payoffs, removes each proposal from a copy of its firm's list, and builds
+a trace on every run.
 """
 import random
 from collections.abc import Mapping
@@ -13,14 +16,19 @@ from fractions import Fraction
 from itertools import product
 
 from contractmatch import (
+    DEFAULT_POLICY,
+    BudgetExceededError,
     ContractMenu,
+    EnumerationBudget,
     FormatError,
     Instance,
     Matching,
     Outcome,
+    build_proposal_space,
     validate_instance,
 )
-from contractmatch.model import iter_raw_outcomes, parse_agent
+from contractmatch.model import ZERO, iter_raw_outcomes, parse_agent
+from contractmatch.procedure import Trace, TraceStep
 
 
 def oracle_outcomes(inst):
@@ -156,3 +164,118 @@ def oracle_instance_from_dict(data):
     return validate_instance(
         Instance.of(agents, menus, firms=id_list("firms"), workers=id_list("workers"))
     )
+
+
+class _Branch(Exception):
+    def __init__(self, n_options):
+        self.n_options = n_options
+
+
+def _oracle_execute(inst, by_firm, worker_keeps_held, pick):
+    """One proposing run on Fraction payoffs; pick(options) resolves every tie."""
+    remaining = {f: list(ps) for f, ps in by_firm.items()}
+    held = {}
+    held_firms = set()
+    steps = []
+    stage = 0
+    while True:
+        stage += 1
+        active = tuple(
+            f for f in sorted(remaining) if f not in held_firms and remaining[f]
+        )
+        if not active:
+            steps.append(TraceStep(stage, (), {}, {}, dict(held), ()))
+            break
+        proposals = {}
+        received = {}
+        for f in active:
+            untried = remaining[f]
+            top = untried[0].firm_payoff
+            n = 1
+            while n < len(untried) and untried[n].firm_payoff == top:
+                n += 1
+            choice = untried[0] if n == 1 else pick(tuple(untried[:n]))
+            untried.remove(choice)
+            proposals[f] = choice
+            received[choice.worker] = received.get(choice.worker, ()) + (choice,)
+        received = dict(sorted(received.items()))
+        rejected = []
+        for w, ps in received.items():
+            prev = held.get(w)
+            pool = [p for p in ps if p.worker_payoff >= 0]
+            if prev is not None:
+                pool.append(prev)
+            if not pool:
+                rejected.extend(ps)
+                continue
+            best = max(p.worker_payoff for p in pool)
+            tied = [p for p in pool if p.worker_payoff == best]
+            if len(tied) == 1:
+                choice = tied[0]
+            else:
+                incumbent = prev if worker_keeps_held else None
+                tied.sort(key=lambda p: (p is not incumbent, p.firm))
+                choice = pick(tuple(tied))
+            rejected.extend(p for p in ps if p != choice)
+            if prev is not None and prev != choice:
+                rejected.append(prev)
+                held_firms.discard(prev.firm)
+            held[w] = choice
+            held_firms.add(choice.firm)
+        steps.append(
+            TraceStep(stage, active, proposals, received, dict(held), tuple(rejected))
+        )
+
+    payoffs = {a: ZERO for a in inst.agents}
+    pairs = []
+    for w, p in held.items():
+        pairs.append((p.firm, w))
+        payoffs[p.firm] = p.firm_payoff
+        payoffs[w] = p.worker_payoff
+    return Outcome.of(Matching.from_pairs(pairs), payoffs), Trace(tuple(steps))
+
+
+def oracle_run_procedure(inst, policy):
+    """(outcome, trace) of one run, every tie resolved by its first option."""
+    by_firm = build_proposal_space(inst, policy)
+    return _oracle_execute(inst, by_firm, policy.worker_keeps_held, lambda options: options[0])
+
+
+def oracle_tie_outcomes(inst, budget=None):
+    """(sorted tie outcomes, number of runs) by replaying every script from the root.
+
+    Raises BudgetExceededError after the budget's number of runs, as
+    enumerate_procedure_outcomes does.
+    """
+    by_firm = build_proposal_space(inst, DEFAULT_POLICY)
+    cap = (budget or EnumerationBudget()).max_outcomes
+
+    def replay(script):
+        cursor = 0
+
+        def scripted(options):
+            nonlocal cursor
+            if cursor < len(script):
+                cursor += 1
+                return options[script[cursor - 1]]
+            raise _Branch(len(options))
+
+        return _oracle_execute(inst, by_firm, DEFAULT_POLICY.worker_keeps_held, scripted)
+
+    outcomes = set()
+    stack = [()]
+    runs = 0
+    while stack:
+        script = stack.pop()
+        runs += 1
+        if runs > cap:
+            raise BudgetExceededError(
+                f"more than {cap} tie-break branches; raise the enumeration budget"
+            )
+        try:
+            outcome, _ = replay(script)
+        except _Branch as b:
+            stack.extend(script + (i,) for i in reversed(range(b.n_options)))
+            continue
+        outcomes.add(outcome)
+    return sorted(outcomes, key=Outcome.sort_key), runs

@@ -22,6 +22,7 @@ from contractmatch import (
     GenParams,
     POLICIES,
     PreconditionViolatedError,
+    builtin,
     check_employment_invariance,
     check_firm_optimality,
     check_group_tradeoff,
@@ -297,3 +298,40 @@ def test_criterion_8_reduction_to_classic_deferred_acceptance():
             mismatches.append(seed)
     elapsed = time.perf_counter() - start
     report("8", not mismatches, f"{n} singleton-menu instances, {len(mismatches)} mismatches, {elapsed:.1f}s")
+
+
+def test_worker_tie_has_two_runs_and_no_firm_optimal_outcome(tmp_path, capsys):
+    # Pairwise efficiency and disjoint firm yields both hold on
+    # `worker-tie`, but worker 3 is paid 9 by either firm, so the tie
+    # decides which firm earns 10. The firm bound fails there: the verdict
+    # is right, and the gap lies between the claim and the hypotheses as
+    # the code reads them (README, "Known discrepancies").
+    path = write_instance(tmp_path, builtin("worker-tie"), "worker-tie")
+    runs = [
+        {"matches": [[1, 3], [2, 4]], "singles": [],
+         "payoffs": {"1": "10", "2": "2", "3": "9", "4": "10"}},
+        {"matches": [[1, 4], [2, 3]], "singles": [],
+         "payoffs": {"1": "1", "2": "10", "3": "9", "4": "11"}},
+    ]
+    solve_code, solved = run_cli(capsys, "solve", path, "--all-tiebreaks")
+    core_code, core = run_cli(capsys, "core", path)
+    verify_code, reports = run_cli(capsys, "verify", path)
+    verdicts = {r["property"]: r for r in reports}
+    optimality = verdicts["firm-optimality"]
+    ok = (
+        solve_code == 0
+        and solved == runs
+        and core_code == 0
+        and core[-1] == {"count": 2}
+        and verdicts["pairwise-efficiency"]["holds"]
+        and verdicts["disjoint-yields"]["holds"]
+        and optimality["holds"] is False
+        and optimality["details"] == {"reason": "not a singleton"}
+        and verify_code == 1
+    )
+    report(
+        "worker-tie",
+        ok,
+        f"{len(solved)} tie outcomes, core count {core[-1]['count']}, "
+        f"firm-optimality {optimality['holds']}, verify exit {verify_code}",
+    )

@@ -33,3 +33,9 @@ def test_core_verify_run_is_correct_and_fails_no_op():
     # Checks `core` against the harness's own brute-force core, and fails
     # if a module attribute that tracing wraps has gone.
     traced_run("core-verify")
+
+
+def test_solve_market_run_is_correct_and_fails_no_op():
+    # `solve` then `check` through the command line on the 40 large
+    # markets, checked against the harness's own stability and Pareto tests.
+    traced_run("solve-market")

@@ -1,13 +1,23 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contractmatch import (
+    ContractMatchError,
     GenParams,
+    NegativeContractWarning,
     gen_random,
+    instance_from_dict,
     instance_to_dict,
+    outcome_from_dict,
     outcome_to_dict,
     procedure,
     stability,
@@ -309,6 +319,24 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", illustration_file, path)
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "payoffs",
+        [
+            {"01": "9", "1": "3", "2": "4", "3": "1", "4": "2"},
+            {"1": "3", "01": "9", "2": "4", "3": "1", "4": "2"},
+        ],
+        ids=["padded-key-first", "padded-key-last"],
+    )
+    def test_payoff_keys_naming_one_agent_twice_exit_2(
+        self, capsys, tmp_path, illustration_file, payoffs
+    ):
+        # Either order fails alike: no key may silently overwrite another.
+        outcome = {"matches": [[1, 3], [2, 4]], "payoffs": payoffs}
+        path = write_json(tmp_path / "outcome.json", outcome)
+        code, out, err = run_cli(capsys, "check", illustration_file, path)
+        assert code == 2 and not out
+        assert err == "error: outcome 'payoffs' names agent 1 more than once\n"
+
     def test_round_trip_solve_then_check(self, capsys, tmp_path, modified_file):
         code, out, _ = run_cli(capsys, "solve", modified_file)
         assert code == 0
@@ -317,6 +345,127 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", modified_file, str(path))
         assert code == 0
         assert json_lines(out)[0] == {"stable": True}
+
+
+# JSON-ish values for fuzzing the input boundary: scalars of every JSON
+# type, near-miss ids and amounts, and lists and objects of them.
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 7),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+    st.sampled_from(["1", "01", "3", " 4", "-1", "1/2", "0.5", "1e2", "1e1001", "2/0", "x"]),
+)
+_json = st.recursive(
+    _scalars,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+_PAIRS = [(1, 3), (1, 4), (2, 3), (2, 4)]
+
+
+def _places(value, path=()):
+    """Every path to a value inside nested lists and dicts, the root included."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from _places(inner, path + (key,))
+
+
+@st.composite
+def _mutated(draw, value):
+    """value with up to three places replaced by junk, or a dict key renamed."""
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_places(value))))
+        if not path:
+            return draw(_json)
+        parent = value
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            new_key = draw(st.sampled_from(["01", "1", "3", " 2", "x", ""]))
+            parent[new_key] = parent.pop(path[-1])
+        else:
+            parent[path[-1]] = draw(_json)
+    return value
+
+
+@st.composite
+def _market_and_outcome(draw):
+    """A 2x2 market and a feasible outcome of it, each then perhaps mutated."""
+    divisions = st.tuples(st.integers(-1, 3), st.integers(-1, 3))
+    menus = {
+        pair: draw(st.lists(divisions, min_size=1, max_size=3))
+        for pair in draw(st.lists(st.sampled_from(_PAIRS), unique=True, max_size=4))
+    }
+    instance = {
+        "agents": [1, 2, 3, 4],
+        "firms": [1, 2],
+        "workers": [3, 4],
+        "menus": [
+            {"pair": list(pair), "contracts": [{str(pair[0]): x, str(pair[1]): y} for x, y in cs]}
+            for pair, cs in menus.items()
+        ],
+    }
+    payoffs = {str(a): 0 for a in (1, 2, 3, 4)}
+    matches = []
+    for pair in draw(st.sampled_from([[], [(1, 3)], [(1, 3), (2, 4)], [(1, 4), (2, 3)], [(2, 4)]])):
+        usable = [(x, y) for x, y in menus.get(pair, []) if x >= 0 and y >= 0]
+        if usable:
+            matches.append(list(pair))
+            payoffs[str(pair[0])], payoffs[str(pair[1])] = draw(st.sampled_from(usable))
+    outcome = {"matches": matches, "payoffs": payoffs}
+    if draw(st.booleans()):
+        outcome["singles"] = [a for a in (1, 2, 3, 4) if not any(a in m for m in matches)]
+    return draw(_mutated(instance)), draw(_mutated(outcome))
+
+
+_inputs = st.one_of(_market_and_outcome(), _market_and_outcome(), st.tuples(_json, _json))
+
+
+class TestFuzzedInput:
+    """Any JSON-ish input gives a library error or an exit code of 0, 1 or 2."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(inputs=_inputs)
+    def test_loaders(self, inputs):
+        instance, outcome = inputs
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeContractWarning)
+            try:
+                instance_from_dict(instance)
+            except ContractMatchError:
+                pass
+        try:
+            outcome_from_dict(outcome)
+        except ContractMatchError:
+            pass
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(inputs=_inputs)
+    def test_check_command(self, inputs):
+        instance, outcome = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            inst_path = os.path.join(tmp, "instance.json")
+            outcome_path = os.path.join(tmp, "outcome.json")
+            for path, data in ((inst_path, instance), (outcome_path, outcome)):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(json.dumps(data))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["check", inst_path, outcome_path])
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        assert all(line.startswith(("error: ", "warning: ")) for line in lines)
+        if code == 2:
+            assert lines[-1].startswith("error: ")
 
 
 class TestCore:
@@ -493,6 +642,15 @@ class TestGenAndExample:
         )
         assert code == 0
         json.loads(out)
+
+    @pytest.mark.parametrize(
+        "flag", [["--max-value", "1000000000000"], ["--max-contracts", "100000000000"]]
+    )
+    def test_gen_beyond_a_size_cap_exits_2(self, capsys, flag):
+        # Without the caps these run out of memory or run for minutes.
+        code, out, err = run_cli(capsys, "gen", "--firms", "1", "--workers", "1", *flag)
+        assert code == 2 and not out
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_example_prints_builtin(self, capsys, illustration):
         code, out, _ = run_cli(capsys, "example", "illustration")

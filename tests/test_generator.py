@@ -6,6 +6,7 @@ from contractmatch import (
     Allocation,
     GenParams,
     InfeasibleParamsError,
+    NegativeContractWarning,
     UnknownNameError,
     builtin,
     gen_random,
@@ -138,6 +139,37 @@ class TestGenRandom:
             gen_random(GenParams(n_firms=1, n_workers=1, value_range=(5, 0)))
         with pytest.raises(InfeasibleParamsError):
             gen_random(GenParams(n_firms=1, n_workers=1, menu_density=1.5))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            GenParams(n_firms=1001, n_workers=1),
+            GenParams(n_firms=1, n_workers=10**12),
+            GenParams(n_firms=1, n_workers=1, contracts_per_pair=(1, 101)),
+            GenParams(n_firms=1, n_workers=1, contracts_per_pair=(1, 10**11)),
+            GenParams(n_firms=500, n_workers=501, contracts_per_pair=(1, 1)),
+            GenParams(n_firms=50, n_workers=50, contracts_per_pair=(1, 101)),
+            GenParams(n_firms=1, n_workers=1, value_range=(0, 10**12)),
+            GenParams(n_firms=1, n_workers=1, value_range=(-(10**9) - 1, 0)),
+        ],
+        ids=["firms", "huge-workers", "contracts", "huge-contracts", "total", "total-per-pair",
+             "huge-amount", "negative-amount"],
+    )
+    def test_size_caps_refuse_before_building(self, params):
+        with pytest.raises(InfeasibleParamsError):
+            gen_random(params)
+
+    def test_size_caps_admit_their_limits(self):
+        # The widest amount range draws without listing its 2 * 10**9 values.
+        with pytest.warns(NegativeContractWarning):
+            inst = gen_random(
+                GenParams(n_firms=1, n_workers=1, contracts_per_pair=(100, 100),
+                          value_range=(-(10**9), 10**9), seed=3)
+            )
+        assert len(inst.menus[0].contracts) == 100
+        wide = gen_random(GenParams(n_firms=1000, n_workers=250, contracts_per_pair=(1, 1),
+                                    menu_density=0.0))
+        assert len(wide.agents) == 1250 and not wide.menus
 
     def test_agent_ids_are_firms_then_workers(self):
         inst = gen_random(GenParams(n_firms=2, n_workers=3, seed=5))

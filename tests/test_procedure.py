@@ -30,6 +30,7 @@ from contractmatch import (
     run_procedure,
     validate_instance,
 )
+from oracles import oracle_run_procedure, oracle_tie_outcomes
 
 
 def outcome_of(inst, pairs, payoffs):
@@ -317,6 +318,61 @@ class TestEnumerateTieBreaks:
     def test_branch_budget(self, modified):
         with pytest.raises(BudgetExceededError):
             enumerate_procedure_outcomes(modified, EnumerationBudget(max_outcomes=1))
+
+
+def corpus_params(seed):
+    # The gate-5 corpus of tests/test_acceptance.py.
+    return GenParams(
+        n_firms=1 + seed % 4,
+        n_workers=1 + (seed // 4) % 4,
+        contracts_per_pair=(1, 3),
+        value_range=(0, 5),
+        menu_density=0.8,
+        seed=seed,
+    )
+
+
+def assert_engine_matches_oracle(inst, cap=None):
+    """Same tie outcomes, same run count and same traces as the Fraction engine."""
+    budget = EnumerationBudget(cap) if cap else None
+    try:
+        expected, runs = oracle_tie_outcomes(inst, budget)
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError):
+            enumerate_procedure_outcomes(inst, budget)
+        return 0
+    assert enumerate_procedure_outcomes(inst, EnumerationBudget(runs)) == expected
+    if runs > 1:
+        with pytest.raises(BudgetExceededError):
+            enumerate_procedure_outcomes(inst, EnumerationBudget(runs - 1))
+    for policy in POLICIES.values():
+        assert run_procedure(inst, policy) == oracle_run_procedure(inst, policy)
+    return runs
+
+
+class TestEngineMatchesOracle:
+    """The int engine against the Fraction engine it replaced (tests/oracles.py)."""
+
+    def test_gate5_corpus(self):
+        runs = sum(assert_engine_matches_oracle(gen_random(corpus_params(s))) for s in range(500))
+        assert runs == 20_329
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n_firms=st.integers(1, 4),
+        n_workers=st.integers(1, 4),
+        low=st.sampled_from([0, -2]),
+        density=st.sampled_from([0.5, 0.8, 1.0]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_ties_on_both_sides(self, n_firms, n_workers, low, density, seed):
+        # Amounts 0..3 or -2..3 tie often for firms and for workers alike.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeContractWarning)
+            inst = gen_random(
+                GenParams(n_firms, n_workers, (1, 3), (low, 3), density, seed=seed)
+            )
+        assert_engine_matches_oracle(inst, cap=20_000)
 
 
 class TestClassicDA:
