@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .errors import (
@@ -191,12 +192,44 @@ class Instance:
     def menu_map(self) -> dict[tuple[int, int], ContractMenu]:
         return {m.pair: m for m in self.menus}
 
-    def oriented_menus(self) -> Iterator[tuple[int, int, ContractMenu]]:
-        """Yield (firm, worker, menu) for every menu of a two-sided instance."""
-        firm_set = set(self.firms)
+    @cached_property
+    def scale(self) -> int:
+        """The common denominator of all the instance's amounts."""
+        return math.lcm(
+            *{v.denominator for m in self.menus for c in m.contracts for _, v in c.payments}
+        )
+
+    @cached_property
+    def table(self) -> tuple[tuple, ...]:
+        """Every menu on integer amounts, in menu order, built on first read.
+
+        A row is (first, second, pair, contracts): first and second are the
+        firm and the worker on a two-sided instance and the menu pair on a
+        pool, and each contract is (x, y, allocation), with x and y what it
+        pays first and second times `scale`, so they compare as the amounts do.
+        """
+        scale = self.scale
+        firms = set(self.firms or ())
+        rows = []
         for m in self.menus:
             a, b = m.pair
-            yield (a, b, m) if a in firm_set else (b, a, m)
+            first, second = (b, a) if b in firms else (a, b)
+            contracts = []
+            for c in m.contracts:
+                (p, u), (_, v) = c.payments
+                u, v = u.numerator * (scale // u.denominator), v.numerator * (scale // v.denominator)
+                contracts.append((u, v, c) if p == first else (v, u, c))
+            rows.append((first, second, m.pair, tuple(contracts)))
+        return tuple(rows)
+
+    def scaled(self, payoffs: Mapping[int, Fraction]) -> dict[int, int]:
+        """Each payoff times `scale`, rounded down.
+
+        An int of the table exceeds a scaled payoff exactly when its amount
+        exceeds the payoff, whatever the payoff's denominator.
+        """
+        scale = self.scale
+        return {a: v.numerator * scale // v.denominator for a, v in payoffs.items()}
 
 
 def validate_instance(inst: Instance) -> Instance:
@@ -278,18 +311,6 @@ def validate_instance(inst: Instance) -> Instance:
     return Instance(agents, tuple(canonical), firms, workers)
 
 
-def amount_scaler(inst: Instance) -> Callable[[Fraction], int]:
-    """Map each amount of the instance to an int, keeping every comparison.
-
-    The int is the amount times the common denominator of all the
-    instance's amounts.
-    """
-    scale = math.lcm(
-        *{v.denominator for m in inst.menus for c in m.contracts for _, v in c.payments}
-    )
-    return lambda v: v.numerator * (scale // v.denominator)
-
-
 def is_superadditive(inst: Instance) -> bool:
     """True iff every present menu contains the all-zero division.
 
@@ -297,11 +318,7 @@ def is_superadditive(inst: Instance) -> bool:
     (each worth zero) into a menued pair is the only nontrivial case of
     super-additivity, and it requires the zero division to be on the menu.
     """
-    for m in inst.menus:
-        zero = Allocation.of({a: 0 for a in m.pair})
-        if zero not in m.contracts:
-            return False
-    return True
+    return all(any(x == y == 0 for x, y, _ in cs) for _, _, _, cs in inst.table)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from .model import (
     Instance,
     Matching,
     Outcome,
-    amount_scaler,
     money_str,
 )
 
@@ -88,23 +87,17 @@ def _proposal_rows(inst: Instance, policy: TieBreakPolicy) -> dict[int, list[tup
     """Each firm's proposable contracts as the engine's rows, sorted best-first.
 
     A row is (-firm amount, tie key, worker amount, firm, worker, proposal),
-    with both amounts scaled to ints by amount_scaler, which keeps every
-    comparison. Rows sort on their first three entries: a firm's own
-    payoff, then the policy's worker rule, then the worker's amount, which
-    in one firm's list orders contracts tied on worker and firm payoff as
-    their allocations compare.
+    with both amounts ints of the instance's table. Rows sort on their
+    first three entries: a firm's own payoff, then the policy's worker
+    rule, then the worker's amount, which in one firm's list orders
+    contracts tied on worker and firm payoff as their allocations compare.
     """
     if not inst.two_sided:
         raise NotTwoSidedError("instance has no firm/worker partition")
-    scaled = amount_scaler(inst)
     side = 1 if policy.firm_prefers_low_worker else -1
     rows: dict[int, list[tuple]] = {f: [] for f in inst.firms}
-    for f, w, m in inst.oriented_menus():
-        for c in m.contracts:
-            (_, low), (_, high) = c.payments
-            mine, theirs = (low, high) if f < w else (high, low)
-            if mine.numerator > 0:
-                rows[f].append((-scaled(mine), side * w, scaled(theirs), f, w, Proposal(f, w, c)))
+    for f, w, _, contracts in inst.table:
+        rows[f] += ((-x, side * w, y, f, w, Proposal(f, w, c)) for x, y, c in contracts if x > 0)
     for firm_rows in rows.values():
         firm_rows.sort(key=itemgetter(0, 1, 2))
     return rows
@@ -116,8 +109,7 @@ def build_proposal_space(
     """Each firm's contracts paying it more than zero, sorted best-first.
 
     Payoff ties are ordered by the policy's firm rule, then by allocation.
-    The sort runs on integer keys: every amount is scaled by the common
-    denominator of all amounts, which keeps every comparison.
+    The sort runs on the integer amounts of the instance's table.
     """
     return {
         f: tuple(row[-1] for row in rows) for f, rows in _proposal_rows(inst, policy).items()

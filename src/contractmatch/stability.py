@@ -18,7 +18,6 @@ from .model import (
     Instance,
     Matching,
     Outcome,
-    amount_scaler,
     iter_raw_outcomes,  # unused here; benchmark tracing wraps this attribute
     outcome_is_feasible,
 )
@@ -33,28 +32,25 @@ class BlockingCertificate:
 
 
 def payoffs_are_blocked(inst: Instance, payoffs: dict[int, Fraction]) -> bool:
-    """Fast predicate used by enumeration sweeps; payoffs must cover all agents."""
-    for m in inst.menus:
-        a, b = m.pair
-        va, vb = payoffs[a], payoffs[b]
-        for c in m.contracts:
-            if c[a] > va and c[b] > vb:
-                return True
-    return False
+    """True iff some pair blocks `payoffs`, which must cover all agents.
+
+    The test behind is_stable and verify's stability check.
+    """
+    v = inst.scaled(payoffs)
+    return any(x > v[a] and y > v[b] for a, b, _, cs in inst.table for x, y, _ in cs)
 
 
 def blocking_coalitions(inst: Instance, outcome: Outcome) -> list[BlockingCertificate]:
     """Every (pair, contract) that blocks the outcome, in pair order then menu order."""
     if not outcome_is_feasible(inst, outcome):
         raise InfeasibleOutcomeError("outcome is not feasible for this instance")
-    v = outcome.payoff_map()
-    certs = []
-    for m in inst.menus:
-        a, b = m.pair
-        for c in m.contracts:
-            if c[a] > v[a] and c[b] > v[b]:
-                certs.append(BlockingCertificate(m.pair, c))
-    return certs
+    v = inst.scaled(outcome.payoff_map())
+    return [
+        BlockingCertificate(pair, c)
+        for a, b, pair, contracts in inst.table
+        for x, y, c in contracts
+        if x > v[a] and y > v[b]
+    ]
 
 
 def is_stable(inst: Instance, outcome: Outcome) -> bool:
@@ -75,8 +71,8 @@ def enumerate_core(
     a newly assigned agent pays it more than its payoff and pays the other
     member more than that member has or, if still unassigned, more than
     any contract with an unassigned partner would pay it. Amounts are
-    compared as ints (see amount_scaler), and the search runs on an
-    explicit stack, so its depth is not bounded by the recursion limit.
+    the ints of the instance's table, and the search runs on an explicit
+    stack, so its depth is not bounded by the recursion limit.
 
     The budget bounds the outcomes examined: stable outcomes reached plus
     branches rejected. A rejected branch with every later agent single is
@@ -84,7 +80,6 @@ def enumerate_core(
     outcomes than enumerate_outcomes would list.
     """
     cap = (budget or EnumerationBudget()).max_outcomes
-    scaled = amount_scaler(inst)
     agents = inst.agents
     n = len(agents)
     index = {a: i for i, a in enumerate(agents)}
@@ -97,13 +92,14 @@ def enumerate_core(
     # rivals[i]: (own, partner, partner's) of each contract paying both
     # members more than zero, the only ones that can block; best first.
     rivals: list[list[tuple[int, int, int]]] = [[] for _ in agents]
-    for m in inst.menus:
-        a, b = m.pair
+    for first, _, pair, contracts in inst.table:
+        a, b = pair
         i, j = index[a], index[b]
-        for k, c in enumerate(m.contracts):
-            x, y = scaled(c[a]), scaled(c[b])
+        for k, (x, y, c) in enumerate(contracts):
+            if first != a:
+                x, y = y, x
             if x >= 0 and y >= 0:
-                choices[i].append((j, x, y, m.pair, k, c))
+                choices[i].append((j, x, y, pair, k, c))
                 offers[i].append((x, j))
                 offers[j].append((y, i))
             if x > 0 and y > 0:

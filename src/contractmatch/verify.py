@@ -31,6 +31,7 @@ from .model import (
     Outcome,
     iter_raw_outcomes,
     outcome_is_feasible,
+    parse_agent,
 )
 from .stability import payoffs_are_blocked
 
@@ -71,32 +72,25 @@ def is_pairwise_efficient(inst: Instance) -> PropertyReport:
     """
     _require_two_sided(inst)
     witnesses = []
-    for f, w, m in inst.oriented_menus():
-        cs = m.contracts
-        for i in range(len(cs)):
-            for j in range(i + 1, len(cs)):
-                df = cs[i][f] - cs[j][f]
-                dw = cs[i][w] - cs[j][w]
-                if not (df > 0 > dw or df < 0 < dw):
-                    witnesses.append((m.pair, cs[i], cs[j]))
+    for _, _, pair, cs in inst.table:
+        for i, (xi, yi, ci) in enumerate(cs):
+            for xj, yj, cj in cs[i + 1:]:
+                if (xi - xj) * (yi - yj) >= 0:
+                    witnesses.append((pair, ci, cj))
     return PropertyReport("pairwise-efficiency", not witnesses, tuple(witnesses))
 
 
 def has_disjoint_yields(inst: Instance) -> PropertyReport:
     """No firm can earn the same amount with two different workers."""
     _require_two_sided(inst)
-    yields: dict[int, list[tuple[int, set[Fraction]]]] = {f: [] for f in inst.firms}
-    for f, w, m in inst.oriented_menus():
-        yields[f].append((w, {c[f] for c in m.contracts}))
+    yields: dict[int, list[tuple[int, set[int]]]] = {f: [] for f in inst.firms}
+    for f, w, _, cs in inst.table:
+        yields[f].append((w, {x for x, _, _ in cs}))
     witnesses = []
-    for f in sorted(yields):
-        entries = yields[f]
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                w1, s1 = entries[i]
-                w2, s2 = entries[j]
-                for value in sorted(s1 & s2):
-                    witnesses.append((f, w1, w2, value))
+    for f, entries in sorted(yields.items()):
+        for i, (w1, s1) in enumerate(entries):
+            for w2, s2 in entries[i + 1:]:
+                witnesses += ((f, w1, w2, Fraction(x, inst.scale)) for x in sorted(s1 & s2))
     return PropertyReport("disjoint-yields", not witnesses, tuple(witnesses))
 
 
@@ -116,11 +110,11 @@ def is_weakly_pareto_optimal_for_firms(
     """
     _require_two_sided(inst)
     _require_feasible(inst, outcome)
-    v = outcome.payoff_map()
+    v = inst.scaled(outcome.payoff_map())
     better: dict[int, dict[int, Allocation]] = {f: {} for f in inst.firms}
-    for f, w, m in inst.oriented_menus():
-        for c in m.contracts:
-            if c[f] > v[f] and c[w] >= 0:
+    for f, w, _, cs in inst.table:
+        for x, y, c in cs:
+            if x > v[f] and y >= 0:
                 better[f][w] = c
                 break
     firm_of: dict[int, int] = {}
@@ -227,17 +221,17 @@ def check_group_tradeoff(
     in the first outcome; and no group member forms a blocking pair with
     their stable-outcome partner against the first outcome. Then each such
     partner is paid at least as much in the first outcome as in the stable
-    one. An empty group holds vacuously.
+    one. An empty group holds vacuously. A member that is not an integer
+    agent id raises FormatError.
     """
+    members = sorted({parse_agent(a) for a in group})
     if not outcome_is_feasible(inst, outcome):
         raise PreconditionViolatedError("outcome", "first outcome is not feasible")
     try:
         _require_stable(inst, stable_outcome, "stable outcome")
     except (InfeasibleOutcomeError, UnstableInputError) as exc:
         raise PreconditionViolatedError("stable-outcome", str(exc)) from exc
-    members = sorted(set(int(a) for a in group))
-    agent_set = set(inst.agents)
-    if any(a not in agent_set for a in members):
+    if not set(members) <= set(inst.agents):
         raise PreconditionViolatedError("group", "group contains unknown agents")
     v = outcome.payoff_map()
     vs = stable_outcome.payoff_map()

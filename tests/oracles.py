@@ -8,9 +8,12 @@ every outcome. The loader reference keeps the library's older
 construction path, which parses every literal on its own. The tie replay
 keeps the library's former proposing engine, which compares Fraction
 payoffs, removes each proposal from a copy of its firm's list, and builds
-a trace on every run.
+a trace on every run. The pairwise-efficiency and disjoint-yields
+references keep the library's former checkers, which compare Fraction
+amounts looked up in each allocation.
 """
 import random
+import warnings
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
@@ -23,8 +26,14 @@ from contractmatch import (
     FormatError,
     Instance,
     Matching,
+    NegativeContractWarning,
+    NotTwoSidedError,
     Outcome,
+    PropertyReport,
     build_proposal_space,
+    instance_from_dict,
+    instance_to_dict,
+    money_str,
     validate_instance,
 )
 from contractmatch.model import ZERO, iter_raw_outcomes, parse_agent
@@ -115,6 +124,86 @@ def seeded_pool(seed):
         if rng.random() < 0.7
     ]
     return validate_instance(Instance.of(range(1, n + 1), menus))
+
+
+def relabelled(inst, seed, jitter=0.2):
+    """`inst` with fresh agent ids and amounts in halves and thirds.
+
+    Ids are drawn from 1..10n, so firms often get ids above workers'. Every
+    amount is multiplied by one factor from 1/2, 3/2, 1/3, 2/3 and 5/6,
+    and then, with probability `jitter` each, moved by 1/2 or 1/3 either
+    way. The factor alone keeps how any two amounts compare, and so the
+    generator's forced hypotheses; the moves mix denominators and may
+    make amounts negative.
+    """
+    rng = random.Random(seed)
+    data = instance_to_dict(inst)
+    new = dict(zip(inst.agents, rng.sample(range(1, 10 * len(inst.agents) + 1), len(inst.agents))))
+    k = rng.choice([Fraction(1, 2), Fraction(3, 2), Fraction(1, 3), Fraction(2, 3), Fraction(5, 6)])
+
+    def amount(x):
+        x = Fraction(x) * k
+        if rng.random() < jitter:
+            x += rng.choice([-1, 1]) * rng.choice([Fraction(1, 2), Fraction(1, 3)])
+        return money_str(x)
+
+    relabel = {"agents": sorted(new.values())}
+    if inst.two_sided:
+        relabel["firms"] = [new[a] for a in data["firms"]]
+        relabel["workers"] = [new[a] for a in data["workers"]]
+    relabel["menus"] = [
+        {
+            "pair": [new[a] for a in m["pair"]],
+            "contracts": [{str(new[int(a)]): amount(x) for a, x in c.items()} for c in m["contracts"]],
+        }
+        for m in data["menus"]
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeContractWarning)
+        return instance_from_dict(relabel)
+
+
+def _oriented_menus(inst):
+    """(firm, worker, menu) for every menu of a two-sided instance."""
+    firm_set = set(inst.firms)
+    for m in inst.menus:
+        a, b = m.pair
+        yield (a, b, m) if a in firm_set else (b, a, m)
+
+
+def oracle_pairwise_efficient(inst):
+    """The pairwise-efficiency report, from Fraction amounts."""
+    if not inst.two_sided:
+        raise NotTwoSidedError("instance has no firm/worker partition")
+    witnesses = []
+    for f, w, m in _oriented_menus(inst):
+        cs = m.contracts
+        for i in range(len(cs)):
+            for j in range(i + 1, len(cs)):
+                df = cs[i][f] - cs[j][f]
+                dw = cs[i][w] - cs[j][w]
+                if not (df > 0 > dw or df < 0 < dw):
+                    witnesses.append((m.pair, cs[i], cs[j]))
+    return PropertyReport("pairwise-efficiency", not witnesses, tuple(witnesses))
+
+
+def oracle_disjoint_yields(inst):
+    """The disjoint-yields report, from Fraction amounts."""
+    if not inst.two_sided:
+        raise NotTwoSidedError("instance has no firm/worker partition")
+    yields = {f: [] for f in inst.firms}
+    for f, w, m in _oriented_menus(inst):
+        yields[f].append((w, {c[f] for c in m.contracts}))
+    witnesses = []
+    for f in sorted(yields):
+        entries = yields[f]
+        for i in range(len(entries)):
+            for j in range(i + 1, len(entries)):
+                w1, s1 = entries[i]
+                w2, s2 = entries[j]
+                for value in sorted(s1 & s2):
+                    witnesses.append((f, w1, w2, value))
+    return PropertyReport("disjoint-yields", not witnesses, tuple(witnesses))
 
 
 def oracle_firm_pareto(inst, payoffs):

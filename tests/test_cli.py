@@ -617,6 +617,72 @@ class TestVerify:
         assert code == 2 and "unknown property" in err
 
 
+class TestRelabelledFractionalMarket:
+    """Exact output on a market where firm 7 has a higher id than worker 5,
+    amounts are in halves and thirds, and one contract is negative."""
+
+    MARKET = {
+        "agents": [2, 5, 7, 9],
+        "firms": [7, 2],
+        "workers": [5, 9],
+        "menus": [
+            {
+                "pair": [7, 5],
+                "contracts": [
+                    {"7": "3/2", "5": "1/3"},
+                    {"7": "1/2", "5": "4/3"},
+                    {"7": "-1", "5": "5"},
+                ],
+            },
+            {"pair": [7, 9], "contracts": [{"7": "1.5", "9": "1/2"}]},
+            {"pair": [2, 5], "contracts": [{"2": "2", "5": "1/2"}, {"2": "5/2", "5": "1/2"}]},
+            {"pair": [2, 9], "contracts": [{"2": "1", "9": "2/3"}]},
+        ],
+    }
+    WARNING = (
+        "warning: 1 contract(s) contain negative amounts and can never appear in an outcome\n"
+    )
+
+    @pytest.fixture()
+    def market_file(self, tmp_path):
+        return write_json(tmp_path / "market.json", self.MARKET)
+
+    def test_check_prints_certificates_of_a_blocked_outcome(self, capsys, tmp_path, market_file):
+        outcome = {"matches": [[5, 7]], "payoffs": {"2": "0", "5": "4/3", "7": "1/2", "9": "0"}}
+        path = write_json(tmp_path / "outcome.json", outcome)
+        assert run_cli(capsys, "check", market_file, path) == (
+            1,
+            '{"stable": false}\n'
+            '{"coalition": [2, 9], "contract": {"2": "1", "9": "2/3"}}\n'
+            '{"coalition": [7, 9], "contract": {"7": "3/2", "9": "1/2"}}\n',
+            self.WARNING,
+        )
+
+    def test_verify_menu_properties_and_firm_pareto(self, capsys, market_file):
+        properties = "pairwise-efficiency,disjoint-yields,firm-pareto"
+        assert run_cli(capsys, "verify", market_file, "--properties", properties) == (
+            1,
+            '{"holds": false, "property": "pairwise-efficiency", "witnesses": '
+            '[[[2, 5], {"2": "2", "5": "1/2"}, {"2": "5/2", "5": "1/2"}]]}\n'
+            '{"holds": false, "property": "disjoint-yields", "witnesses": [[7, 5, 9, "3/2"]]}\n'
+            '{"holds": true, "property": "firm-pareto", "witnesses": []}\n',
+            self.WARNING,
+        )
+
+    def test_core(self, capsys, market_file):
+        assert run_cli(capsys, "core", market_file) == (
+            0,
+            '{"matches": [[2, 5], [7, 9]], "payoffs": '
+            '{"2": "2", "5": "1/2", "7": "3/2", "9": "1/2"}, "singles": []}\n'
+            '{"matches": [[2, 5], [7, 9]], "payoffs": '
+            '{"2": "5/2", "5": "1/2", "7": "3/2", "9": "1/2"}, "singles": []}\n'
+            '{"matches": [[2, 9], [5, 7]], "payoffs": '
+            '{"2": "1", "5": "4/3", "7": "1/2", "9": "2/3"}, "singles": []}\n'
+            '{"count": 3}\n',
+            self.WARNING,
+        )
+
+
 class TestGenAndExample:
     def test_gen_emits_valid_deterministic_instance(self, capsys):
         code, out1, _ = run_cli(

@@ -111,9 +111,9 @@ class TestProposalSpace:
                 side = 1 if policy.firm_prefers_low_worker else -1
                 for f, got in build_proposal_space(inst, policy).items():
                     proposable = [
-                        Proposal(f, w, c)
-                        for g, w, m in inst.oriented_menus()
-                        if g == f
+                        Proposal(f, sum(m.pair) - f, c)
+                        for m in inst.menus
+                        if f in m.pair
                         for c in m.contracts
                         if c[f] > 0
                     ]

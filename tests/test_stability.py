@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,11 +24,13 @@ from contractmatch import (
     run_procedure,
     validate_instance,
 )
+from contractmatch.stability import payoffs_are_blocked
 from oracles import (
     oracle_blocking,
     oracle_core,
     oracle_ordered_core,
     oracle_outcomes,
+    relabelled,
     seeded_pool,
 )
 
@@ -80,6 +83,9 @@ class TestBlocking:
                 a, b = cert.coalition
                 assert cert.allocation[a] > v[a] and cert.allocation[b] > v[b]
 
+    # Each market is also checked relabelled, with firm ids above some
+    # worker ids, and with amounts in halves and thirds (see `relabelled`).
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(min_value=0, max_value=10**6))
     def test_agrees_with_naive_double_loop(self, seed):
@@ -93,11 +99,18 @@ class TestBlocking:
                 seed=seed,
             )
         )
-        for o in enumerate_outcomes(inst)[:40]:
-            got = [(c.coalition, c.allocation) for c in blocking_coalitions(inst, o)]
-            assert got == oracle_blocking(inst, o.payoff_map())
+        for market in (inst, relabelled(inst, seed)):
+            for o in enumerate_outcomes(market)[:40]:
+                got = [(c.coalition, c.allocation) for c in blocking_coalitions(market, o)]
+                assert got == oracle_blocking(market, o.payoff_map())
 
     def test_agrees_with_naive_double_loop_across_200_instances(self):
+        # Each outcome's payoffs are also moved by 1/1009 to 3/1009 either
+        # way, some below zero: payoffs off the market's common denominator,
+        # which payoffs_are_blocked must round down, not toward zero.
+        rng = random.Random(5)
+        flipped = 0
+        off_verdicts = {True: 0, False: 0}
         for seed in range(200):
             inst = gen_random(
                 GenParams(
@@ -109,9 +122,21 @@ class TestBlocking:
                     seed=8000 + seed,
                 )
             )
-            for o in enumerate_outcomes(inst)[:10]:
-                got = [(c.coalition, c.allocation) for c in blocking_coalitions(inst, o)]
-                assert got == oracle_blocking(inst, o.payoff_map())
+            copy = relabelled(inst, seed)
+            flipped += any(f > w for f in copy.firms for w in copy.workers)
+            for market in (inst, copy):
+                for o in enumerate_outcomes(market)[:10]:
+                    got = [(c.coalition, c.allocation) for c in blocking_coalitions(market, o)]
+                    assert got == oracle_blocking(market, o.payoff_map())
+                    off = {
+                        a: v + rng.choice([-1, 1]) * Fraction(rng.randint(1, 3), 1009)
+                        for a, v in o.payoffs
+                    }
+                    verdict = payoffs_are_blocked(market, off)
+                    assert verdict == bool(oracle_blocking(market, off))
+                    off_verdicts[verdict] += 1
+        assert flipped >= 100
+        assert min(off_verdicts.values()) >= 200
 
 
 class TestStability:
@@ -222,10 +247,11 @@ class TestCoreSearch:
             )
         except InfeasibleParamsError:
             assume(False)
-        core = enumerate_core(inst)
-        assert core == oracle_ordered_core(inst)
-        # Never more outcomes examined than a sweep of all of them.
-        assert enumerate_core(inst, EnumerationBudget(len(oracle_outcomes(inst)))) == core
+        for market in (inst, relabelled(inst, seed)):
+            core = enumerate_core(market)
+            assert core == oracle_ordered_core(market)
+            # Never more outcomes examined than a sweep of all of them.
+            assert enumerate_core(market, EnumerationBudget(len(oracle_outcomes(market)))) == core
 
     @pytest.mark.filterwarnings("ignore::contractmatch.NegativeContractWarning")
     def test_equals_both_oracles_on_seeded_pools(self):

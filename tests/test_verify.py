@@ -7,6 +7,7 @@ from contractmatch import (
     ContractMenu,
     EnumerationBudget,
     BudgetExceededError,
+    FormatError,
     GenParams,
     InfeasibleParamsError,
     Instance,
@@ -35,7 +36,14 @@ from contractmatch import (
     validate_instance,
 )
 from contractmatch.verify import PropertyBattery
-from oracles import oracle_firm_pareto, oracle_outcomes, seeded_pool
+from oracles import (
+    oracle_disjoint_yields,
+    oracle_firm_pareto,
+    oracle_outcomes,
+    oracle_pairwise_efficient,
+    relabelled,
+    seeded_pool,
+)
 
 
 def outcome_of(inst, pairs, payoffs):
@@ -137,6 +145,46 @@ class TestDisjointYields:
         assert has_disjoint_yields(inst).holds
 
 
+class TestMenuCheckersMatchFractionOracles:
+    """The menu checkers on the instance's integer table against the
+    Fraction checkers they replaced: whole reports, witnesses in order."""
+
+    @pytest.mark.filterwarnings("ignore::contractmatch.NegativeContractWarning")
+    def test_reports_agree(self):
+        verdicts = {"pairwise-efficiency": set(), "disjoint-yields": set()}
+        for seed in range(240):
+            mode = seed % 4
+            try:
+                inst = gen_random(
+                    GenParams(
+                        n_firms=1 + seed % 4,
+                        n_workers=1 + seed // 4 % 4,
+                        contracts_per_pair=(1, 3),
+                        value_range=(-2, 6) if mode == 0 else (1, 12),
+                        menu_density=0.8,
+                        force_pairwise_efficient=mode in (1, 3),
+                        force_disjoint_yields=mode in (2, 3),
+                        seed=6000 + seed,
+                    )
+                )
+            except InfeasibleParamsError:
+                continue
+            # Forced markets keep their hypotheses when only scaled.
+            for market in (inst, relabelled(inst, seed, jitter=0.2 if mode == 0 else 0)):
+                for check, oracle in (
+                    (is_pairwise_efficient, oracle_pairwise_efficient),
+                    (has_disjoint_yields, oracle_disjoint_yields),
+                ):
+                    report = check(market)
+                    assert report == oracle(market), (seed, report.name)
+                    verdicts[report.name].add((report.holds, market is inst))
+        for pool in map(seeded_pool, range(20)):
+            for check in (is_pairwise_efficient, has_disjoint_yields):
+                with pytest.raises(NotTwoSidedError):
+                    check(pool)
+        assert all(len(seen) == 4 for seen in verdicts.values()), verdicts
+
+
 class TestWeakParetoOptimality:
     def test_illustration_procedure_outcome_holds(self, illustration):
         o = outcome_of(illustration, [(1, 3), (2, 4)], {1: 3, 2: 4, 3: 1, 4: 2})
@@ -203,7 +251,8 @@ class TestWeakParetoOptimality:
 
     def test_agrees_with_brute_force_over_generator_modes(self):
         # Every feasible outcome of markets from every generator mode, with
-        # amounts that include 0, negative amounts, and empty menus.
+        # amounts that include 0, negative amounts, and empty menus, each
+        # market also relabelled with amounts in halves and thirds.
         checked = {True: 0, False: 0}
         for seed in range(120):
             lo, hi = ((0, 5), (-3, 4), (1, 6))[seed % 3]
@@ -224,10 +273,11 @@ class TestWeakParetoOptimality:
                     inst = gen_random(params)
             except InfeasibleParamsError:
                 continue
-            for pairs, items in sorted(oracle_outcomes(inst)):
-                o = Outcome.of(Matching(pairs), dict(items))
-                checked[check_wpo_against_oracle(inst, o)] += 1
-        assert checked[True] >= 100 and checked[False] >= 100
+            for market in (inst, relabelled(inst, seed)):
+                for pairs, items in sorted(oracle_outcomes(market)):
+                    o = Outcome.of(Matching(pairs), dict(items))
+                    checked[check_wpo_against_oracle(market, o)] += 1
+        assert checked[True] >= 200 and checked[False] >= 200
 
     def test_market_without_menus_holds(self):
         inst = two_sided([], firms=(1, 2), workers=(3,))
@@ -358,6 +408,10 @@ class TestGroupTradeoff:
         with pytest.raises(PreconditionViolatedError) as err:
             check_group_tradeoff(modified, o, s, {99})
         assert err.value.precondition == "group"
+        # Not agent ids at all, rather than agent 1.
+        for member in (1.7, True):
+            with pytest.raises(FormatError, match="agent id must be an integer"):
+                check_group_tradeoff(modified, o, s, {member})
 
     def test_no_blocking_precondition_is_detected(self, modified):
         # all-singles is blocked by {2, 3} via (3, 2), and 3 gains in the
