@@ -9,6 +9,7 @@ diffed in CI.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -143,7 +144,9 @@ def _cmd_example(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="contractmatch",
         description="Solve and verify two-sided contract-menu matching problems.",

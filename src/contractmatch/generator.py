@@ -5,7 +5,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InfeasibleParamsError, UnknownNameError
-from .model import Allocation, ContractMenu, Instance, validate_instance
+from .model import ContractMenu, Instance, instance_from_dict, validate_instance
 
 BUILTIN_NAMES = ("gale-shapley-4", "illustration", "illustration-modified", "worker-tie")
 
@@ -200,8 +200,9 @@ def gen_random(p: GenParams) -> Instance:
         for x, y in zip(fv, wv):
             if (x, y) not in divisions:
                 divisions.append((x, y))
-        menus.append(ContractMenu.of((f, w), [{f: x, w: y} for x, y in divisions]))
+        menus.append({"pair": [f, w], "contracts": [{f: x, w: y} for x, y in divisions]})
 
-    return validate_instance(
-        Instance.of(firms + workers, menus, firms=firms, workers=workers)
+    return instance_from_dict(
+        {"agents": list(firms + workers), "firms": list(firms), "workers": list(workers),
+         "menus": menus}
     )

@@ -6,9 +6,10 @@ is always feasible and pays zero; singleton menus are implicit and never
 stored. An outcome matches agents into disjoint menued pairs, picks one
 menu entry per matched pair, and pays zero to everyone single.
 
-All amounts are `fractions.Fraction`, so comparisons are exact. Input
-amounts must be integers or strings; floats are rejected because they do
-not round-trip exactly.
+Amounts are exact: `fractions.Fraction` in menus and outcomes, and ints
+scaled by a common denominator in an instance's table. Input amounts must
+be integers or strings; floats are rejected because they do not
+round-trip exactly.
 """
 from __future__ import annotations
 
@@ -33,8 +34,6 @@ from .errors import (
     SameSideMenuError,
     UnknownAgentError,
 )
-
-Money = Fraction
 
 ZERO = Fraction(0)
 
@@ -122,13 +121,6 @@ class Allocation:
                 return v
         raise KeyError(agent)
 
-    @property
-    def agents(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.payments)
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.payments)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{a}: {money_str(v)}" for a, v in self.payments)
         return f"Allocation({{{inner}}})"
@@ -155,11 +147,31 @@ class ContractMenu:
 
 
 @dataclass(frozen=True)
-class Instance:
-    """A contract choice problem, optionally split into firms and workers."""
+class InstanceDraft:
+    """An instance as given, unchecked; validate_instance makes it an Instance."""
 
     agents: tuple[int, ...]
     menus: tuple[ContractMenu, ...] = ()
+    firms: tuple[int, ...] | None = None
+    workers: tuple[int, ...] | None = None
+
+
+@dataclass(frozen=True)
+class Instance:
+    """A valid contract choice problem, optionally split into firms and workers.
+
+    Built by the loader (instance_from_dict, validate_instance), which
+    stores the menus as one integer table in pair order. A row is (first,
+    second, pair, contracts): first and second are the firm and the
+    worker on a two-sided instance and the menu pair on a pool, and each
+    contract is (x, y), what it pays first and second times `scale`, the
+    common denominator of all the instance's amounts, so the ints compare
+    as the amounts do.
+    """
+
+    agents: tuple[int, ...]
+    table: tuple[tuple, ...] = ()
+    scale: int = 1
     firms: tuple[int, ...] | None = None
     workers: tuple[int, ...] | None = None
 
@@ -170,8 +182,9 @@ class Instance:
         menus: Iterable[ContractMenu] = (),
         firms: Iterable[int] | None = None,
         workers: Iterable[int] | None = None,
-    ) -> "Instance":
-        return cls(
+    ) -> InstanceDraft:
+        """The instance as given, for validate_instance to check."""
+        return InstanceDraft(
             tuple(parse_agent(a) for a in agents),
             tuple(menus),
             None if firms is None else tuple(parse_agent(a) for a in firms),
@@ -182,45 +195,31 @@ class Instance:
     def two_sided(self) -> bool:
         return self.firms is not None and self.workers is not None
 
-    def menu_for(self, a: int, b: int) -> ContractMenu | None:
-        key = (a, b) if a < b else (b, a)
-        for m in self.menus:
-            if m.pair == key:
-                return m
-        return None
+    @cached_property
+    def money(self) -> dict[int, Fraction]:
+        """The amount of each table int, each built on first use and shared."""
+        scale = self.scale
+        return _ParseMemo(lambda x: Fraction(x, scale))
 
-    def menu_map(self) -> dict[tuple[int, int], ContractMenu]:
-        return {m.pair: m for m in self.menus}
+    def allocation(self, a: int, x: int, b: int, y: int) -> Allocation:
+        """The contract paying agent a the table int x and agent b the int y."""
+        money = self.money
+        if a < b:
+            return Allocation(((a, money[x]), (b, money[y])))
+        return Allocation(((b, money[y]), (a, money[x])))
 
     @cached_property
-    def scale(self) -> int:
-        """The common denominator of all the instance's amounts."""
-        return math.lcm(
-            *{v.denominator for m in self.menus for c in m.contracts for _, v in c.payments}
+    def menus(self) -> tuple[ContractMenu, ...]:
+        """Every menu, with Fraction amounts, rebuilt from the table on first read."""
+        return tuple(
+            ContractMenu(pair, tuple(self.allocation(a, x, b, y) for x, y in contracts))
+            for a, b, pair, contracts in self.table
         )
 
     @cached_property
-    def table(self) -> tuple[tuple, ...]:
-        """Every menu on integer amounts, in menu order, built on first read.
-
-        A row is (first, second, pair, contracts): first and second are the
-        firm and the worker on a two-sided instance and the menu pair on a
-        pool, and each contract is (x, y, allocation), with x and y what it
-        pays first and second times `scale`, so they compare as the amounts do.
-        """
-        scale = self.scale
-        firms = set(self.firms or ())
-        rows = []
-        for m in self.menus:
-            a, b = m.pair
-            first, second = (b, a) if b in firms else (a, b)
-            contracts = []
-            for c in m.contracts:
-                (p, u), (_, v) = c.payments
-                u, v = u.numerator * (scale // u.denominator), v.numerator * (scale // v.denominator)
-                contracts.append((u, v, c) if p == first else (v, u, c))
-            rows.append((first, second, m.pair, tuple(contracts)))
-        return tuple(rows)
+    def by_pair(self) -> dict[tuple[int, int], tuple]:
+        """The table row of each menu pair."""
+        return {row[2]: row for row in self.table}
 
     def scaled(self, payoffs: Mapping[int, Fraction]) -> dict[int, int]:
         """Each payoff times `scale`, rounded down.
@@ -232,83 +231,16 @@ class Instance:
         return {a: v.numerator * scale // v.denominator for a, v in payoffs.items()}
 
 
-def validate_instance(inst: Instance) -> Instance:
+def validate_instance(inst: Instance | InstanceDraft) -> Instance:
     """Check every instance invariant and return the canonical form.
 
     Canonical form: agents sorted, each menu pair stored (low, high),
     menus sorted by pair, duplicate contracts within a menu dropped
     (first occurrence wins). Idempotent. Contracts with negative amounts
-    are legal but unreachable in outcomes; they trigger a warning.
+    are legal but unreachable in outcomes; they trigger a warning. The
+    loader of instance_from_dict makes the checks, on the dict form.
     """
-    agents = tuple(sorted({parse_agent(a) for a in inst.agents}))
-    if not agents:
-        raise InstanceError("instance must have at least one agent")
-    if agents[0] < 1:
-        raise InstanceError("agent ids must be positive integers")
-    agent_set = set(agents)
-
-    if (inst.firms is None) != (inst.workers is None):
-        raise InvalidPartitionError("firms and workers must be given together")
-    firms = workers = None
-    if inst.firms is not None:
-        firms = tuple(sorted({parse_agent(a) for a in inst.firms}))
-        workers = tuple(sorted({parse_agent(a) for a in inst.workers}))
-        for a in firms + workers:
-            if a not in agent_set:
-                raise UnknownAgentError(f"partition references unknown agent {a}")
-        if set(firms) & set(workers):
-            raise InvalidPartitionError("firms and workers overlap")
-        if set(firms) | set(workers) != agent_set:
-            raise InvalidPartitionError("firms and workers must cover all agents")
-
-    firm_set = set(firms or ())
-    worker_set = set(workers or ())
-    seen: dict[tuple[int, int], None] = {}
-    canonical: list[ContractMenu] = []
-    negatives = 0
-    for m in inst.menus:
-        try:
-            a, b = m.pair
-        except ValueError as exc:
-            raise MalformedMenuError(f"menu pair must have two agents: {m.pair!r}") from exc
-        a, b = parse_agent(a), parse_agent(b)
-        if a == b:
-            raise MalformedMenuError(f"menu pair {m.pair!r} repeats an agent")
-        for x in (a, b):
-            if x not in agent_set:
-                raise UnknownAgentError(f"menu references unknown agent {x}")
-        key = (a, b) if a < b else (b, a)
-        if key in seen:
-            raise DuplicateMenuError(f"more than one menu for pair {key}")
-        seen[key] = None
-        if firm_set and (
-            (a in firm_set and b in firm_set) or (a in worker_set and b in worker_set)
-        ):
-            raise SameSideMenuError(f"pair {key} joins two agents on the same side")
-        lo, hi = key
-        contracts: list[Allocation] = []
-        for c in m.contracts:
-            p = c.payments  # sorted by agent id
-            if len(p) != 2 or p[0][0] != lo or p[1][0] != hi:
-                raise MalformedMenuError(
-                    f"contract {c!r} does not cover exactly the pair {key}"
-                )
-            if p[0][1].numerator < 0 or p[1][1].numerator < 0:
-                negatives += 1
-            if c not in contracts:
-                contracts.append(c)
-        if not contracts:
-            raise EmptyContractSetError(f"menu for pair {key} has no contracts")
-        canonical.append(ContractMenu(key, tuple(contracts)))
-    canonical.sort(key=lambda m: m.pair)
-    if negatives:
-        warnings.warn(
-            f"{negatives} contract(s) contain negative amounts and can never "
-            "appear in an outcome",
-            NegativeContractWarning,
-            stacklevel=2,
-        )
-    return Instance(agents, tuple(canonical), firms, workers)
+    return _build(instance_to_dict(inst))
 
 
 def is_superadditive(inst: Instance) -> bool:
@@ -318,7 +250,7 @@ def is_superadditive(inst: Instance) -> bool:
     (each worth zero) into a menued pair is the only nontrivial case of
     super-additivity, and it requires the zero division to be on the menu.
     """
-    return all(any(x == y == 0 for x, y, _ in cs) for _, _, _, cs in inst.table)
+    return all(any(x == y == 0 for x, y in cs) for _, _, _, cs in inst.table)
 
 
 @dataclass(frozen=True)
@@ -380,12 +312,6 @@ class Outcome:
             tuple(sorted((parse_agent(a), parse_money(v)) for a, v in payoffs.items())),
         )
 
-    def payoff(self, agent: int) -> Fraction:
-        for a, v in self.payoffs:
-            if a == agent:
-                return v
-        raise KeyError(agent)
-
     def payoff_map(self) -> dict[int, Fraction]:
         return dict(self.payoffs)
 
@@ -406,14 +332,14 @@ def outcome_is_feasible(inst: Instance, outcome: Outcome) -> bool:
     if any(x < 0 for x in v.values()):
         return False
     matched: set[int] = set()
-    menus = inst.menu_map()
+    rows = inst.by_pair
+    scale = inst.scale
     for a, b in outcome.matching.pairs:
         if a not in v or b not in v:
             return False
-        menu = menus.get((a, b))
-        if menu is None:
-            return False
-        if Allocation.of({a: v[a], b: v[b]}) not in menu.contracts:
+        row = rows.get((a, b))
+        # A payoff times the scale equals a table int only when it is that int.
+        if row is None or (v[row[0]] * scale, v[row[1]] * scale) not in row[3]:
             return False
         matched.update((a, b))
     return all(v[a] == 0 for a in inst.agents if a not in matched)
@@ -422,8 +348,8 @@ def outcome_is_feasible(inst: Instance, outcome: Outcome) -> bool:
 def _usable_contracts(inst: Instance) -> list[tuple[tuple[int, int], list[Allocation]]]:
     # Contracts with a negative amount can never satisfy the payoff bound.
     return [
-        (m.pair, [c for c in m.contracts if all(x >= 0 for _, x in c.payments)])
-        for m in inst.menus
+        (pair, [inst.allocation(a, x, b, y) for x, y in cs if x >= 0 and y >= 0])
+        for a, b, pair, cs in inst.table
     ]
 
 
@@ -489,10 +415,11 @@ def enumerate_outcomes(
 # --- interchange formats ---------------------------------------------------
 
 
-def instance_to_dict(inst: Instance) -> dict:
+def instance_to_dict(inst: Instance | InstanceDraft) -> dict:
     d: dict = {"agents": list(inst.agents)}
-    if inst.two_sided:
+    if inst.firms is not None:
         d["firms"] = list(inst.firms)
+    if inst.workers is not None:
         d["workers"] = list(inst.workers)
     d["menus"] = [
         {
@@ -516,24 +443,60 @@ def _id_list(data: Mapping, key: str) -> list[int] | None:
 
 
 class _ParseMemo(dict):
-    """Parsed values of str literals, each literal parsed on first use.
+    """Parsed values of keys, each key parsed on first use.
 
-    Only str keys go in, so that True can never stand for 1.
+    The loader's memos take only str keys, so that True never stands for 1.
     """
 
     def __init__(self, parse):
         super().__init__()
         self.parse = parse
 
-    def __missing__(self, text: str):
-        value = self[text] = self.parse(text)
+    def __missing__(self, key):
+        value = self[key] = self.parse(key)
         return value
+
+
+def _ratio(value) -> tuple[int, int]:
+    """parse_money(value) as (numerator, denominator), in lowest terms.
+
+    A string of decimal digits, alone or over a nonzero denominator of
+    digits ("12", "25/2"), is read without building a Fraction.
+    """
+    if type(value) is str:
+        n, slash, d = value.partition("/")
+        if n.isdecimal() and (d.isdecimal() or not slash):
+            try:
+                n, d = int(n), int(d or 1)
+            except ValueError:  # past the limit on digits; parse_money says so
+                pass
+            else:
+                if d:
+                    g = math.gcd(n, d)
+                    return n // g, d // g
+    v = parse_money(value)
+    return v.numerator, v.denominator
 
 
 def instance_from_dict(data: Mapping) -> Instance:
     """Build and validate an instance from its dict form.
 
     Each distinct agent-id string and money string is parsed once.
+    """
+    return _build(data)
+
+
+def _build(data: Mapping) -> Instance:
+    """The loader behind instance_from_dict and validate_instance.
+
+    Both call it directly, so that its warning points at their caller.
+    One pass over the menus parses and checks them and collects each
+    contract as a pair of indexes into the distinct amounts, so that
+    value-equal literals such as "1", "2/2" and "1.0" collide as
+    duplicates. The scale comes from the distinct amounts alone. Errors
+    keep one order: format errors first (the agents, the menus in input
+    order, the partition), then the agents' checks, the partition's, and
+    the menus' in input order.
     """
     if not isinstance(data, Mapping):
         raise FormatError("instance data must be a JSON object")
@@ -543,30 +506,122 @@ def instance_from_dict(data: Mapping) -> Instance:
     entries = data.get("menus", [])
     if not isinstance(entries, (list, tuple)):
         raise FormatError("instance 'menus' must be a list")
-    ids, amounts = _ParseMemo(parse_agent), _ParseMemo(parse_money)
-    menus = []
+    try:
+        firms, workers, late = _id_list(data, "firms"), _id_list(data, "workers"), None
+    except FormatError as exc:  # raised after the menus' format errors
+        firms, workers, late = None, None, exc
+
+    agent_set = set(agents)
+    error: InstanceError | None = None  # the first, raised once all has parsed
+    try:
+        if not agent_set:
+            raise InstanceError("instance must have at least one agent")
+        if min(agent_set) < 1:
+            raise InstanceError("agent ids must be positive integers")
+        if (firms is None) != (workers is None):
+            raise InvalidPartitionError("firms and workers must be given together")
+        if firms is not None:
+            firms = tuple(sorted(set(firms)))
+            workers = tuple(sorted(set(workers)))
+            for a in firms + workers:
+                if a not in agent_set:
+                    raise UnknownAgentError(f"partition references unknown agent {a}")
+            if set(firms) & set(workers):
+                raise InvalidPartitionError("firms and workers overlap")
+            if set(firms) | set(workers) != agent_set:
+                raise InvalidPartitionError("firms and workers must cover all agents")
+    except InstanceError as exc:
+        error = exc
+    firm_set = set(firms or ())
+    worker_set = set(workers or ())
+
+    ids = _ParseMemo(parse_agent)
+    amounts: dict[tuple[int, int], int] = {}  # each distinct amount to its index
+
+    def amount(value) -> int:
+        return amounts.setdefault(_ratio(value), len(amounts))
+
+    literals = _ParseMemo(amount)
+    seen: set[tuple[int, int]] = set()
+    menus: list[tuple] = []
+    dropped: list[tuple[int, int]] = []
+
+    def menu(a: int, b: int, contracts: list[dict]) -> tuple:
+        if a == b:
+            raise MalformedMenuError(f"menu pair {(a, b)!r} repeats an agent")
+        for x in (a, b):
+            if x not in agent_set:
+                raise UnknownAgentError(f"menu references unknown agent {x}")
+        key = (a, b) if a < b else (b, a)
+        if key in seen:
+            raise DuplicateMenuError(f"more than one menu for pair {key}")
+        seen.add(key)
+        if firm_set and (
+            (a in firm_set and b in firm_set) or (a in worker_set and b in worker_set)
+        ):
+            raise SameSideMenuError(f"pair {key} joins two agents on the same side")
+        lo, hi = key
+        first, second = (hi, lo) if hi in firm_set else key
+        kept: list[tuple[int, int]] = []
+        for c in contracts:
+            if len(c) != 2 or lo not in c or hi not in c:
+                values = [Fraction(*ratio) for ratio in amounts]
+                shown = Allocation(tuple(sorted((p, values[i]) for p, i in c.items())))
+                raise MalformedMenuError(
+                    f"contract {shown!r} does not cover exactly the pair {key}"
+                )
+            pair = (c[first], c[second])
+            if pair in kept:
+                dropped.append(pair)
+            else:
+                kept.append(pair)
+        if not kept:
+            raise EmptyContractSetError(f"menu for pair {key} has no contracts")
+        # Tuples of ints, which the garbage collector stops tracking.
+        return key, first, second, tuple(kept)
+
     for entry in entries:
         if not isinstance(entry, Mapping) or not isinstance(entry.get("pair"), list):
             raise FormatError(f"malformed menu entry {entry!r}")
         try:
             a, b = entry["pair"]
-            contracts = [
-                {
-                    ids[x] if type(x) is str else parse_agent(x):
-                    amounts[v] if type(v) is str else parse_money(v)
-                    for x, v in c.items()
-                }
-                for c in entry["contracts"]
-            ]
+            contracts = []
+            for c in entry["contracts"]:
+                parsed = {}
+                for x, v in c.items():  # each id before its amount, as given
+                    x = ids[x] if type(x) is str else parse_agent(x)
+                    parsed[x] = literals[v] if type(v) is str else amount(v)
+                contracts.append(parsed)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise FormatError(f"malformed menu entry {entry!r}") from exc
-        allocations = tuple(Allocation(tuple(sorted(c.items()))) for c in contracts)
-        menus.append(ContractMenu((parse_agent(a), parse_agent(b)), allocations))
-    return validate_instance(
-        Instance.of(
-            agents, menus, firms=_id_list(data, "firms"), workers=_id_list(data, "workers")
-        )
+        a, b = parse_agent(a), parse_agent(b)
+        if error is None:
+            try:
+                menus.append(menu(a, b, contracts))
+            except InstanceError as exc:
+                error = exc
+    if late is not None:
+        raise late
+    if error is not None:
+        raise error
+
+    scale = math.lcm(*{d for _, d in amounts})
+    ints = [n * (scale // d) for n, d in amounts]
+    menus.sort()
+    table = tuple(
+        (first, second, key, tuple([(ints[i], ints[j]) for i, j in kept]))
+        for key, first, second, kept in menus
     )
+    if min(ints, default=0) < 0:
+        given = [pair for *_, kept in menus for pair in kept] + dropped
+        negatives = sum(ints[i] < 0 or ints[j] < 0 for i, j in given)
+        warnings.warn(
+            f"{negatives} contract(s) contain negative amounts and can never "
+            "appear in an outcome",
+            NegativeContractWarning,
+            stacklevel=3,
+        )
+    return Instance(tuple(sorted(agent_set)), table, scale, firms, workers)
 
 
 def outcome_to_dict(outcome: Outcome) -> dict:

@@ -20,13 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from functools import cache, partial
 
-from .errors import (
-    BudgetExceededError,
-    NotSingletonMenusError,
-    NotTwoSidedError,
-)
+from .errors import BudgetExceededError, NotTwoSidedError
 from .model import (
     ZERO,
     Allocation,
@@ -86,21 +82,27 @@ POLICIES: dict[str, TieBreakPolicy] = {
 def _proposal_rows(inst: Instance, policy: TieBreakPolicy) -> dict[int, list[tuple]]:
     """Each firm's proposable contracts as the engine's rows, sorted best-first.
 
-    A row is (-firm amount, tie key, worker amount, firm, worker, proposal),
-    with both amounts ints of the instance's table. Rows sort on their
-    first three entries: a firm's own payoff, then the policy's worker
-    rule, then the worker's amount, which in one firm's list orders
-    contracts tied on worker and firm payoff as their allocations compare.
+    A row is (-firm amount, tie key, worker amount, firm, worker), all
+    ints, with both amounts from the instance's table. Rows sort as
+    tuples: a firm's own payoff, then the policy's worker rule, then the
+    worker's amount, which in one firm's list orders contracts tied on
+    worker and firm payoff as their allocations compare. No two rows of
+    a firm are equal.
     """
     if not inst.two_sided:
         raise NotTwoSidedError("instance has no firm/worker partition")
     side = 1 if policy.firm_prefers_low_worker else -1
     rows: dict[int, list[tuple]] = {f: [] for f in inst.firms}
     for f, w, _, contracts in inst.table:
-        rows[f] += ((-x, side * w, y, f, w, Proposal(f, w, c)) for x, y, c in contracts if x > 0)
+        rows[f] += ((-x, side * w, y, f, w) for x, y in contracts if x > 0)
     for firm_rows in rows.values():
-        firm_rows.sort(key=itemgetter(0, 1, 2))
+        firm_rows.sort()
     return rows
+
+
+def _proposal(inst: Instance, row: tuple) -> Proposal:
+    x, _, y, f, w = row
+    return Proposal(f, w, inst.allocation(f, -x, w, y))
 
 
 def build_proposal_space(
@@ -112,7 +114,8 @@ def build_proposal_space(
     The sort runs on the integer amounts of the instance's table.
     """
     return {
-        f: tuple(row[-1] for row in rows) for f, rows in _proposal_rows(inst, policy).items()
+        f: tuple(_proposal(inst, row) for row in rows)
+        for f, rows in _proposal_rows(inst, policy).items()
     }
 
 
@@ -158,13 +161,13 @@ def _execute(
     firm_rows: list[list[tuple]],
     worker_keeps_held: bool,
     script: tuple[int, ...] | None = None,
-    steps: list[TraceStep] | None = None,
+    record=None,
 ) -> dict[int, tuple]:
     """One proposing run over _proposal_rows lists, in firm id order.
 
-    A row is (-firm amount, tie key, worker amount, firm, worker, proposal).
-    Returns the held row of every matched worker. Each firm proposes from
-    a cursor into its rows. With no script every tie of two or more
+    A row is (-firm amount, tie key, worker amount, firm, worker). Returns
+    the held row of every matched worker. Each firm proposes from a
+    cursor into its rows. With no script every tie of two or more
     options goes to the first, in the policy's order: a firm's tied rows
     as sorted, a worker's tied offers with the incumbent first when
     worker_keeps_held, then by firm id. Otherwise script[k] is the option
@@ -172,7 +175,9 @@ def _execute(
     _Branch. A firm's tie is the leading run of its untried rows with equal
     payoff; a scripted pick of a later row of that run moves the row to
     the front, keeping the order of the rest, on a copy of the firm's list
-    made for this run. Stages are appended to steps when it is a list.
+    made for this run. When `record` is given, it is called at the end of
+    each stage with the stage number, the rows proposed, the offers each
+    worker received, the held rows and the rows rejected.
     """
     lists = list(firm_rows)
     pos = [0] * len(lists)
@@ -207,10 +212,8 @@ def _execute(
             proposed.append(row)
             offers.setdefault(row[4], []).append(row)
         if not proposed:
-            if steps is not None:
-                steps.append(
-                    TraceStep(stage, (), {}, {}, {w: r[5] for w, r in held.items()}, ())
-                )
+            if record is not None:
+                record(stage, [], {}, held, [])
             return held
         rejected: list[tuple] = []
         for w in sorted(offers):
@@ -244,29 +247,22 @@ def _execute(
                     held_firms.discard(prev[3])
                 held[w] = choice
                 held_firms.add(choice[3])
-            if steps is not None:
+            if record is not None:
                 rejected += (r for r in ps if r is not choice)
                 if prev is not None and prev is not choice:
                     rejected.append(prev)
-        if steps is not None:
-            steps.append(
-                TraceStep(
-                    stage,
-                    tuple(r[3] for r in proposed),
-                    {r[3]: r[5] for r in proposed},
-                    {w: tuple(r[5] for r in offers[w]) for w in sorted(offers)},
-                    {w: r[5] for w, r in held.items()},
-                    tuple(r[5] for r in rejected),
-                )
-            )
+        if record is not None:
+            record(stage, proposed, offers, held, rejected)
 
 
 def _outcome(inst: Instance, held: dict[int, tuple]) -> Outcome:
+    money = inst.money
     payoffs = {a: ZERO for a in inst.agents}
     pairs = []
-    for *_, p in held.values():
-        pairs.append((p.firm, p.worker))
-        payoffs.update(p.allocation.payments)
+    for x, _, y, f, w in held.values():
+        pairs.append((f, w))
+        payoffs[f] = money[-x]
+        payoffs[w] = money[y]
     return Outcome.of(Matching.from_pairs(pairs), payoffs)
 
 
@@ -279,8 +275,22 @@ def run_procedure(
     Identical instance and policy give a bit-for-bit identical trace.
     """
     rows = _proposal_rows(inst, policy)
+    proposal = cache(partial(_proposal, inst))  # one Proposal per row
     steps: list[TraceStep] = []
-    held = _execute([rows[f] for f in sorted(rows)], policy.worker_keeps_held, steps=steps)
+
+    def record(stage, proposed, offers, held, rejected) -> None:
+        steps.append(
+            TraceStep(
+                stage,
+                tuple(r[3] for r in proposed),
+                {r[3]: proposal(r) for r in proposed},
+                {w: tuple(map(proposal, offers[w])) for w in sorted(offers)},
+                {w: proposal(r) for w, r in held.items()},
+                tuple(map(proposal, rejected)),
+            )
+        )
+
+    held = _execute([rows[f] for f in sorted(rows)], policy.worker_keeps_held, record=record)
     return _outcome(inst, held), Trace(tuple(steps))
 
 
@@ -319,77 +329,6 @@ def enumerate_procedure_outcomes(
         reached.setdefault(frozenset(map(id, held.values())), held)
     outcomes = {_outcome(inst, held) for held in reached.values()}
     return sorted(outcomes, key=Outcome.sort_key)
-
-
-def classic_da(inst: Instance) -> Outcome:
-    """Textbook firm-proposing deferred acceptance for one-contract menus.
-
-    An intentionally separate implementation (rank lists and a free queue,
-    no shared engine code) used as a differential oracle. Ties are broken
-    by lower id on both sides, from a fixed ranking, which corresponds to
-    the "strict-list" policy of run_procedure. Acceptability follows
-    run_procedure too: a firm lists workers whose contract pays the firm
-    more than zero, and a worker ranks every firm that pays it at least
-    zero.
-    """
-    if not inst.two_sided:
-        raise NotTwoSidedError("instance has no firm/worker partition")
-    for m in inst.menus:
-        if len(m.contracts) != 1:
-            raise NotSingletonMenusError(f"pair {m.pair} has {len(m.contracts)} contracts")
-
-    firm_set = set(inst.firms)
-    contract: dict[tuple[int, int], Allocation] = {}
-    for m in inst.menus:
-        a, b = m.pair
-        f, w = (a, b) if a in firm_set else (b, a)
-        contract[(f, w)] = m.contracts[0]
-
-    # Preference lists: higher own payoff first, lower id breaks ties.
-    firm_list: dict[int, list[int]] = {}
-    for f in inst.firms:
-        acceptable = [
-            (c[f], w) for (g, w), c in contract.items() if g == f and c[f] > 0
-        ]
-        firm_list[f] = [w for _, w in sorted(acceptable, key=lambda t: (-t[0], t[1]))]
-    worker_rank: dict[int, dict[int, int]] = {}
-    for w in inst.workers:
-        acceptable = [
-            (c[w], f) for (f, x), c in contract.items() if x == w and c[w] >= 0
-        ]
-        ranked = [f for _, f in sorted(acceptable, key=lambda t: (-t[0], t[1]))]
-        worker_rank[w] = {f: i for i, f in enumerate(ranked)}
-
-    next_choice = {f: 0 for f in inst.firms}
-    engaged: dict[int, int] = {}
-    free = sorted(inst.firms)
-    while free:
-        f = free.pop(0)
-        if next_choice[f] >= len(firm_list[f]):
-            continue
-        w = firm_list[f][next_choice[f]]
-        next_choice[f] += 1
-        ranks = worker_rank[w]
-        if f not in ranks:
-            free.append(f)
-            continue
-        current = engaged.get(w)
-        if current is None:
-            engaged[w] = f
-        elif ranks[f] < ranks[current]:
-            engaged[w] = f
-            free.append(current)
-        else:
-            free.append(f)
-
-    payoffs = {a: ZERO for a in inst.agents}
-    pairs = []
-    for w, f in engaged.items():
-        c = contract[(f, w)]
-        pairs.append((f, w))
-        payoffs[f] = c[f]
-        payoffs[w] = c[w]
-    return Outcome.of(Matching.from_pairs(pairs), payoffs)
 
 
 # --- trace serialization ----------------------------------------------------

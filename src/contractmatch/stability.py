@@ -37,7 +37,7 @@ def payoffs_are_blocked(inst: Instance, payoffs: dict[int, Fraction]) -> bool:
     The test behind is_stable and verify's stability check.
     """
     v = inst.scaled(payoffs)
-    return any(x > v[a] and y > v[b] for a, b, _, cs in inst.table for x, y, _ in cs)
+    return any(x > v[a] and y > v[b] for a, b, _, cs in inst.table for x, y in cs)
 
 
 def blocking_coalitions(inst: Instance, outcome: Outcome) -> list[BlockingCertificate]:
@@ -46,9 +46,9 @@ def blocking_coalitions(inst: Instance, outcome: Outcome) -> list[BlockingCertif
         raise InfeasibleOutcomeError("outcome is not feasible for this instance")
     v = inst.scaled(outcome.payoff_map())
     return [
-        BlockingCertificate(pair, c)
+        BlockingCertificate(pair, inst.allocation(a, x, b, y))
         for a, b, pair, contracts in inst.table
-        for x, y, c in contracts
+        for x, y in contracts
         if x > v[a] and y > v[b]
     ]
 
@@ -84,8 +84,8 @@ def enumerate_core(
     n = len(agents)
     index = {a: i for i, a in enumerate(agents)}
     # choices[i]: single, then (partner, own amount, partner's amount, pair,
-    # menu index, allocation) for each usable contract with a later partner.
-    single = (-1, 0, 0, None, -1, None)
+    # menu index) for each usable contract with a later partner.
+    single = (-1, 0, 0, None, -1)
     choices: list[list[tuple]] = [[single] for _ in agents]
     # offers[i]: (amount, partner) of i's usable contracts, best first.
     offers: list[list[tuple[int, int]]] = [[] for _ in agents]
@@ -95,11 +95,11 @@ def enumerate_core(
     for first, _, pair, contracts in inst.table:
         a, b = pair
         i, j = index[a], index[b]
-        for k, (x, y, c) in enumerate(contracts):
+        for k, (x, y) in enumerate(contracts):
             if first != a:
                 x, y = y, x
             if x >= 0 and y >= 0:
-                choices[i].append((j, x, y, pair, k, c))
+                choices[i].append((j, x, y, pair, k))
                 offers[i].append((x, j))
                 offers[j].append((y, i))
             if x > 0 and y > 0:
@@ -163,11 +163,13 @@ def enumerate_core(
         else:
             frames.pop()
     leaves.sort(key=lambda leaf: (tuple(o[3] for o in leaf), tuple(o[4] for o in leaf)))
+    money = inst.money
     base = {a: ZERO for a in agents}
     core = []
     for leaf in leaves:
         v = dict(base)
-        for o in leaf:
-            v.update(o[5].payments)
+        for _, x, y, (a, b), _ in leaf:
+            v[a] = money[x]
+            v[b] = money[y]
         core.append(Outcome.of(Matching(tuple(o[3] for o in leaf)), v))
     return core

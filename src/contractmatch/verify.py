@@ -24,7 +24,6 @@ from .errors import (
     UnstableInputError,
 )
 from .model import (
-    Allocation,
     EnumerationBudget,
     Instance,
     Matching,
@@ -72,11 +71,13 @@ def is_pairwise_efficient(inst: Instance) -> PropertyReport:
     """
     _require_two_sided(inst)
     witnesses = []
-    for _, _, pair, cs in inst.table:
-        for i, (xi, yi, ci) in enumerate(cs):
-            for xj, yj, cj in cs[i + 1:]:
+    for f, w, pair, cs in inst.table:
+        for i, (xi, yi) in enumerate(cs):
+            for xj, yj in cs[i + 1:]:
                 if (xi - xj) * (yi - yj) >= 0:
-                    witnesses.append((pair, ci, cj))
+                    witnesses.append(
+                        (pair, inst.allocation(f, xi, w, yi), inst.allocation(f, xj, w, yj))
+                    )
     return PropertyReport("pairwise-efficiency", not witnesses, tuple(witnesses))
 
 
@@ -85,7 +86,7 @@ def has_disjoint_yields(inst: Instance) -> PropertyReport:
     _require_two_sided(inst)
     yields: dict[int, list[tuple[int, set[int]]]] = {f: [] for f in inst.firms}
     for f, w, _, cs in inst.table:
-        yields[f].append((w, {x for x, _, _ in cs}))
+        yields[f].append((w, {x for x, _ in cs}))
     witnesses = []
     for f, entries in sorted(yields.items()):
         for i, (w1, s1) in enumerate(entries):
@@ -111,20 +112,22 @@ def is_weakly_pareto_optimal_for_firms(
     _require_two_sided(inst)
     _require_feasible(inst, outcome)
     v = inst.scaled(outcome.payoff_map())
-    better: dict[int, dict[int, Allocation]] = {f: {} for f in inst.firms}
+    better: dict[int, dict[int, tuple[int, int]]] = {f: {} for f in inst.firms}
     for f, w, _, cs in inst.table:
-        for x, y, c in cs:
+        for x, y in cs:
             if x > v[f] and y >= 0:
-                better[f][w] = c
+                better[f][w] = (x, y)
                 break
     firm_of: dict[int, int] = {}
     worker_of: dict[int, int] = {}
     for f in inst.firms:
         if not _augment(f, better, firm_of, worker_of):
             return PropertyReport("firm-pareto", True)
+    money = inst.money
     payoffs = {a: 0 for a in inst.agents}
     for w, f in firm_of.items():
-        payoffs.update(better[f][w].payments)
+        x, y = better[f][w]
+        payoffs[f], payoffs[w] = money[x], money[y]
     witness = Outcome.of(Matching.from_pairs(firm_of.items()), payoffs)
     return PropertyReport("firm-pareto", False, (witness,))
 
@@ -236,7 +239,7 @@ def check_group_tradeoff(
     v = outcome.payoff_map()
     vs = stable_outcome.payoff_map()
     mate = stable_outcome.matching.mate
-    menus = inst.menu_map()
+    scaled = inst.scaled(v)
     for a in members:
         if not vs[a] > v[a]:
             raise PreconditionViolatedError(
@@ -245,7 +248,7 @@ def check_group_tradeoff(
         # A strict gain over a nonnegative payoff means the agent is matched
         # in the stable outcome, so the partner is always a distinct agent.
         b = mate(a)
-        if _blocks(menus, v, a, b):
+        if _blocks(inst, scaled, a, b):
             raise PreconditionViolatedError(
                 "no-blocking",
                 f"pair {{{a}, {b}}} blocks the first outcome",
@@ -253,10 +256,10 @@ def check_group_tradeoff(
     return _group_tradeoff_report(v, vs, mate, members)
 
 
-def _blocks(menus: dict, v: dict[int, Fraction], a: int, b: int) -> bool:
-    """True iff a contract of the pair {a, b} pays both more than `v` does."""
-    menu = menus.get((a, b) if a < b else (b, a))
-    return bool(menu) and any(c[a] > v[a] and c[b] > v[b] for c in menu.contracts)
+def _blocks(inst: Instance, v: dict[int, int], a: int, b: int) -> bool:
+    """True iff a contract of the pair {a, b} pays both more than the scaled payoffs `v`."""
+    row = inst.by_pair.get((a, b) if a < b else (b, a))
+    return row is not None and any(x > v[row[0]] and y > v[row[1]] for x, y in row[3])
 
 
 def _group_tradeoff_report(
@@ -447,18 +450,18 @@ def _group_tradeoff(battery: PropertyBattery) -> PropertyReport:
     # The outcomes are feasible, the core's stable, and each group gains
     # strictly by construction: of the checker's hypotheses, only
     # "no-blocking" is left to test.
-    menus = inst.menu_map()
     stable = [(s, s.payoff_map()) for s in core]
     witnesses = []
     checked = 0
     for o in outcomes:
         vo = o.payoff_map()
+        scaled = inst.scaled(vo)
         for s, vs in stable:
             group = [a for a in inst.agents if vs[a] > vo[a]]
             if not group:
                 continue
             mate = s.matching.mate
-            if any(_blocks(menus, vo, a, mate(a)) for a in group):
+            if any(_blocks(inst, scaled, a, mate(a)) for a in group):
                 continue
             report = _group_tradeoff_report(vo, vs, mate, group)
             checked += 1

@@ -5,13 +5,18 @@ enumerated agent-first over all involutions (the library walks pair
 subsets), and blocking is a plain double loop over pairs and contracts.
 The ordered core keeps the library's former core engine, a sweep over
 every outcome. The loader reference keeps the library's older
-construction path, which parses every literal on its own. The tie replay
+construction path, which parses every literal on its own, builds an
+Allocation per contract, drops duplicates by Fraction equality and
+derives the integer table from the Fraction menus. The tie replay
 keeps the library's former proposing engine, which compares Fraction
 payoffs, removes each proposal from a copy of its firm's list, and builds
-a trace on every run. The pairwise-efficiency and disjoint-yields
-references keep the library's former checkers, which compare Fraction
-amounts looked up in each allocation.
+a trace on every run. `classic_da`, textbook deferred acceptance on
+rank lists, was the library's own independent reference for one-contract
+menus. The pairwise-efficiency and disjoint-yields references keep the
+library's former checkers, which compare Fraction amounts looked up in
+each allocation.
 """
+import math
 import random
 import warnings
 from collections.abc import Mapping
@@ -20,16 +25,25 @@ from itertools import product
 
 from contractmatch import (
     DEFAULT_POLICY,
+    Allocation,
     BudgetExceededError,
     ContractMenu,
+    DuplicateMenuError,
+    EmptyContractSetError,
     EnumerationBudget,
     FormatError,
     Instance,
+    InstanceError,
+    InvalidPartitionError,
+    MalformedMenuError,
     Matching,
     NegativeContractWarning,
+    NotSingletonMenusError,
     NotTwoSidedError,
     Outcome,
     PropertyReport,
+    SameSideMenuError,
+    UnknownAgentError,
     build_proposal_space,
     instance_from_dict,
     instance_to_dict,
@@ -38,6 +52,23 @@ from contractmatch import (
 )
 from contractmatch.model import ZERO, iter_raw_outcomes, parse_agent
 from contractmatch.procedure import Trace, TraceStep
+
+
+def menu_for(inst, a, b):
+    """The menu of the pair {a, b}, by a scan of inst.menus, or None."""
+    key = (a, b) if a < b else (b, a)
+    for m in inst.menus:
+        if m.pair == key:
+            return m
+    return None
+
+
+def payoff(outcome, agent):
+    """What the outcome pays `agent`, by a scan of its payoffs."""
+    for a, v in outcome.payoffs:
+        if a == agent:
+            return v
+    raise KeyError(agent)
 
 
 def oracle_outcomes(inst):
@@ -69,7 +100,7 @@ def oracle_outcomes(inst):
         for combo in product(*usable):
             v = {a: Fraction(0) for a in agents}
             for alloc in combo:
-                v.update(alloc.as_dict())
+                v.update(alloc.payments)
             results.add((pairs, tuple(sorted(v.items()))))
     return results
 
@@ -219,10 +250,10 @@ def oracle_firm_pareto(inst, payoffs):
 
 
 def oracle_instance_from_dict(data):
-    """`instance_from_dict` by Instance.of, ContractMenu.of and validate_instance.
+    """`instance_from_dict` by Instance.of, ContractMenu.of and the former validation.
 
     Every id and amount is parsed where it appears, with no memo, and every
-    allocation is built by Allocation.of.
+    allocation is built by Allocation.of; see oracle_validate for the rest.
     """
     if not isinstance(data, Mapping):
         raise FormatError("instance data must be a JSON object")
@@ -250,9 +281,94 @@ def oracle_instance_from_dict(data):
             menus.append(ContractMenu.of(entry["pair"], contracts))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise FormatError(f"malformed menu entry {entry!r}") from exc
-    return validate_instance(
+    return oracle_validate(
         Instance.of(agents, menus, firms=id_list("firms"), workers=id_list("workers"))
     )
+
+
+def oracle_validate(draft):
+    """The Instance validate_instance gives for `draft`, by the former validation.
+
+    Checks run in the library's former order with its messages; duplicate
+    contracts are dropped by Fraction equality of their Allocations. The
+    table and the scale are derived from the canonical Fraction menus, and
+    those menus are left in the instance's `menus` cache, so that a test
+    compares them with the loader's and not with menus rebuilt from the
+    table.
+    """
+    agents = tuple(sorted({parse_agent(a) for a in draft.agents}))
+    if not agents:
+        raise InstanceError("instance must have at least one agent")
+    if agents[0] < 1:
+        raise InstanceError("agent ids must be positive integers")
+    agent_set = set(agents)
+
+    if (draft.firms is None) != (draft.workers is None):
+        raise InvalidPartitionError("firms and workers must be given together")
+    firms = workers = None
+    if draft.firms is not None:
+        firms = tuple(sorted({parse_agent(a) for a in draft.firms}))
+        workers = tuple(sorted({parse_agent(a) for a in draft.workers}))
+        for a in firms + workers:
+            if a not in agent_set:
+                raise UnknownAgentError(f"partition references unknown agent {a}")
+        if set(firms) & set(workers):
+            raise InvalidPartitionError("firms and workers overlap")
+        if set(firms) | set(workers) != agent_set:
+            raise InvalidPartitionError("firms and workers must cover all agents")
+
+    firm_set = set(firms or ())
+    worker_set = set(workers or ())
+    seen = set()
+    canonical = []
+    negatives = 0
+    for m in draft.menus:
+        a, b = (parse_agent(x) for x in m.pair)
+        if a == b:
+            raise MalformedMenuError(f"menu pair {m.pair!r} repeats an agent")
+        for x in (a, b):
+            if x not in agent_set:
+                raise UnknownAgentError(f"menu references unknown agent {x}")
+        key = (a, b) if a < b else (b, a)
+        if key in seen:
+            raise DuplicateMenuError(f"more than one menu for pair {key}")
+        seen.add(key)
+        if firm_set and (
+            (a in firm_set and b in firm_set) or (a in worker_set and b in worker_set)
+        ):
+            raise SameSideMenuError(f"pair {key} joins two agents on the same side")
+        lo, hi = key
+        contracts = []
+        for c in m.contracts:
+            p = c.payments
+            if len(p) != 2 or p[0][0] != lo or p[1][0] != hi:
+                raise MalformedMenuError(f"contract {c!r} does not cover exactly the pair {key}")
+            if p[0][1] < 0 or p[1][1] < 0:
+                negatives += 1
+            if c not in contracts:
+                contracts.append(c)
+        if not contracts:
+            raise EmptyContractSetError(f"menu for pair {key} has no contracts")
+        canonical.append(ContractMenu(key, tuple(contracts)))
+    canonical.sort(key=lambda m: m.pair)
+    if negatives:
+        warnings.warn(
+            f"{negatives} contract(s) contain negative amounts and can never "
+            "appear in an outcome",
+            NegativeContractWarning,
+        )
+
+    scale = math.lcm(*{v.denominator for m in canonical for c in m.contracts for _, v in c.payments})
+    table = []
+    for m in canonical:
+        lo, hi = m.pair
+        first, second = (hi, lo) if hi in firm_set else (lo, hi)
+        table.append(
+            (first, second, m.pair, tuple((int(c[first] * scale), int(c[second] * scale)) for c in m.contracts))
+        )
+    inst = Instance(agents, tuple(table), scale, firms, workers)
+    vars(inst)["menus"] = tuple(canonical)
+    return inst
 
 
 class _Branch(Exception):
@@ -368,3 +484,74 @@ def oracle_tie_outcomes(inst, budget=None):
             continue
         outcomes.add(outcome)
     return sorted(outcomes, key=Outcome.sort_key), runs
+
+
+def classic_da(inst: Instance) -> Outcome:
+    """Textbook firm-proposing deferred acceptance for one-contract menus.
+
+    An intentionally separate implementation (rank lists and a free queue,
+    no shared engine code) used as a differential oracle. Ties are broken
+    by lower id on both sides, from a fixed ranking, which corresponds to
+    the "strict-list" policy of run_procedure. Acceptability follows
+    run_procedure too: a firm lists workers whose contract pays the firm
+    more than zero, and a worker ranks every firm that pays it at least
+    zero.
+    """
+    if not inst.two_sided:
+        raise NotTwoSidedError("instance has no firm/worker partition")
+    for m in inst.menus:
+        if len(m.contracts) != 1:
+            raise NotSingletonMenusError(f"pair {m.pair} has {len(m.contracts)} contracts")
+
+    firm_set = set(inst.firms)
+    contract: dict[tuple[int, int], Allocation] = {}
+    for m in inst.menus:
+        a, b = m.pair
+        f, w = (a, b) if a in firm_set else (b, a)
+        contract[(f, w)] = m.contracts[0]
+
+    # Preference lists: higher own payoff first, lower id breaks ties.
+    firm_list: dict[int, list[int]] = {}
+    for f in inst.firms:
+        acceptable = [
+            (c[f], w) for (g, w), c in contract.items() if g == f and c[f] > 0
+        ]
+        firm_list[f] = [w for _, w in sorted(acceptable, key=lambda t: (-t[0], t[1]))]
+    worker_rank: dict[int, dict[int, int]] = {}
+    for w in inst.workers:
+        acceptable = [
+            (c[w], f) for (f, x), c in contract.items() if x == w and c[w] >= 0
+        ]
+        ranked = [f for _, f in sorted(acceptable, key=lambda t: (-t[0], t[1]))]
+        worker_rank[w] = {f: i for i, f in enumerate(ranked)}
+
+    next_choice = {f: 0 for f in inst.firms}
+    engaged: dict[int, int] = {}
+    free = sorted(inst.firms)
+    while free:
+        f = free.pop(0)
+        if next_choice[f] >= len(firm_list[f]):
+            continue
+        w = firm_list[f][next_choice[f]]
+        next_choice[f] += 1
+        ranks = worker_rank[w]
+        if f not in ranks:
+            free.append(f)
+            continue
+        current = engaged.get(w)
+        if current is None:
+            engaged[w] = f
+        elif ranks[f] < ranks[current]:
+            engaged[w] = f
+            free.append(current)
+        else:
+            free.append(f)
+
+    payoffs = {a: ZERO for a in inst.agents}
+    pairs = []
+    for w, f in engaged.items():
+        c = contract[(f, w)]
+        pairs.append((f, w))
+        payoffs[f] = c[f]
+        payoffs[w] = c[w]
+    return Outcome.of(Matching.from_pairs(pairs), payoffs)

@@ -27,7 +27,6 @@ from contractmatch import (
     check_firm_optimality,
     check_group_tradeoff,
     check_pair_tradeoff,
-    classic_da,
     enumerate_core,
     enumerate_outcomes,
     enumerate_procedure_outcomes,
@@ -38,7 +37,7 @@ from contractmatch import (
     run_procedure,
 )
 from contractmatch.cli import main as cli_main
-from oracles import oracle_core
+from oracles import classic_da, oracle_core
 
 CORPUS_SIZE = 500
 

@@ -741,3 +741,24 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout.splitlines()[0])["payoffs"]["2"] == "4"
+
+    def test_calls_in_one_process_print_what_fresh_processes_print(
+        self, capsys, tmp_path, modified
+    ):
+        # The parser is built once per process, so no option of one call
+        # may carry over to the next: firm 1 of the modified market earns 3
+        # with either worker, so the policy changes the outcome.
+        path = write_json(tmp_path / "m.json", instance_to_dict(modified))
+        calls = [
+            ["solve", path, "--policy", "high-worker"],
+            ["solve", path],
+            ["check", path, str(tmp_path / "missing.json")],
+            ["verify", path],
+        ]
+        for argv in calls:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "contractmatch.cli", *argv],
+                capture_output=True,
+                text=True,
+            )
+            assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)

@@ -14,6 +14,7 @@ from contractmatch import (
     is_pairwise_efficient,
     validate_instance,
 )
+from oracles import menu_for
 
 
 class TestBuiltins:
@@ -21,29 +22,29 @@ class TestBuiltins:
         assert gs4.agents == (1, 2, 3, 4)
         assert not gs4.two_sided
         assert len(gs4.menus) == 6
-        menu12 = gs4.menu_for(1, 2)
+        menu12 = menu_for(gs4, 1, 2)
         assert menu12.contracts == (
             Allocation.of({1: 3, 2: 2}),
             Allocation.of({1: 0, 2: 0}),
         )
-        menu34 = gs4.menu_for(3, 4)
+        menu34 = menu_for(gs4, 3, 4)
         assert menu34.contracts[0] == Allocation.of({3: 1, 4: 1})
 
     def test_illustration_contents(self, illustration):
         assert illustration.firms == (1, 2)
         assert illustration.workers == (3, 4)
-        assert illustration.menu_for(2, 4).contracts == (
+        assert menu_for(illustration, 2, 4).contracts == (
             Allocation.of({2: 4, 4: 2}),
             Allocation.of({2: 2, 4: 4}),
         )
 
     def test_modified_changes_only_pair_14(self, illustration, modified):
-        assert modified.menu_for(1, 4).contracts == (
+        assert menu_for(modified, 1, 4).contracts == (
             Allocation.of({1: 4, 4: 1}),
             Allocation.of({1: 3, 4: 3}),
         )
         for pair in ((1, 3), (2, 3), (2, 4)):
-            assert modified.menu_for(*pair) == illustration.menu_for(*pair)
+            assert menu_for(modified, *pair) == menu_for(illustration, *pair)
 
     def test_unknown_name(self):
         with pytest.raises(UnknownNameError):

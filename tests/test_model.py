@@ -1,8 +1,10 @@
+import gc
 import random
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contractmatch import (
     Allocation,
@@ -34,7 +36,7 @@ from contractmatch import (
     validate_instance,
 )
 from contractmatch.model import MAX_MONEY_EXPONENT
-from oracles import oracle_instance_from_dict, oracle_outcomes
+from oracles import oracle_instance_from_dict, oracle_outcomes, relabelled
 
 
 def outcome_of(inst, pairs, payoffs):
@@ -376,6 +378,164 @@ class TestSingleParseLoader:
         data.update(changes)
         (got, _), (expected, _) = load_both(data)
         assert isinstance(expected, type) and got is expected
+
+
+#: Decimal digits of another script, which int() and Fraction() read too.
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def value_equal_literals(x):
+    """Ways to write the amount x: "1", "2/2", "1.0", "10e-1", 1 and "١"."""
+    n, d = x.numerator, x.denominator
+    literals = [money_str(x), f"{2 * n}/{2 * d}", f"{n}/{d}"]
+    if d == 1:
+        literals += [n, f"{n}.0", f"{10 * n}e-1"]
+        if n >= 0:
+            literals.append(str(n).translate(ARABIC_INDIC))
+    return literals
+
+
+def insert_entry(data, draw, entry):
+    data["menus"].insert(draw(st.integers(0, len(data["menus"]))), entry)
+
+
+def malformed_entry(data, market, draw):
+    f, w = draw(st.sampled_from(market["firms"])), draw(st.sampled_from(market["workers"]))
+    good = {str(f): "1", str(w): "2"}
+    insert_entry(data, draw, draw(st.sampled_from([
+        5,
+        {"pair": [f, w, f], "contracts": [good]},
+        {"pair": [f, "x"], "contracts": [good]},
+        {"pair": [f, w]},
+        {"pair": [f, w], "contracts": 5},
+        {"pair": [f, w], "contracts": [[1, 2]]},
+        {"pair": [f, w], "contracts": [{str(f): "three", str(w): "1"}]},
+        {"pair": [f, w], "contracts": [{str(f): 1.5, str(w): "1"}]},
+        {"pair": [f, w], "contracts": [{str(f): True, str(w): "1"}]},
+        {"pair": [f, w], "contracts": [{str(f): "1/0", str(w): "1"}]},
+        {"pair": [f, w], "contracts": [{str(f): "1" * 5000, str(w): "1"}]},
+        {"pair": [f, w], "contracts": [good, {str(f): "1"}]},
+        {"pair": [f, w], "contracts": [{str(f): "1", str(w): "2", "0" + str(f): "3"}]},
+        {"pair": [f, w], "contracts": []},
+    ])))
+
+
+def unknown_agent_entry(data, market, draw):
+    a = draw(st.sampled_from(market["agents"]))
+    insert_entry(data, draw, {"pair": [a, 999], "contracts": [{str(a): "1", "999": "1"}]})
+
+
+def duplicate_menu_entry(data, market, draw):
+    if not market["menus"]:
+        return malformed_entry(data, market, draw)
+    m = draw(st.sampled_from(market["menus"]))
+    insert_entry(data, draw, {"pair": m["pair"][::-1], "contracts": m["contracts"]})
+
+
+def same_side_entry(data, market, draw):
+    side = market["firms"] if len(market["firms"]) > 1 else market["workers"]
+    a, b = side[0], side[-1]  # the same agent twice when the side has one
+    insert_entry(data, draw, {"pair": [a, b], "contracts": [{str(a): "1", str(b): "1"}]})
+
+
+def partition_fault(data, market, draw):
+    firms, workers = market["firms"], market["workers"]
+    data.update(draw(st.sampled_from([
+        {"firms": firms + workers[:1]},
+        {"workers": workers[1:]},
+        {"firms": firms + [999]},
+        {"workers": None},
+        {"workers": workers + ["x"]},
+        {"firms": "12"},
+    ])))
+
+
+def agents_fault(data, market, draw):
+    agents = market["agents"]
+    data["agents"] = draw(st.sampled_from([[], [0] + agents, agents + [1.5]]))
+
+
+FAULTS = [
+    malformed_entry,
+    unknown_agent_entry,
+    duplicate_menu_entry,
+    same_side_entry,
+    partition_fault,
+    agents_fault,
+]
+
+
+@st.composite
+def loader_inputs(draw):
+    """A relabelled fractional market in dict form, with up to two faults.
+
+    Every amount is written as one of its value-equal literals, some menus
+    repeat a contract under other literals, and amounts may be negative.
+    Each fault sits in its own menu entry or in the agents or partition
+    lists: the reference parses the keys of all of an entry's contracts
+    before their amounts and its pair, so two format errors in one entry
+    may be reported in another order.
+    """
+    seed = draw(st.integers(0, 10**6))
+    params = GenParams(
+        draw(st.integers(1, 3)), draw(st.integers(1, 3)), (1, 3), (-3, 5), 0.8, seed=seed
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeContractWarning)
+        data = instance_to_dict(relabelled(gen_random(params), seed))
+    for m in data["menus"]:
+        m["contracts"] = [
+            {a: draw(st.sampled_from(value_equal_literals(Fraction(x)))) for a, x in c.items()}
+            for c in m["contracts"]
+        ]
+        if draw(st.booleans()):
+            c = draw(st.sampled_from(m["contracts"]))
+            m["contracts"].append(
+                {a: draw(st.sampled_from(value_equal_literals(parse_money(x)))) for a, x in c.items()}
+            )
+    market = {key: list(value) for key, value in data.items()}
+    for _ in range(draw(st.integers(0, 2))):
+        draw(st.sampled_from(FAULTS))(data, market, draw)
+    return data
+
+
+def load_exactly(load, data):
+    """(instance, or error type and message; NegativeContractWarning messages)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = load(data)
+        except Exception as exc:  # the type and message are compared
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught if w.category is NegativeContractWarning]
+
+
+class TestLoaderAgainstOracle:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=loader_inputs())
+    def test_same_instance_or_same_error(self, data):
+        got, got_warned = load_exactly(instance_from_dict, data)
+        want, want_warned = load_exactly(oracle_instance_from_dict, data)
+        if isinstance(want, Instance):
+            assert isinstance(got, Instance)
+            assert got.menus == want.menus
+            assert (got.table, got.scale) == (want.table, want.scale)
+            assert got == want
+        else:
+            assert got == want
+        assert got_warned == want_warned
+
+    def test_adds_fewer_tracked_objects_than_contracts(self):
+        # The table holds ints in tuples, which the garbage collector stops
+        # tracking: no object per contract stays tracked.
+        data = instance_to_dict(gen_random(GenParams(40, 40, seed=5)))
+        contracts = sum(len(m["contracts"]) for m in data["menus"])
+        gc.collect()
+        before = len(gc.get_objects())
+        inst = instance_from_dict(data)
+        gc.collect()
+        assert len(gc.get_objects()) - before < contracts
+        assert inst.table
 
 
 class TestSerialization:

@@ -21,7 +21,6 @@ from contractmatch import (
     Proposal,
     TieBreakPolicy,
     build_proposal_space,
-    classic_da,
     enumerate_procedure_outcomes,
     gen_random,
     is_stable,
@@ -30,7 +29,7 @@ from contractmatch import (
     run_procedure,
     validate_instance,
 )
-from oracles import oracle_run_procedure, oracle_tie_outcomes
+from oracles import classic_da, oracle_run_procedure, oracle_tie_outcomes
 
 
 def outcome_of(inst, pairs, payoffs):
