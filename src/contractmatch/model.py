@@ -457,27 +457,6 @@ class _ParseMemo(dict):
         return value
 
 
-def _ratio(value) -> tuple[int, int]:
-    """parse_money(value) as (numerator, denominator), in lowest terms.
-
-    A string of decimal digits, alone or over a nonzero denominator of
-    digits ("12", "25/2"), is read without building a Fraction.
-    """
-    if type(value) is str:
-        n, slash, d = value.partition("/")
-        if n.isdecimal() and (d.isdecimal() or not slash):
-            try:
-                n, d = int(n), int(d or 1)
-            except ValueError:  # past the limit on digits; parse_money says so
-                pass
-            else:
-                if d:
-                    g = math.gcd(n, d)
-                    return n // g, d // g
-    v = parse_money(value)
-    return v.numerator, v.denominator
-
-
 def instance_from_dict(data: Mapping) -> Instance:
     """Build and validate an instance from its dict form.
 
@@ -539,7 +518,7 @@ def _build(data: Mapping) -> Instance:
     amounts: dict[tuple[int, int], int] = {}  # each distinct amount to its index
 
     def amount(value) -> int:
-        return amounts.setdefault(_ratio(value), len(amounts))
+        return amounts.setdefault(parse_money(value).as_integer_ratio(), len(amounts))
 
     literals = _ParseMemo(amount)
     seen: set[tuple[int, int]] = set()

@@ -415,7 +415,6 @@ def malformed_entry(data, market, draw):
         {"pair": [f, w], "contracts": [{str(f): "1/0", str(w): "1"}]},
         {"pair": [f, w], "contracts": [{str(f): "1" * 5000, str(w): "1"}]},
         {"pair": [f, w], "contracts": [good, {str(f): "1"}]},
-        {"pair": [f, w], "contracts": [{str(f): "1", str(w): "2", "0" + str(f): "3"}]},
         {"pair": [f, w], "contracts": []},
     ])))
 
