@@ -317,7 +317,7 @@ class Outcome:
 
     def singles(self) -> tuple[int, ...]:
         matched = self.matching.matched_agents()
-        return tuple(a for a, _ in self.payoffs if a not in matched)
+        return tuple([a for a, _ in self.payoffs if a not in matched])
 
     def sort_key(self):
         return (self.matching.pairs, self.payoffs)
@@ -325,7 +325,7 @@ class Outcome:
 
 def outcome_is_feasible(inst: Instance, outcome: Outcome) -> bool:
     """True iff the outcome satisfies every feasibility invariant of the instance."""
-    agents = tuple(a for a, _ in outcome.payoffs)
+    agents = tuple([a for a, _ in outcome.payoffs])
     if agents != inst.agents:
         return False
     v = outcome.payoff_map()
@@ -587,10 +587,13 @@ def _build(data: Mapping) -> Instance:
     scale = math.lcm(*{d for _, d in amounts})
     ints = [n * (scale // d) for n, d in amounts]
     menus.sort()
-    table = tuple(
+    # From a list, not a generator: tuple() shrinks a generator's tuple to
+    # fit, and CPython keeps such tuples, once freed, on free lists that
+    # only a full collection empties, so each load would pin memory.
+    table = tuple([
         (first, second, key, tuple([(ints[i], ints[j]) for i, j in kept]))
         for key, first, second, kept in menus
-    )
+    ])
     if min(ints, default=0) < 0:
         given = [pair for *_, kept in menus for pair in kept] + dropped
         negatives = sum(ints[i] < 0 or ints[j] < 0 for i, j in given)

@@ -155,14 +155,14 @@ def enumerate_core(
                         f"more than {cap} outcomes examined; raise the enumeration budget"
                     )
                 if not rejected:
-                    leaves.append(tuple(o for _, o in trail if o[0] >= 0))
+                    leaves.append(tuple([o for _, o in trail if o[0] >= 0]))
                 undo(*trail.pop())
                 continue
             frames.append((nxt, iter(choices[nxt])))
             break
         else:
             frames.pop()
-    leaves.sort(key=lambda leaf: (tuple(o[3] for o in leaf), tuple(o[4] for o in leaf)))
+    leaves.sort(key=lambda leaf: (tuple([o[3] for o in leaf]), tuple([o[4] for o in leaf])))
     money = inst.money
     base = {a: ZERO for a in agents}
     core = []
@@ -171,5 +171,5 @@ def enumerate_core(
         for _, x, y, (a, b), _ in leaf:
             v[a] = money[x]
             v[b] = money[y]
-        core.append(Outcome.of(Matching(tuple(o[3] for o in leaf)), v))
+        core.append(Outcome.of(Matching(tuple([o[3] for o in leaf])), v))
     return core
