@@ -28,7 +28,7 @@ def _jsonable(value):
     if isinstance(value, Outcome):
         return model.outcome_to_dict(value)
     if isinstance(value, model.Allocation):
-        return {str(a): money_str(v) for a, v in value.payments}
+        return model.payments_to_dict(value.payments)
     if isinstance(value, Fraction):
         return money_str(value)
     if isinstance(value, (tuple, list)):
@@ -63,8 +63,9 @@ def _budget(args) -> EnumerationBudget:
 
 def _cmd_solve(args) -> int:
     inst = model.read_instance_file(args.instance)
+    budget = _budget(args)
     if args.all_tiebreaks:
-        for outcome in procedure.enumerate_procedure_outcomes(inst, _budget(args)):
+        for outcome in procedure.enumerate_procedure_outcomes(inst, budget):
             _print_json(model.outcome_to_dict(outcome))
         return 0
     outcome, trace = procedure.run_procedure(inst, POLICIES[args.policy])

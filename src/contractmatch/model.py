@@ -27,10 +27,12 @@ from .errors import (
     DuplicateMenuError,
     EmptyContractSetError,
     FormatError,
+    InfeasibleOutcomeError,
     InstanceError,
     InvalidPartitionError,
     MalformedMenuError,
     NegativeContractWarning,
+    NotTwoSidedError,
     SameSideMenuError,
     UnknownAgentError,
 )
@@ -100,6 +102,15 @@ def money_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def payments_to_dict(payments: Iterable[tuple[int, Fraction]]) -> dict[str, str]:
+    """The JSON form of (agent, amount) pairs: {"1": "3", "3": "1/2"}."""
+    return {str(a): money_str(v) for a, v in payments}
+
+
+def _named_twice(agent: int) -> FormatError:  # as keys "1" and "01" do
+    return FormatError(f"contract names agent {agent} more than once")
+
+
 @dataclass(frozen=True, order=True)
 class Allocation:
     """One division of money among the members of a coalition.
@@ -113,7 +124,13 @@ class Allocation:
 
     @classmethod
     def of(cls, payments: Mapping[int, object]) -> "Allocation":
-        return cls(tuple(sorted((parse_agent(a), parse_money(v)) for a, v in payments.items())))
+        parsed: dict[int, Fraction] = {}
+        for a, v in payments.items():
+            a = parse_agent(a)
+            if a in parsed:
+                raise _named_twice(a)
+            parsed[a] = parse_money(v)
+        return cls(tuple(sorted(parsed.items())))
 
     def __getitem__(self, agent: int) -> Fraction:
         for a, v in self.payments:
@@ -207,6 +224,20 @@ class Instance:
         if a < b:
             return Allocation(((a, money[x]), (b, money[y])))
         return Allocation(((b, money[y]), (a, money[x])))
+
+    def outcome(self, contracts: Iterable[tuple[int, int, int, int]]) -> Outcome:
+        """The outcome of disjoint table contracts (a, x, b, y), each paying
+        agent a the int x and agent b the int y, taken as given; every other
+        agent is single at zero.
+        """
+        money = self.money
+        pairs, paid = [], {}
+        for a, x, b, y in contracts:
+            pairs.append((a, b) if a < b else (b, a))
+            paid[a], paid[b] = money[x], money[y]
+        pairs.sort()
+        payoffs = tuple([(a, paid.get(a, ZERO)) for a in self.agents])
+        return Outcome(Matching(tuple(pairs)), payoffs)
 
     @cached_property
     def menus(self) -> tuple[ContractMenu, ...]:
@@ -345,12 +376,14 @@ def outcome_is_feasible(inst: Instance, outcome: Outcome) -> bool:
     return all(v[a] == 0 for a in inst.agents if a not in matched)
 
 
-def _usable_contracts(inst: Instance) -> list[tuple[tuple[int, int], list[Allocation]]]:
-    # Contracts with a negative amount can never satisfy the payoff bound.
-    return [
-        (pair, [inst.allocation(a, x, b, y) for x, y in cs if x >= 0 and y >= 0])
-        for a, b, pair, cs in inst.table
-    ]
+def _require_feasible(inst: Instance, outcome: Outcome) -> None:
+    if not outcome_is_feasible(inst, outcome):
+        raise InfeasibleOutcomeError("outcome is not feasible for this instance")
+
+
+def _require_two_sided(inst: Instance) -> None:
+    if not inst.two_sided:
+        raise NotTwoSidedError("instance has no firm/worker partition")
 
 
 def _iter_matchings(pairs: list[tuple[int, int]]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -382,18 +415,20 @@ def iter_raw_outcomes(
     then allocations per matched pair in menu order with the last pair
     varying fastest.
     """
-    usable = _usable_contracts(inst)
-    by_pair = dict(usable)
+    money = inst.money
+    # Each pair's contracts as (a, amount, b, amount). Contracts with a
+    # negative amount can never satisfy the payoff bound.
+    usable = {
+        pair: [(a, money[x], b, money[y]) for x, y in cs if x >= 0 and y >= 0]
+        for a, b, pair, cs in inst.table
+    }
     base = {a: ZERO for a in inst.agents}
-    for matching in _iter_matchings([p for p, _ in usable]):
-        lists = [by_pair[p] for p in matching]
-        if any(not L for L in lists):
-            continue
-        for combo in product(*lists):
+    for matching in _iter_matchings(list(usable)):
+        for combo in product(*[usable[p] for p in matching]):
             v = dict(base)
-            for alloc in combo:
-                for a, x in alloc.payments:
-                    v[a] = x
+            for a, x, b, y in combo:
+                v[a] = x
+                v[b] = y
             yield matching, v
 
 
@@ -424,9 +459,7 @@ def instance_to_dict(inst: Instance | InstanceDraft) -> dict:
     d["menus"] = [
         {
             "pair": list(m.pair),
-            "contracts": [
-                {str(a): money_str(v) for a, v in c.payments} for c in m.contracts
-            ],
+            "contracts": [payments_to_dict(c.payments) for c in m.contracts],
         }
         for m in inst.menus
     ]
@@ -569,6 +602,8 @@ def _build(data: Mapping) -> Instance:
                 parsed = {}
                 for x, v in c.items():  # each id before its amount, as given
                     x = ids[x] if type(x) is str else parse_agent(x)
+                    if x in parsed:
+                        raise _named_twice(x)
                     parsed[x] = literals[v] if type(v) is str else amount(v)
                 contracts.append(parsed)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -610,7 +645,7 @@ def outcome_to_dict(outcome: Outcome) -> dict:
     return {
         "matches": [list(p) for p in outcome.matching.pairs],
         "singles": list(outcome.singles()),
-        "payoffs": {str(a): money_str(v) for a, v in outcome.payoffs},
+        "payoffs": payments_to_dict(outcome.payoffs),
     }
 
 

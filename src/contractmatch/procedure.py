@@ -22,15 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 
-from .errors import BudgetExceededError, NotTwoSidedError
+from .errors import BudgetExceededError
 from .model import (
-    ZERO,
     Allocation,
     EnumerationBudget,
     Instance,
-    Matching,
     Outcome,
-    money_str,
+    _require_two_sided,
+    payments_to_dict,
 )
 
 
@@ -89,8 +88,7 @@ def _proposal_rows(inst: Instance, policy: TieBreakPolicy) -> dict[int, list[tup
     worker and firm payoff as their allocations compare. No two rows of
     a firm are equal.
     """
-    if not inst.two_sided:
-        raise NotTwoSidedError("instance has no firm/worker partition")
+    _require_two_sided(inst)
     side = 1 if policy.firm_prefers_low_worker else -1
     rows: dict[int, list[tuple]] = {f: [] for f in inst.firms}
     for f, w, _, contracts in inst.table:
@@ -255,17 +253,6 @@ def _execute(
             record(stage, proposed, offers, held, rejected)
 
 
-def _outcome(inst: Instance, held: dict[int, tuple]) -> Outcome:
-    money = inst.money
-    payoffs = {a: ZERO for a in inst.agents}
-    pairs = []
-    for x, _, y, f, w in held.values():
-        pairs.append((f, w))
-        payoffs[f] = money[-x]
-        payoffs[w] = money[y]
-    return Outcome.of(Matching.from_pairs(pairs), payoffs)
-
-
 def run_procedure(
     inst: Instance, policy: TieBreakPolicy = DEFAULT_POLICY
 ) -> tuple[Outcome, Trace]:
@@ -291,7 +278,8 @@ def run_procedure(
         )
 
     held = _execute([rows[f] for f in sorted(rows)], policy.worker_keeps_held, record=record)
-    return _outcome(inst, held), Trace(tuple(steps))
+    outcome = inst.outcome([(f, -x, w, y) for x, _, y, f, w in held.values()])
+    return outcome, Trace(tuple(steps))
 
 
 def enumerate_procedure_outcomes(
@@ -327,7 +315,10 @@ def enumerate_procedure_outcomes(
             stack.extend(script + (i,) for i in reversed(range(b.n_options)))
             continue
         reached.setdefault(frozenset(map(id, held.values())), held)
-    outcomes = {_outcome(inst, held) for held in reached.values()}
+    outcomes = {
+        inst.outcome([(f, -x, w, y) for x, _, y, f, w in held.values()])
+        for held in reached.values()
+    }
     return sorted(outcomes, key=Outcome.sort_key)
 
 
@@ -338,7 +329,7 @@ def _proposal_dict(p: Proposal) -> dict:
     return {
         "firm": p.firm,
         "worker": p.worker,
-        "contract": {str(a): money_str(v) for a, v in p.allocation.payments},
+        "contract": payments_to_dict(p.allocation.payments),
     }
 
 

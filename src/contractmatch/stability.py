@@ -10,16 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, InfeasibleOutcomeError
+from .errors import BudgetExceededError
 from .model import (
-    ZERO,
     Allocation,
     EnumerationBudget,
     Instance,
-    Matching,
     Outcome,
+    _require_feasible,
     iter_raw_outcomes,  # unused here; benchmark tracing wraps this attribute
-    outcome_is_feasible,
 )
 
 
@@ -42,8 +40,7 @@ def payoffs_are_blocked(inst: Instance, payoffs: dict[int, Fraction]) -> bool:
 
 def blocking_coalitions(inst: Instance, outcome: Outcome) -> list[BlockingCertificate]:
     """Every (pair, contract) that blocks the outcome, in pair order then menu order."""
-    if not outcome_is_feasible(inst, outcome):
-        raise InfeasibleOutcomeError("outcome is not feasible for this instance")
+    _require_feasible(inst, outcome)
     v = inst.scaled(outcome.payoff_map())
     return [
         BlockingCertificate(pair, inst.allocation(a, x, b, y))
@@ -55,8 +52,7 @@ def blocking_coalitions(inst: Instance, outcome: Outcome) -> list[BlockingCertif
 
 def is_stable(inst: Instance, outcome: Outcome) -> bool:
     """True iff no pair blocks the outcome."""
-    if not outcome_is_feasible(inst, outcome):
-        raise InfeasibleOutcomeError("outcome is not feasible for this instance")
+    _require_feasible(inst, outcome)
     return not payoffs_are_blocked(inst, outcome.payoff_map())
 
 
@@ -163,13 +159,4 @@ def enumerate_core(
         else:
             frames.pop()
     leaves.sort(key=lambda leaf: (tuple([o[3] for o in leaf]), tuple([o[4] for o in leaf])))
-    money = inst.money
-    base = {a: ZERO for a in agents}
-    core = []
-    for leaf in leaves:
-        v = dict(base)
-        for _, x, y, (a, b), _ in leaf:
-            v[a] = money[x]
-            v[b] = money[y]
-        core.append(Outcome.of(Matching(tuple([o[3] for o in leaf])), v))
-    return core
+    return [inst.outcome([(a, x, b, y) for _, x, y, (a, b), _ in leaf]) for leaf in leaves]

@@ -19,7 +19,6 @@ from .errors import (
     BudgetExceededError,
     ContractMatchError,
     InfeasibleOutcomeError,
-    NotTwoSidedError,
     PreconditionViolatedError,
     UnstableInputError,
 )
@@ -28,6 +27,8 @@ from .model import (
     Instance,
     Matching,
     Outcome,
+    _require_feasible,
+    _require_two_sided,
     iter_raw_outcomes,
     outcome_is_feasible,
     parse_agent,
@@ -43,16 +44,6 @@ class PropertyReport:
     holds: bool
     witnesses: tuple = ()
     details: dict = field(default_factory=dict)
-
-
-def _require_two_sided(inst: Instance) -> None:
-    if not inst.two_sided:
-        raise NotTwoSidedError("instance has no firm/worker partition")
-
-
-def _require_feasible(inst: Instance, outcome: Outcome) -> None:
-    if not outcome_is_feasible(inst, outcome):
-        raise InfeasibleOutcomeError("outcome is not feasible for this instance")
 
 
 def _require_stable(inst: Instance, outcome: Outcome, label: str) -> None:
@@ -91,13 +82,11 @@ def has_disjoint_yields(inst: Instance) -> PropertyReport:
     for f, entries in sorted(yields.items()):
         for i, (w1, s1) in enumerate(entries):
             for w2, s2 in entries[i + 1:]:
-                witnesses += ((f, w1, w2, Fraction(x, inst.scale)) for x in sorted(s1 & s2))
+                witnesses += ((f, w1, w2, inst.money[x]) for x in sorted(s1 & s2))
     return PropertyReport("disjoint-yields", not witnesses, tuple(witnesses))
 
 
-def is_weakly_pareto_optimal_for_firms(
-    inst: Instance, outcome: Outcome, budget: EnumerationBudget | None = None
-) -> PropertyReport:
+def is_weakly_pareto_optimal_for_firms(inst: Instance, outcome: Outcome) -> PropertyReport:
     """No feasible outcome pays every firm strictly more than this one.
 
     Such an outcome exists exactly when every firm can be matched to its
@@ -105,30 +94,24 @@ def is_weakly_pareto_optimal_for_firms(
     pays the worker at least zero. The check searches for that
     firm-saturating matching by augmenting paths, one breadth-first search
     per firm, so it takes time polynomial in the size of the menus and
-    enumerates nothing; `budget` is accepted for compatibility and unused.
-    A false report's witness pays each matched pair the first such
-    contract of its menu.
+    enumerates nothing. A false report's witness pays each matched pair
+    the first such contract of its menu.
     """
     _require_two_sided(inst)
     _require_feasible(inst, outcome)
     v = inst.scaled(outcome.payoff_map())
-    better: dict[int, dict[int, tuple[int, int]]] = {f: {} for f in inst.firms}
+    better: dict[int, dict[int, tuple]] = {f: {} for f in inst.firms}
     for f, w, _, cs in inst.table:
         for x, y in cs:
             if x > v[f] and y >= 0:
-                better[f][w] = (x, y)
+                better[f][w] = (f, x, w, y)
                 break
     firm_of: dict[int, int] = {}
     worker_of: dict[int, int] = {}
     for f in inst.firms:
         if not _augment(f, better, firm_of, worker_of):
             return PropertyReport("firm-pareto", True)
-    money = inst.money
-    payoffs = {a: 0 for a in inst.agents}
-    for w, f in firm_of.items():
-        x, y = better[f][w]
-        payoffs[f], payoffs[w] = money[x], money[y]
-    witness = Outcome.of(Matching.from_pairs(firm_of.items()), payoffs)
+    witness = inst.outcome([better[f][w] for w, f in firm_of.items()])
     return PropertyReport("firm-pareto", False, (witness,))
 
 

@@ -277,7 +277,15 @@ def oracle_instance_from_dict(data):
         if not isinstance(entry, Mapping) or not isinstance(entry.get("pair"), list):
             raise FormatError(f"malformed menu entry {entry!r}")
         try:
-            contracts = [{parse_agent(a): v for a, v in c.items()} for c in entry["contracts"]]
+            contracts = []
+            for c in entry["contracts"]:
+                contract = {}
+                for a, v in c.items():
+                    a = parse_agent(a)
+                    if a in contract:  # "1" and "01" name one agent
+                        raise FormatError(f"contract names agent {a} more than once")
+                    contract[a] = v
+                contracts.append(contract)
             menus.append(ContractMenu.of(entry["pair"], contracts))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise FormatError(f"malformed menu entry {entry!r}") from exc

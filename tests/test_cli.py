@@ -133,13 +133,15 @@ class TestSolve:
             [{"pair": [1, 2], "contracts": [[1, 1]]}],
             [{"pair": [1, 2], "contracts": [{"x": 1, "2": 1}]}],
             5,
+            [{"pair": [1, 2], "contracts": [{"1": "1", "2": "2", "01": "3"}]}],
         ],
-        ids=["three-agent-pair", "contract-not-an-object", "non-integer-key", "not-a-list"],
+        ids=["three-agent-pair", "contract-not-an-object", "non-integer-key", "not-a-list",
+             "agent-named-twice"],
     )
     def test_malformed_menus_exit_2(self, capsys, tmp_path, menus):
         data = {"agents": [1, 2, 3], "firms": [1], "workers": [2, 3], "menus": menus}
-        code, _, err = run_cli(capsys, "solve", write_json(tmp_path / "bad.json", data))
-        assert code == 2 and err.startswith("error:")
+        code, out, err = run_cli(capsys, "solve", write_json(tmp_path / "bad.json", data))
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1 and not out
 
     @pytest.mark.parametrize(
         "changes",
@@ -526,6 +528,25 @@ class TestCore:
         monkeypatch.setenv("CONTRACTMATCH_MAX_OUTCOMES", "abc")
         code, out, err = run_cli(capsys, "core", illustration_file)
         assert code == 2 and err.startswith("error:") and not out
+
+    @pytest.mark.parametrize("flags", [[], ["--all-tiebreaks"]], ids=["run", "all-tiebreaks"])
+    @pytest.mark.parametrize(
+        "argv, env",
+        [(["--max", "0"], None), (["--max", "-3"], None), ([], "abc"), ([], "0")],
+        ids=["zero-flag", "negative-flag", "non-integer-env-var", "zero-env-var"],
+    )
+    def test_solve_rejects_a_bad_budget_under_every_flag(
+        self, capsys, illustration_file, monkeypatch, flags, argv, env
+    ):
+        if env is not None:
+            monkeypatch.setenv("CONTRACTMATCH_MAX_OUTCOMES", env)
+        code, out, err = run_cli(capsys, "solve", illustration_file, *flags, *argv)
+        assert code == 2 and err.startswith("error:") and not out
+
+    def test_solve_runs_under_a_good_budget(self, capsys, illustration_file, monkeypatch):
+        monkeypatch.setenv("CONTRACTMATCH_MAX_OUTCOMES", "1")
+        assert run_cli(capsys, "solve", illustration_file)[0] == 0
+        assert run_cli(capsys, "solve", illustration_file, "--max", "1")[0] == 0
 
 
 class TestVerify:

@@ -84,6 +84,16 @@ class TestValidation:
         assert validate_instance(gs4) == gs4
         assert validate_instance(illustration) == illustration
 
+    def test_contract_naming_one_agent_twice_is_a_format_error(self):
+        message = "contract names agent 1 more than once"
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            Allocation.of({"1": 1, "01": 2})
+        data = {"agents": [1, 2], "menus": [
+            {"pair": [1, 2], "contracts": [{"1": "1", "2": "2", "01": "3"}]}
+        ]}
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            instance_from_dict(data)
+
     def test_normalizes_pair_order(self):
         raw = Instance.of((1, 2), [ContractMenu.of((2, 1), [{1: 1, 2: 1}])])
         inst = validate_instance(raw)
@@ -415,6 +425,7 @@ def malformed_entry(data, market, draw):
         {"pair": [f, w], "contracts": [{str(f): "1/0", str(w): "1"}]},
         {"pair": [f, w], "contracts": [{str(f): "1" * 5000, str(w): "1"}]},
         {"pair": [f, w], "contracts": [good, {str(f): "1"}]},
+        {"pair": [f, w], "contracts": [{str(f): "1", str(w): "2", "0" + str(f): "3"}]},
         {"pair": [f, w], "contracts": []},
     ])))
 

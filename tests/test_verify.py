@@ -239,14 +239,14 @@ class TestWeakParetoOptimality:
 
     def test_budget_applies(self, illustration):
         # The budget bounds enumeration only. This check searches for a
-        # matching instead, so a budget below the outcome count does not
-        # stop it.
+        # matching instead and takes no budget, so it decides markets with
+        # more outcomes than a budget that would stop an enumeration.
         budget = EnumerationBudget(max_outcomes=3)
         assert len(enumerate_outcomes(illustration)) > budget.max_outcomes
         verdicts = []
         for payoffs in ({1: 3, 2: 4, 3: 1, 4: 2}, {1: 1, 2: 2, 3: 3, 4: 4}):
             o = outcome_of(illustration, [(1, 3), (2, 4)], payoffs)
-            report = is_weakly_pareto_optimal_for_firms(illustration, o, budget)
+            report = is_weakly_pareto_optimal_for_firms(illustration, o)
             assert report.holds == oracle_firm_pareto(illustration, o.payoff_map())
             verdicts.append(report.holds)
         assert verdicts == [True, False]
