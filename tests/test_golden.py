@@ -6,7 +6,8 @@ its exit code, stdout and stderr. The commands are `solve` under every
 policy, `solve --all-tiebreaks`, `core`, `verify` and `check` of the
 default run, on the builtins and on seeded markets of 2-4 agents per side;
 the builtins and the first eight markets also run `solve --trace`. The
-markets are generated here and are not committed.
+markets are generated here and are not committed. Last come `example` of
+every builtin and a few `gen` commands, which pin the instance writer.
 
 Regenerate the file, after a change that is meant to alter the output,
 with
@@ -28,6 +29,14 @@ from contractmatch.cli import main
 GOLDEN = Path(__file__).parent / "golden" / "cli.jsonl"
 N_MARKETS = 48
 TRACED_MARKETS = 8
+GEN_COMMANDS = [
+    ["gen"],
+    ["gen", "--pairwise-efficient", "--disjoint-yields", "--min-value", "1", "--max-value", "40"],
+    ["gen", "--pairwise-efficient", "--min-value", "1", "--max-value", "40", "--seed", "4"],
+    ["gen", "--disjoint-yields", "--firms", "4", "--workers", "2", "--max-value", "40"],
+    ["gen", "--density", "0.5", "--firms", "5", "--workers", "4", "--seed", "2"],
+    ["gen", "--min-value", "-3", "--seed", "1"],
+]
 
 
 def market_params(i: int) -> GenParams:
@@ -80,6 +89,8 @@ def records(directory: Path) -> list[dict]:
                 Path(outcome).write_text(default["stdout"], encoding="utf-8")
                 commands.append(["check", path, outcome])
             found += [run(argv) for argv in commands]
+        found += [run(["example", name]) for name in BUILTIN_NAMES]
+        found += [run(argv) for argv in GEN_COMMANDS]
         return found
     finally:
         os.chdir(here)
