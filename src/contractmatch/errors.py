@@ -49,10 +49,6 @@ class NotTwoSidedError(ContractMatchError):
     """The operation requires a firm/worker partition."""
 
 
-class NotSingletonMenusError(ContractMatchError):
-    """The operation requires exactly one contract per menu."""
-
-
 class UnstableInputError(ContractMatchError):
     """An outcome that must be stable admits a blocking pair."""
 

@@ -5,13 +5,14 @@ import random
 from dataclasses import dataclass
 
 from .errors import InfeasibleParamsError, UnknownNameError
-from .model import ContractMenu, Instance, instance_from_dict, validate_instance
+from .model import Instance, instance_from_dict
 
 BUILTIN_NAMES = ("gale-shapley-4", "illustration", "illustration-modified", "worker-tie")
 
 
-def _menu(a: int, b: int, divisions) -> ContractMenu:
-    return ContractMenu.of((a, b), [{a: x, b: y} for x, y in divisions])
+def _menu(a: int, b: int, divisions) -> dict:
+    """The dict form of the menu of {a, b}, one contract (x, y) per division."""
+    return {"pair": [a, b], "contracts": [{a: x, b: y} for x, y in divisions]}
 
 
 def builtin(name: str) -> Instance:
@@ -42,7 +43,7 @@ def builtin(name: str) -> Instance:
             for a in (1, 2, 3)
             for b in range(a + 1, 5)
         ]
-        return validate_instance(Instance.of((1, 2, 3, 4), menus))
+        return instance_from_dict({"agents": [1, 2, 3, 4], "menus": menus})
     if name == "illustration":
         menus = [
             _menu(1, 3, [(3, 1), (1, 3)]),
@@ -50,30 +51,25 @@ def builtin(name: str) -> Instance:
             _menu(2, 3, [(3, 2), (2, 3)]),
             _menu(2, 4, [(4, 2), (2, 4)]),
         ]
-        return validate_instance(
-            Instance.of((1, 2, 3, 4), menus, firms=(1, 2), workers=(3, 4))
-        )
-    if name == "illustration-modified":
+    elif name == "illustration-modified":
         menus = [
             _menu(1, 3, [(3, 1), (1, 3)]),
             _menu(1, 4, [(4, 1), (3, 3)]),
             _menu(2, 3, [(3, 2), (2, 3)]),
             _menu(2, 4, [(4, 2), (2, 4)]),
         ]
-        return validate_instance(
-            Instance.of((1, 2, 3, 4), menus, firms=(1, 2), workers=(3, 4))
-        )
-    if name == "worker-tie":
+    elif name == "worker-tie":
         menus = [
             _menu(1, 3, [(10, 9)]),
             _menu(1, 4, [(1, 11)]),
             _menu(2, 3, [(10, 9)]),
             _menu(2, 4, [(2, 10)]),
         ]
-        return validate_instance(
-            Instance.of((1, 2, 3, 4), menus, firms=(1, 2), workers=(3, 4))
-        )
-    raise UnknownNameError(f"no builtin instance named {name!r}; choose from {BUILTIN_NAMES}")
+    else:
+        raise UnknownNameError(f"no builtin instance named {name!r}; choose from {BUILTIN_NAMES}")
+    return instance_from_dict(
+        {"agents": [1, 2, 3, 4], "firms": [1, 2], "workers": [3, 4], "menus": menus}
+    )
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,8 @@ def parse_money(value) -> Fraction:
         text = value.strip()
         _, marker, exponent = text.lower().partition("e")
         try:
+            if "_" in text:  # Fraction reads "1_0" as 10 from Python 3.11 on
+                raise ValueError(text)
             if marker and abs(int(exponent)) > MAX_MONEY_EXPONENT:
                 raise FormatError(
                     f"money amount {_shown(value)} has a decimal exponent beyond "
@@ -107,10 +109,6 @@ def payments_to_dict(payments: Iterable[tuple[int, Fraction]]) -> dict[str, str]
     return {str(a): money_str(v) for a, v in payments}
 
 
-def _named_twice(agent: int) -> FormatError:  # as keys "1" and "01" do
-    return FormatError(f"contract names agent {agent} more than once")
-
-
 @dataclass(frozen=True, order=True)
 class Allocation:
     """One division of money among the members of a coalition.
@@ -121,16 +119,6 @@ class Allocation:
     """
 
     payments: tuple[tuple[int, Fraction], ...]
-
-    @classmethod
-    def of(cls, payments: Mapping[int, object]) -> "Allocation":
-        parsed: dict[int, Fraction] = {}
-        for a, v in payments.items():
-            a = parse_agent(a)
-            if a in parsed:
-                raise _named_twice(a)
-            parsed[a] = parse_money(v)
-        return cls(tuple(sorted(parsed.items())))
 
     def __getitem__(self, agent: int) -> Fraction:
         for a, v in self.payments:
@@ -154,36 +142,17 @@ class ContractMenu:
     pair: tuple[int, int]
     contracts: tuple[Allocation, ...]
 
-    @classmethod
-    def of(cls, pair: Iterable[int], contracts: Iterable) -> "ContractMenu":
-        a, b = pair
-        allocs = tuple(
-            c if isinstance(c, Allocation) else Allocation.of(c) for c in contracts
-        )
-        return cls((parse_agent(a), parse_agent(b)), allocs)
-
-
-@dataclass(frozen=True)
-class InstanceDraft:
-    """An instance as given, unchecked; validate_instance makes it an Instance."""
-
-    agents: tuple[int, ...]
-    menus: tuple[ContractMenu, ...] = ()
-    firms: tuple[int, ...] | None = None
-    workers: tuple[int, ...] | None = None
-
 
 @dataclass(frozen=True)
 class Instance:
     """A valid contract choice problem, optionally split into firms and workers.
 
-    Built by the loader (instance_from_dict, validate_instance), which
-    stores the menus as one integer table in pair order. A row is (first,
-    second, pair, contracts): first and second are the firm and the
-    worker on a two-sided instance and the menu pair on a pool, and each
-    contract is (x, y), what it pays first and second times `scale`, the
-    common denominator of all the instance's amounts, so the ints compare
-    as the amounts do.
+    Built by the loader, instance_from_dict, which stores the menus as one
+    integer table in pair order. A row is (first, second, pair, contracts):
+    first and second are the firm and the worker on a two-sided instance
+    and the menu pair on a pool, and each contract is (x, y), what it pays
+    first and second times `scale`, the common denominator of all the
+    instance's amounts, so the ints compare as the amounts do.
     """
 
     agents: tuple[int, ...]
@@ -191,22 +160,6 @@ class Instance:
     scale: int = 1
     firms: tuple[int, ...] | None = None
     workers: tuple[int, ...] | None = None
-
-    @classmethod
-    def of(
-        cls,
-        agents: Iterable[int],
-        menus: Iterable[ContractMenu] = (),
-        firms: Iterable[int] | None = None,
-        workers: Iterable[int] | None = None,
-    ) -> InstanceDraft:
-        """The instance as given, for validate_instance to check."""
-        return InstanceDraft(
-            tuple(parse_agent(a) for a in agents),
-            tuple(menus),
-            None if firms is None else tuple(parse_agent(a) for a in firms),
-            None if workers is None else tuple(parse_agent(a) for a in workers),
-        )
 
     @property
     def two_sided(self) -> bool:
@@ -260,18 +213,6 @@ class Instance:
         """
         scale = self.scale
         return {a: v.numerator * scale // v.denominator for a, v in payoffs.items()}
-
-
-def validate_instance(inst: Instance | InstanceDraft) -> Instance:
-    """Check every instance invariant and return the canonical form.
-
-    Canonical form: agents sorted, each menu pair stored (low, high),
-    menus sorted by pair, duplicate contracts within a menu dropped
-    (first occurrence wins). Idempotent. Contracts with negative amounts
-    are legal but unreachable in outcomes; they trigger a warning. The
-    loader of instance_from_dict makes the checks, on the dict form.
-    """
-    return _build(instance_to_dict(inst))
 
 
 def is_superadditive(inst: Instance) -> bool:
@@ -450,18 +391,28 @@ def enumerate_outcomes(
 # --- interchange formats ---------------------------------------------------
 
 
-def instance_to_dict(inst: Instance | InstanceDraft) -> dict:
+def instance_to_dict(inst: Instance) -> dict:
+    """The dict form of the instance, written from its table.
+
+    Each contract lists its agents in id order, as an Allocation does.
+    """
     d: dict = {"agents": list(inst.agents)}
     if inst.firms is not None:
         d["firms"] = list(inst.firms)
     if inst.workers is not None:
         d["workers"] = list(inst.workers)
+    money = inst.money
     d["menus"] = [
         {
-            "pair": list(m.pair),
-            "contracts": [payments_to_dict(c.payments) for c in m.contracts],
+            "pair": list(pair),
+            "contracts": [
+                payments_to_dict(
+                    ((a, money[x]), (b, money[y])) if a < b else ((b, money[y]), (a, money[x]))
+                )
+                for x, y in contracts
+            ],
         }
-        for m in inst.menus
+        for a, b, pair, contracts in inst.table
     ]
     return d
 
@@ -491,24 +442,21 @@ class _ParseMemo(dict):
 
 
 def instance_from_dict(data: Mapping) -> Instance:
-    """Build and validate an instance from its dict form.
+    """Build and validate an instance from its dict form: the one loader.
 
-    Each distinct agent-id string and money string is parsed once.
-    """
-    return _build(data)
+    The instance is canonical: agents sorted, each menu pair stored (low,
+    high), menus sorted by pair, duplicate contracts within a menu dropped
+    (first occurrence wins). Contracts with negative amounts are legal but
+    unreachable in outcomes; they trigger a warning.
 
-
-def _build(data: Mapping) -> Instance:
-    """The loader behind instance_from_dict and validate_instance.
-
-    Both call it directly, so that its warning points at their caller.
     One pass over the menus parses and checks them and collects each
     contract as a pair of indexes into the distinct amounts, so that
     value-equal literals such as "1", "2/2" and "1.0" collide as
-    duplicates. The scale comes from the distinct amounts alone. Errors
-    keep one order: format errors first (the agents, the menus in input
-    order, the partition), then the agents' checks, the partition's, and
-    the menus' in input order.
+    duplicates; each distinct agent-id string and money string is parsed
+    once. The scale comes from the distinct amounts alone. Errors keep one
+    order: format errors first (the agents, the menus in input order, the
+    partition), then the agents' checks, the partition's, and the menus'
+    in input order.
     """
     if not isinstance(data, Mapping):
         raise FormatError("instance data must be a JSON object")
@@ -602,8 +550,8 @@ def _build(data: Mapping) -> Instance:
                 parsed = {}
                 for x, v in c.items():  # each id before its amount, as given
                     x = ids[x] if type(x) is str else parse_agent(x)
-                    if x in parsed:
-                        raise _named_twice(x)
+                    if x in parsed:  # as keys "1" and "01" do
+                        raise FormatError(f"contract names agent {x} more than once")
                     parsed[x] = literals[v] if type(v) is str else amount(v)
                 contracts.append(parsed)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -636,7 +584,7 @@ def _build(data: Mapping) -> Instance:
             f"{negatives} contract(s) contain negative amounts and can never "
             "appear in an outcome",
             NegativeContractWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     return Instance(tuple(sorted(agent_set)), table, scale, firms, workers)
 
@@ -680,11 +628,17 @@ def outcome_from_dict(data: Mapping) -> Outcome:
     return Outcome.of(matching, payoffs)
 
 
+# What reading a file as JSON raises on bad input: ValueError covers
+# JSONDecodeError and UnicodeDecodeError (bytes that are not UTF-8), and the
+# decoder raises RecursionError on arrays or objects nested too deeply.
+_UNREADABLE = (ValueError, RecursionError)
+
+
 def read_instance_file(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except _UNREADABLE as exc:
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     return instance_from_dict(data)
 
@@ -693,11 +647,11 @@ def read_outcome_file(path: str) -> Outcome:
     # Line-oriented: the outcome is the first non-empty line, so files that
     # also carry trace records parse fine.
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                try:
-                    return outcome_from_dict(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    raise FormatError(f"{path}: empty outcome file")
+        try:
+            line = next((text for text in map(str.strip, fh) if text), None)
+            data = None if line is None else json.loads(line)
+        except _UNREADABLE as exc:
+            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    if line is None:
+        raise FormatError(f"{path}: empty outcome file")
+    return outcome_from_dict(data)

@@ -42,10 +42,6 @@ class Proposal:
     allocation: Allocation
 
     @property
-    def firm_payoff(self) -> Fraction:
-        return self.allocation[self.firm]
-
-    @property
     def worker_payoff(self) -> Fraction:
         return self.allocation[self.worker]
 

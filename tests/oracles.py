@@ -27,6 +27,7 @@ from contractmatch import (
     DEFAULT_POLICY,
     Allocation,
     BudgetExceededError,
+    ContractMatchError,
     ContractMenu,
     DuplicateMenuError,
     EmptyContractSetError,
@@ -38,7 +39,6 @@ from contractmatch import (
     MalformedMenuError,
     Matching,
     NegativeContractWarning,
-    NotSingletonMenusError,
     NotTwoSidedError,
     Outcome,
     PropertyReport,
@@ -48,10 +48,11 @@ from contractmatch import (
     instance_from_dict,
     instance_to_dict,
     money_str,
-    validate_instance,
+    parse_money,
 )
 from contractmatch.model import ZERO, iter_raw_outcomes, parse_agent
 from contractmatch.procedure import Trace, TraceStep
+from markets import instance_of, menu
 
 
 def menu_for(inst, a, b):
@@ -146,7 +147,7 @@ def seeded_pool(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 7)
     menus = [
-        ContractMenu.of(
+        menu(
             (a, b),
             [{a: rng.randint(-1, 4), b: rng.randint(-1, 4)} for _ in range(rng.randint(1, 2))],
         )
@@ -154,7 +155,7 @@ def seeded_pool(seed):
         for b in range(a + 1, n + 1)
         if rng.random() < 0.7
     ]
-    return validate_instance(Instance.of(range(1, n + 1), menus))
+    return instance_of(range(1, n + 1), menus)
 
 
 def relabelled(inst, seed, jitter=0.2):
@@ -250,10 +251,11 @@ def oracle_firm_pareto(inst, payoffs):
 
 
 def oracle_instance_from_dict(data):
-    """`instance_from_dict` by Instance.of, ContractMenu.of and the former validation.
+    """`instance_from_dict` by a parse of its own and the former validation.
 
-    Every id and amount is parsed where it appears, with no memo, and every
-    allocation is built by Allocation.of; see oracle_validate for the rest.
+    Every id and amount is parsed where it appears, with no memo, into an
+    Allocation per contract: first the ids of all of an entry's contracts,
+    then their amounts, then the pair. See oracle_validate for the rest.
     """
     if not isinstance(data, Mapping):
         raise FormatError("instance data must be a JSON object")
@@ -286,37 +288,40 @@ def oracle_instance_from_dict(data):
                         raise FormatError(f"contract names agent {a} more than once")
                     contract[a] = v
                 contracts.append(contract)
-            menus.append(ContractMenu.of(entry["pair"], contracts))
+            a, b = entry["pair"]
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise FormatError(f"malformed menu entry {entry!r}") from exc
-    return oracle_validate(
-        Instance.of(agents, menus, firms=id_list("firms"), workers=id_list("workers"))
-    )
+        allocations = [
+            Allocation(tuple(sorted((x, parse_money(v)) for x, v in c.items())))
+            for c in contracts
+        ]
+        menus.append(((parse_agent(a), parse_agent(b)), allocations))
+    return oracle_validate(agents, menus, id_list("firms"), id_list("workers"))
 
 
-def oracle_validate(draft):
-    """The Instance validate_instance gives for `draft`, by the former validation.
+def oracle_validate(agents, menus, firms, workers):
+    """The Instance of parsed parts, by the library's former validation.
 
-    Checks run in the library's former order with its messages; duplicate
+    `menus` holds (pair, Allocations) entries in input order. Checks run
+    in the library's former order with its messages; duplicate
     contracts are dropped by Fraction equality of their Allocations. The
     table and the scale are derived from the canonical Fraction menus, and
     those menus are left in the instance's `menus` cache, so that a test
     compares them with the loader's and not with menus rebuilt from the
     table.
     """
-    agents = tuple(sorted({parse_agent(a) for a in draft.agents}))
+    agents = tuple(sorted(set(agents)))
     if not agents:
         raise InstanceError("instance must have at least one agent")
     if agents[0] < 1:
         raise InstanceError("agent ids must be positive integers")
     agent_set = set(agents)
 
-    if (draft.firms is None) != (draft.workers is None):
+    if (firms is None) != (workers is None):
         raise InvalidPartitionError("firms and workers must be given together")
-    firms = workers = None
-    if draft.firms is not None:
-        firms = tuple(sorted({parse_agent(a) for a in draft.firms}))
-        workers = tuple(sorted({parse_agent(a) for a in draft.workers}))
+    if firms is not None:
+        firms = tuple(sorted(set(firms)))
+        workers = tuple(sorted(set(workers)))
         for a in firms + workers:
             if a not in agent_set:
                 raise UnknownAgentError(f"partition references unknown agent {a}")
@@ -330,10 +335,9 @@ def oracle_validate(draft):
     seen = set()
     canonical = []
     negatives = 0
-    for m in draft.menus:
-        a, b = (parse_agent(x) for x in m.pair)
+    for (a, b), allocations in menus:
         if a == b:
-            raise MalformedMenuError(f"menu pair {m.pair!r} repeats an agent")
+            raise MalformedMenuError(f"menu pair {(a, b)!r} repeats an agent")
         for x in (a, b):
             if x not in agent_set:
                 raise UnknownAgentError(f"menu references unknown agent {x}")
@@ -347,7 +351,7 @@ def oracle_validate(draft):
             raise SameSideMenuError(f"pair {key} joins two agents on the same side")
         lo, hi = key
         contracts = []
-        for c in m.contracts:
+        for c in allocations:
             p = c.payments
             if len(p) != 2 or p[0][0] != lo or p[1][0] != hi:
                 raise MalformedMenuError(f"contract {c!r} does not cover exactly the pair {key}")
@@ -403,9 +407,9 @@ def _oracle_execute(inst, by_firm, worker_keeps_held, pick):
         received = {}
         for f in active:
             untried = remaining[f]
-            top = untried[0].firm_payoff
+            top = untried[0].allocation[f]
             n = 1
-            while n < len(untried) and untried[n].firm_payoff == top:
+            while n < len(untried) and untried[n].allocation[f] == top:
                 n += 1
             choice = untried[0] if n == 1 else pick(tuple(untried[:n]))
             untried.remove(choice)
@@ -443,7 +447,7 @@ def _oracle_execute(inst, by_firm, worker_keeps_held, pick):
     pairs = []
     for w, p in held.items():
         pairs.append((p.firm, w))
-        payoffs[p.firm] = p.firm_payoff
+        payoffs[p.firm] = p.allocation[p.firm]
         payoffs[w] = p.worker_payoff
     return Outcome.of(Matching.from_pairs(pairs), payoffs), Trace(tuple(steps))
 
@@ -492,6 +496,10 @@ def oracle_tie_outcomes(inst, budget=None):
             continue
         outcomes.add(outcome)
     return sorted(outcomes, key=Outcome.sort_key), runs
+
+
+class NotSingletonMenusError(ContractMatchError):
+    """The operation requires exactly one contract per menu."""
 
 
 def classic_da(inst: Instance) -> Outcome:

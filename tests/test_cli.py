@@ -126,6 +126,24 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "/nonexistent.json")
         assert code == 2 and err
 
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    @pytest.mark.parametrize(
+        "content",
+        ['{"agents": [1]}'.encode("utf-16"), b"[" * 100_000, b"[" + b"1" * 5000 + b"]"],
+        ids=["utf-16", "nested-too-deep", "integer-too-long"],
+    )
+    def test_unreadable_file_exits_2(self, capsys, tmp_path, illustration_file, command, content):
+        # A file that is not UTF-8, that nests deeper than the decoder can
+        # go, or whose integer literal passes Python's digit limit is bad
+        # input like any other: solve reads it as the instance, check as
+        # the outcome.
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = ["solve", str(bad)] if command == "solve" else ["check", illustration_file, str(bad)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith(f"error: {bad}: invalid JSON: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "menus",
         [
@@ -134,9 +152,11 @@ class TestSolve:
             [{"pair": [1, 2], "contracts": [{"x": 1, "2": 1}]}],
             5,
             [{"pair": [1, 2], "contracts": [{"1": "1", "2": "2", "01": "3"}]}],
+            # Fraction reads "1_0" as 10 from Python 3.11 on.
+            [{"pair": [1, 2], "contracts": [{"1": "1_0", "2": "1"}]}],
         ],
         ids=["three-agent-pair", "contract-not-an-object", "non-integer-key", "not-a-list",
-             "agent-named-twice"],
+             "agent-named-twice", "underscore-in-money"],
     )
     def test_malformed_menus_exit_2(self, capsys, tmp_path, menus):
         data = {"agents": [1, 2, 3], "firms": [1], "workers": [2, 3], "menus": menus}

@@ -12,7 +12,8 @@ from contractmatch import (
     gen_random,
     has_disjoint_yields,
     is_pairwise_efficient,
-    validate_instance,
+    instance_from_dict,
+    instance_to_dict,
 )
 from oracles import menu_for
 
@@ -24,24 +25,24 @@ class TestBuiltins:
         assert len(gs4.menus) == 6
         menu12 = menu_for(gs4, 1, 2)
         assert menu12.contracts == (
-            Allocation.of({1: 3, 2: 2}),
-            Allocation.of({1: 0, 2: 0}),
+            Allocation(((1, 3), (2, 2))),
+            Allocation(((1, 0), (2, 0))),
         )
         menu34 = menu_for(gs4, 3, 4)
-        assert menu34.contracts[0] == Allocation.of({3: 1, 4: 1})
+        assert menu34.contracts[0] == Allocation(((3, 1), (4, 1)))
 
     def test_illustration_contents(self, illustration):
         assert illustration.firms == (1, 2)
         assert illustration.workers == (3, 4)
         assert menu_for(illustration, 2, 4).contracts == (
-            Allocation.of({2: 4, 4: 2}),
-            Allocation.of({2: 2, 4: 4}),
+            Allocation(((2, 4), (4, 2))),
+            Allocation(((2, 2), (4, 4))),
         )
 
     def test_modified_changes_only_pair_14(self, illustration, modified):
         assert menu_for(modified, 1, 4).contracts == (
-            Allocation.of({1: 4, 4: 1}),
-            Allocation.of({1: 3, 4: 3}),
+            Allocation(((1, 4), (4, 1))),
+            Allocation(((1, 3), (4, 3))),
         )
         for pair in ((1, 3), (2, 3), (2, 4)):
             assert menu_for(modified, *pair) == menu_for(illustration, *pair)
@@ -70,7 +71,7 @@ class TestGenRandom:
             inst = gen_random(
                 GenParams(n_firms=1 + seed % 4, n_workers=1 + seed % 3, seed=seed)
             )
-            assert validate_instance(inst) == inst
+            assert instance_from_dict(instance_to_dict(inst)) == inst
             assert inst.two_sided
 
     def test_forced_flags_hold_on_100_samples(self):

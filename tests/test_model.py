@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -7,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contractmatch import (
-    Allocation,
+    BUILTIN_NAMES,
     BudgetExceededError,
-    ContractMenu,
     DuplicateMenuError,
     EmptyContractSetError,
     EnumerationBudget,
@@ -23,6 +23,7 @@ from contractmatch import (
     Outcome,
     SameSideMenuError,
     UnknownAgentError,
+    builtin,
     enumerate_outcomes,
     gen_random,
     instance_from_dict,
@@ -33,10 +34,10 @@ from contractmatch import (
     outcome_is_feasible,
     outcome_to_dict,
     parse_money,
-    validate_instance,
 )
 from contractmatch.model import MAX_MONEY_EXPONENT
-from oracles import oracle_instance_from_dict, oracle_outcomes, relabelled
+from markets import instance_of, menu
+from oracles import oracle_instance_from_dict, oracle_outcomes, relabelled, seeded_pool
 
 
 def outcome_of(inst, pairs, payoffs):
@@ -69,6 +70,12 @@ class TestMoney:
             with pytest.raises(FormatError, match="exponent"):
                 parse_money(text)
 
+    def test_underscores_are_rejected_on_every_python(self):
+        # Fraction takes PEP 515 underscores from Python 3.11 on.
+        for text in ("1_0", "1_000/3", "0.5_0", "1e1_0", "_1"):
+            with pytest.raises(FormatError, match=f"^cannot parse money amount {re.escape(repr(text))}$"):
+                parse_money(text)
+
     def test_long_literal_is_cut_in_the_message(self):
         with pytest.raises(FormatError) as info:
             parse_money("1" * 5000 + "x")
@@ -81,13 +88,13 @@ class TestMoney:
 
 class TestValidation:
     def test_builtin_fixtures_are_valid_and_canonical(self, gs4, illustration):
-        assert validate_instance(gs4) == gs4
-        assert validate_instance(illustration) == illustration
+        assert instance_from_dict(instance_to_dict(gs4)) == gs4
+        assert instance_from_dict(instance_to_dict(illustration)) == illustration
 
     def test_contract_naming_one_agent_twice_is_a_format_error(self):
         message = "contract names agent 1 more than once"
         with pytest.raises(FormatError, match=f"^{message}$"):
-            Allocation.of({"1": 1, "01": 2})
+            instance_of((1, 2), [menu((1, 2), [{"1": 1, "01": 2}])])
         data = {"agents": [1, 2], "menus": [
             {"pair": [1, 2], "contracts": [{"1": "1", "2": "2", "01": "3"}]}
         ]}
@@ -95,38 +102,34 @@ class TestValidation:
             instance_from_dict(data)
 
     def test_normalizes_pair_order(self):
-        raw = Instance.of((1, 2), [ContractMenu.of((2, 1), [{1: 1, 2: 1}])])
-        inst = validate_instance(raw)
+        inst = instance_of((1, 2), [menu((2, 1), [{1: 1, 2: 1}])])
         assert inst.menus[0].pair == (1, 2)
-        assert validate_instance(inst) == inst
+        assert instance_from_dict(instance_to_dict(inst)) == inst
 
     def test_same_side_menu_rejected(self):
-        raw = Instance.of(
-            (1, 2, 3),
-            [ContractMenu.of((1, 2), [{1: 1, 2: 1}])],
-            firms=(1, 2),
-            workers=(3,),
-        )
         with pytest.raises(SameSideMenuError):
-            validate_instance(raw)
+            instance_of(
+                (1, 2, 3),
+                [menu((1, 2), [{1: 1, 2: 1}])],
+                firms=(1, 2),
+                workers=(3,),
+            )
 
     def test_duplicate_menu_rejected(self):
         menus = [
-            ContractMenu.of((1, 2), [{1: 1, 2: 1}]),
-            ContractMenu.of((2, 1), [{1: 2, 2: 2}]),
+            menu((1, 2), [{1: 1, 2: 1}]),
+            menu((2, 1), [{1: 2, 2: 2}]),
         ]
         with pytest.raises(DuplicateMenuError):
-            validate_instance(Instance.of((1, 2), menus))
+            instance_of((1, 2), menus)
 
     def test_unknown_agent_rejected(self):
-        raw = Instance.of((1, 2), [ContractMenu.of((1, 5), [{1: 1, 5: 1}])])
         with pytest.raises(UnknownAgentError):
-            validate_instance(raw)
+            instance_of((1, 2), [menu((1, 5), [{1: 1, 5: 1}])])
 
     def test_empty_contract_set_rejected(self):
-        raw = Instance.of((1, 2), [ContractMenu.of((1, 2), [])])
         with pytest.raises(EmptyContractSetError):
-            validate_instance(raw)
+            instance_of((1, 2), [menu((1, 2), [])])
 
     def test_contract_domain_must_match_pair(self):
         for pair, contract in [
@@ -135,31 +138,28 @@ class TestValidation:
             ((1, 3), {1: 1, 2: 1, 3: 1}),
             ((1, 2), {}),
         ]:
-            raw = Instance.of((1, 2, 3), [ContractMenu.of(pair, [contract])])
             with pytest.raises(MalformedMenuError):
-                validate_instance(raw)
+                instance_of((1, 2, 3), [menu(pair, [contract])])
 
     def test_partition_must_cover_and_be_disjoint(self):
         with pytest.raises(InvalidPartitionError):
-            validate_instance(Instance.of((1, 2, 3), firms=(1,), workers=(2,)))
+            instance_of((1, 2, 3), firms=(1,), workers=(2,))
         with pytest.raises(InvalidPartitionError):
-            validate_instance(Instance.of((1, 2), firms=(1, 2), workers=(2,)))
+            instance_of((1, 2), firms=(1, 2), workers=(2,))
         with pytest.raises(InvalidPartitionError):
-            validate_instance(Instance.of((1, 2), firms=(1,), workers=None))
+            instance_of((1, 2), firms=(1,), workers=None)
 
     def test_negative_contracts_warn_but_pass(self):
         contracts = [{1: -1, 2: 5}, {1: 5, 2: "-1/2"}, {1: 0, 2: 0}, {1: -1, 2: -1}]
-        raw = Instance.of((1, 2), [ContractMenu.of((1, 2), contracts)])
         with pytest.warns(NegativeContractWarning, match="^3 contract"):
-            inst = validate_instance(raw)
+            inst = instance_of((1, 2), [menu((1, 2), contracts)])
         assert len(inst.menus[0].contracts) == 4
 
     def test_duplicate_contracts_are_dropped(self):
-        raw = Instance.of(
+        inst = instance_of(
             (1, 2),
-            [ContractMenu.of((1, 2), [{1: 1, 2: 2}, {1: 1, 2: 2}, {1: 2, 2: 1}])],
+            [menu((1, 2), [{1: 1, 2: 2}, {1: 1, 2: 2}, {1: 2, 2: 1}])],
         )
-        inst = validate_instance(raw)
         assert len(inst.menus[0].contracts) == 2
 
 
@@ -171,12 +171,12 @@ class TestSuperadditivity:
         assert not is_superadditive(illustration)
 
     def test_vacuous_without_menus(self):
-        assert is_superadditive(validate_instance(Instance.of((1, 2))))
+        assert is_superadditive(instance_of((1, 2)))
 
 
 class TestEnumeration:
     def test_two_singles_without_menus(self):
-        inst = validate_instance(Instance.of((1, 2)))
+        inst = instance_of((1, 2))
         outs = enumerate_outcomes(inst)
         assert len(outs) == 1
         assert outs[0].matching.pairs == ()
@@ -549,9 +549,25 @@ class TestLoaderAgainstOracle:
 
 
 class TestSerialization:
-    def test_instance_round_trip(self, gs4, illustration, modified):
-        for inst in (gs4, illustration, modified):
-            assert instance_from_dict(instance_to_dict(inst)) == inst
+    def test_instance_round_trip(self):
+        # instance_to_dict writes each menu from the table; reading it back
+        # must give the same instance, fractional and negative amounts too.
+        markets = [builtin(name) for name in BUILTIN_NAMES]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeContractWarning)
+            for seed in range(40):
+                forced = seed % 2 == 0
+                params = GenParams(
+                    1 + seed % 4, 1 + (seed // 4) % 4, (1, 3), (1, 40) if forced else (-3, 6),
+                    0.8, forced, forced, seed=seed,
+                )
+                inst = gen_random(params)
+                markets += [inst, relabelled(inst, seed)]
+            markets += [seeded_pool(seed) for seed in range(40)]
+            for inst in markets:
+                assert instance_from_dict(instance_to_dict(inst)) == inst
+        assert sum(inst.scale > 1 for inst in markets) >= 20
+        assert sum(x < 0 for inst in markets for *_, cs in inst.table for c in cs for x in c) >= 20
 
     def test_reads_documented_instance_shape(self):
         data = {

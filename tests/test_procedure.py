@@ -9,13 +9,10 @@ from contractmatch import (
     POLICIES,
     Allocation,
     BudgetExceededError,
-    ContractMenu,
     EnumerationBudget,
     GenParams,
-    Instance,
     Matching,
     NegativeContractWarning,
-    NotSingletonMenusError,
     NotTwoSidedError,
     Outcome,
     Proposal,
@@ -27,9 +24,14 @@ from contractmatch import (
     is_weakly_pareto_optimal_for_firms,
     outcome_is_feasible,
     run_procedure,
-    validate_instance,
 )
-from oracles import classic_da, oracle_run_procedure, oracle_tie_outcomes
+from markets import instance_of, menu
+from oracles import (
+    NotSingletonMenusError,
+    classic_da,
+    oracle_run_procedure,
+    oracle_tie_outcomes,
+)
 
 
 def outcome_of(inst, pairs, payoffs):
@@ -38,11 +40,14 @@ def outcome_of(inst, pairs, payoffs):
     return Outcome.of(Matching.from_pairs(pairs), v)
 
 
+def firm_payoff(proposal):
+    """What the proposal's contract pays its firm."""
+    return proposal.allocation[proposal.firm]
+
+
 def two_sided(menus, firms, workers):
     agents = tuple(sorted(set(firms) | set(workers)))
-    return validate_instance(
-        Instance.of(agents, menus, firms=firms, workers=workers)
-    )
+    return instance_of(agents, menus, firms=firms, workers=workers)
 
 
 def singleton_instances(n, start_seed, value_range=(0, 5)):
@@ -63,7 +68,7 @@ class TestProposalSpace:
     def test_firm_one_list_order(self, illustration):
         space = build_proposal_space(illustration)
         got = [
-            (p.worker, p.firm_payoff, p.worker_payoff)
+            (p.worker, firm_payoff(p), p.worker_payoff)
             for p in space[1]
         ]
         # best own payoff first; the payoff-1 tie goes to the lower worker id
@@ -71,12 +76,12 @@ class TestProposalSpace:
 
     def test_high_worker_policy_flips_tie_order(self, illustration):
         space = build_proposal_space(illustration, POLICIES["high-worker"])
-        got = [(p.worker, p.firm_payoff) for p in space[1]]
+        got = [(p.worker, firm_payoff(p)) for p in space[1]]
         assert got == [(4, 4), (3, 3), (4, 1), (3, 1)]
 
     def test_zero_payoff_contracts_are_not_proposable(self):
         inst = two_sided(
-            [ContractMenu.of((1, 2), [{1: 0, 2: 5}])], firms=(1,), workers=(2,)
+            [menu((1, 2), [{1: 0, 2: 5}])], firms=(1,), workers=(2,)
         )
         space = build_proposal_space(inst)
         assert space[1] == ()
@@ -96,7 +101,7 @@ class TestProposalSpace:
             ids = rng.sample(range(1, 40), n_firms + n_workers)
             firms, workers = ids[:n_firms], ids[n_firms:]
             menus = [
-                ContractMenu.of(
+                menu(
                     (f, w), [{f: rng.choice(amounts), w: rng.choice(amounts)} for _ in range(3)]
                 )
                 for f in firms
@@ -117,10 +122,10 @@ class TestProposalSpace:
                         if c[f] > 0
                     ]
                     expected = sorted(
-                        proposable, key=lambda p: (-p.firm_payoff, side * p.worker, p.allocation)
+                        proposable, key=lambda p: (-firm_payoff(p), side * p.worker, p.allocation)
                     )
                     assert list(got) == expected, (seed, policy, f)
-                    ties += len({p.firm_payoff for p in got}) < len(got)
+                    ties += len({firm_payoff(p) for p in got}) < len(got)
         assert ties >= 100
 
 
@@ -139,7 +144,7 @@ class TestRunProcedure:
         s2 = trace.steps[1]
         assert s2.proposers == (1,)
         assert s2.proposals[1].worker == 3
-        assert s2.proposals[1].firm_payoff == 3
+        assert firm_payoff(s2.proposals[1]) == 3
         assert trace.steps[-1].proposers == ()
         assert trace.terminal_stage == 3
 
@@ -250,8 +255,8 @@ class TestProcedureProperties:
             for step in trace.steps:
                 for f, p in step.proposals.items():
                     if f in last_offer:
-                        assert p.firm_payoff <= last_offer[f]
-                    last_offer[f] = p.firm_payoff
+                        assert firm_payoff(p) <= last_offer[f]
+                    last_offer[f] = firm_payoff(p)
                 for w, p in step.held.items():
                     if w in held_payoff:
                         assert p.worker_payoff >= held_payoff[w]
@@ -377,7 +382,7 @@ class TestEngineMatchesOracle:
 class TestClassicDA:
     def test_single_pair_with_positive_payoffs_matches(self):
         inst = two_sided(
-            [ContractMenu.of((1, 2), [{1: 2, 2: 3}])], firms=(1,), workers=(2,)
+            [menu((1, 2), [{1: 2, 2: 3}])], firms=(1,), workers=(2,)
         )
         assert classic_da(inst) == outcome_of(inst, [(1, 2)], {1: 2, 2: 3})
 
@@ -385,7 +390,7 @@ class TestClassicDA:
         # A worker accepts an offer paying exactly zero, as run_procedure
         # does, so the pair matches at (3, 0).
         inst = two_sided(
-            [ContractMenu.of((1, 2), [{1: 3, 2: 0}])], firms=(1,), workers=(2,)
+            [menu((1, 2), [{1: 3, 2: 0}])], firms=(1,), workers=(2,)
         )
         outcome = classic_da(inst)
         assert outcome == outcome_of(inst, [(1, 2)], {1: 3, 2: 0})
@@ -395,9 +400,7 @@ class TestClassicDA:
             classic_da(illustration)
 
     def test_rejects_room_mates(self):
-        inst = validate_instance(
-            Instance.of((1, 2), [ContractMenu.of((1, 2), [{1: 1, 2: 1}])])
-        )
+        inst = instance_of((1, 2), [menu((1, 2), [{1: 1, 2: 1}])])
         with pytest.raises(NotTwoSidedError):
             classic_da(inst)
 
@@ -405,10 +408,10 @@ class TestClassicDA:
         # keep each pair's firm-best contract only
         firm_best = two_sided(
             [
-                ContractMenu.of((1, 3), [{1: 3, 3: 1}]),
-                ContractMenu.of((1, 4), [{1: 4, 4: 1}]),
-                ContractMenu.of((2, 3), [{2: 3, 3: 2}]),
-                ContractMenu.of((2, 4), [{2: 4, 4: 2}]),
+                menu((1, 3), [{1: 3, 3: 1}]),
+                menu((1, 4), [{1: 4, 4: 1}]),
+                menu((2, 3), [{2: 3, 3: 2}]),
+                menu((2, 4), [{2: 4, 4: 2}]),
             ],
             firms=(1, 2),
             workers=(3, 4),

@@ -7,12 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 from contractmatch import (
     Allocation,
     BudgetExceededError,
-    ContractMenu,
     EnumerationBudget,
     GenParams,
     InfeasibleOutcomeError,
     InfeasibleParamsError,
-    Instance,
     Matching,
     Outcome,
     blocking_coalitions,
@@ -22,9 +20,9 @@ from contractmatch import (
     is_stable,
     outcome_is_feasible,
     run_procedure,
-    validate_instance,
 )
 from contractmatch.stability import payoffs_are_blocked
+from markets import instance_of, menu
 from oracles import (
     oracle_blocking,
     oracle_core,
@@ -52,7 +50,7 @@ class TestBlocking:
         certs = blocking_coalitions(gs4, o)
         assert (
             (2, 3),
-            Allocation.of({2: 3, 3: 2}),
+            Allocation(((2, 3), (3, 2))),
         ) in [(c.coalition, c.allocation) for c in certs]
 
     def test_illustration_stable_outcome_has_no_certificates(self, illustration):
@@ -209,9 +207,7 @@ class TestCore:
 
     def test_room_mates_core_can_be_empty_but_enumeration_still_works(self):
         # a one-pair partnership pool: matched at (1, 1) is the whole core
-        inst = validate_instance(
-            Instance.of((1, 2), [ContractMenu.of((1, 2), [{1: 1, 2: 1}])])
-        )
+        inst = instance_of((1, 2), [menu((1, 2), [{1: 1, 2: 1}])])
         core = enumerate_core(inst)
         assert [payoff_tuple(o) for o in core] == [(1, 1)]
 
@@ -272,7 +268,7 @@ class TestCoreSearch:
 
     def test_depth_is_not_bounded_by_the_recursion_limit(self):
         n = 1200
-        menus = [ContractMenu.of((a, a + n), [{a: 1, a + n: 1}]) for a in range(1, n + 1)]
-        inst = validate_instance(Instance.of(range(1, 2 * n + 1), menus))
+        menus = [menu((a, a + n), [{a: 1, a + n: 1}]) for a in range(1, n + 1)]
+        inst = instance_of(range(1, 2 * n + 1), menus)
         (outcome,) = enumerate_core(inst, EnumerationBudget(5000))
         assert len(outcome.matching.pairs) == n

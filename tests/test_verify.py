@@ -4,13 +4,11 @@ from fractions import Fraction
 import pytest
 
 from contractmatch import (
-    ContractMenu,
     EnumerationBudget,
     BudgetExceededError,
     FormatError,
     GenParams,
     InfeasibleParamsError,
-    Instance,
     Matching,
     NegativeContractWarning,
     NotTwoSidedError,
@@ -33,9 +31,9 @@ from contractmatch import (
     is_weakly_pareto_optimal_for_firms,
     outcome_is_feasible,
     run_procedure,
-    validate_instance,
 )
 from contractmatch.verify import PropertyBattery
+from markets import instance_of, menu
 from oracles import (
     menu_for,
     oracle_disjoint_yields,
@@ -56,7 +54,7 @@ def outcome_of(inst, pairs, payoffs):
 
 def two_sided(menus, firms, workers):
     agents = tuple(sorted(set(firms) | set(workers)))
-    return validate_instance(Instance.of(agents, menus, firms=firms, workers=workers))
+    return instance_of(agents, menus, firms=firms, workers=workers)
 
 
 def forced_instances(n, start_seed):
@@ -91,7 +89,7 @@ def check_wpo_against_oracle(inst, outcome):
 def tiny_singleton_core():
     # one firm, one worker, one contract: the core is exactly that match
     return two_sided(
-        [ContractMenu.of((1, 2), [{1: 2, 2: 1}])], firms=(1,), workers=(2,)
+        [menu((1, 2), [{1: 2, 2: 1}])], firms=(1,), workers=(2,)
     )
 
 
@@ -101,7 +99,7 @@ class TestPairwiseEfficiency:
 
     def test_both_sides_rising_fails(self):
         inst = two_sided(
-            [ContractMenu.of((1, 2), [{1: 3, 2: 1}, {1: 4, 2: 2}])],
+            [menu((1, 2), [{1: 3, 2: 1}, {1: 4, 2: 2}])],
             firms=(1,),
             workers=(2,),
         )
@@ -113,7 +111,7 @@ class TestPairwiseEfficiency:
 
     def test_equal_firm_payoff_different_worker_payoff_fails(self):
         inst = two_sided(
-            [ContractMenu.of((1, 2), [{1: 3, 2: 1}, {1: 3, 2: 2}])],
+            [menu((1, 2), [{1: 3, 2: 1}, {1: 3, 2: 2}])],
             firms=(1,),
             workers=(2,),
         )
@@ -138,8 +136,8 @@ class TestDisjointYields:
     def test_distinct_yields_hold(self):
         inst = two_sided(
             [
-                ContractMenu.of((1, 2), [{1: 3, 2: 1}]),
-                ContractMenu.of((1, 3), [{1: 4, 3: 1}]),
+                menu((1, 2), [{1: 3, 2: 1}]),
+                menu((1, 3), [{1: 4, 3: 1}]),
             ],
             firms=(1,),
             workers=(2, 3),
@@ -198,7 +196,7 @@ class TestWeakParetoOptimality:
 
     def test_single_firm_below_its_best_fails(self):
         inst = two_sided(
-            [ContractMenu.of((1, 2), [{1: 3, 2: 2}, {1: 1, 2: 1}])],
+            [menu((1, 2), [{1: 3, 2: 2}, {1: 1, 2: 1}])],
             firms=(1,),
             workers=(2,),
         )
@@ -215,7 +213,7 @@ class TestWeakParetoOptimality:
         # firm more. A worker now accepts any offer paying at least the
         # zero of staying single, so the run reaches that match.
         inst = two_sided(
-            [ContractMenu.of((1, 2), [{1: 3, 2: 0}])], firms=(1,), workers=(2,)
+            [menu((1, 2), [{1: 3, 2: 0}])], firms=(1,), workers=(2,)
         )
         o, _ = run_procedure(inst)
         assert o == outcome_of(inst, [(1, 2)], {1: 3, 2: 0})
@@ -297,9 +295,9 @@ class TestWeakParetoOptimality:
         # first matching firm 1 to worker 3 must be undone.
         inst = two_sided(
             [
-                ContractMenu.of((1, 3), [{1: 2, 3: 0}]),
-                ContractMenu.of((1, 4), [{1: 2, 4: 1}]),
-                ContractMenu.of((2, 3), [{2: 2, 3: 1}]),
+                menu((1, 3), [{1: 2, 3: 0}]),
+                menu((1, 4), [{1: 2, 4: 1}]),
+                menu((2, 3), [{2: 2, 3: 1}]),
             ],
             firms=(1, 2),
             workers=(3, 4),
@@ -518,7 +516,7 @@ class TestWitnessReplay:
 
     def test_wpo_witnesses_replay(self):
         inst = two_sided(
-            [ContractMenu.of((1, 2), [{1: 3, 2: 2}, {1: 1, 2: 1}])],
+            [menu((1, 2), [{1: 3, 2: 2}, {1: 1, 2: 1}])],
             firms=(1,),
             workers=(2,),
         )
