@@ -47,11 +47,19 @@ DEFAULT_MAX_OUTCOMES = 250_000
 MAX_MONEY_EXPONENT = 1000
 
 
-def _shown(text: str) -> str:
-    """The repr of an input literal, cut after 40 characters."""
+def _shown(value) -> str:
+    """The repr of an input value, cut after 40 characters, then its length.
+
+    A string is cut before its repr is taken, any other value after.
+    """
+    if isinstance(value, str):
+        text, cut = value, repr(value[:40])
+    else:
+        text = repr(value)
+        cut = text[:40]
     if len(text) <= 40:
-        return repr(text)
-    return f"{text[:40]!r}... ({len(text)} characters)"
+        return repr(value)
+    return f"{cut}... ({len(text)} characters)"
 
 
 def parse_money(value) -> Fraction:
@@ -132,18 +140,6 @@ class Allocation:
 
 
 @dataclass(frozen=True)
-class ContractMenu:
-    """The finite set of divisions available to one unordered pair of agents.
-
-    Contract order is preserved from the input; enumeration order depends
-    on it.
-    """
-
-    pair: tuple[int, int]
-    contracts: tuple[Allocation, ...]
-
-
-@dataclass(frozen=True)
 class Instance:
     """A valid contract choice problem, optionally split into firms and workers.
 
@@ -193,14 +189,6 @@ class Instance:
         return Outcome(Matching(tuple(pairs)), payoffs)
 
     @cached_property
-    def menus(self) -> tuple[ContractMenu, ...]:
-        """Every menu, with Fraction amounts, rebuilt from the table on first read."""
-        return tuple(
-            ContractMenu(pair, tuple(self.allocation(a, x, b, y) for x, y in contracts))
-            for a, b, pair, contracts in self.table
-        )
-
-    @cached_property
     def by_pair(self) -> dict[tuple[int, int], tuple]:
         """The table row of each menu pair."""
         return {row[2]: row for row in self.table}
@@ -213,16 +201,6 @@ class Instance:
         """
         scale = self.scale
         return {a: v.numerator * scale // v.denominator for a, v in payoffs.items()}
-
-
-def is_superadditive(inst: Instance) -> bool:
-    """True iff every present menu contains the all-zero division.
-
-    With only singleton and pair coalitions feasible, merging two singles
-    (each worth zero) into a menued pair is the only nontrivial case of
-    super-additivity, and it requires the zero division to be on the menu.
-    """
-    return all(any(x == y == 0 for x, y in cs) for _, _, _, cs in inst.table)
 
 
 @dataclass(frozen=True)
@@ -248,10 +226,10 @@ class Matching:
         used: set[int] = set()
         for p in pairs:
             if not isinstance(p, (list, tuple)) or len(p) != 2:
-                raise FormatError(f"matched pair must list two agents, got {p!r}")
+                raise FormatError(f"matched pair must list two agents, got {_shown(p)}")
             a, b = (parse_agent(x) for x in p)
             if a == b:
-                raise FormatError(f"matched pair {p!r} repeats an agent")
+                raise FormatError(f"matched pair {_shown(p)} repeats an agent")
             if a in used or b in used:
                 raise FormatError("an agent appears in more than one matched pair")
             used.update((a, b))
@@ -307,8 +285,6 @@ def outcome_is_feasible(inst: Instance, outcome: Outcome) -> bool:
     rows = inst.by_pair
     scale = inst.scale
     for a, b in outcome.matching.pairs:
-        if a not in v or b not in v:
-            return False
         row = rows.get((a, b))
         # A payoff times the scale equals a table int only when it is that int.
         if row is None or (v[row[0]] * scale, v[row[1]] * scale) not in row[3]:
@@ -542,7 +518,7 @@ def instance_from_dict(data: Mapping) -> Instance:
 
     for entry in entries:
         if not isinstance(entry, Mapping) or not isinstance(entry.get("pair"), list):
-            raise FormatError(f"malformed menu entry {entry!r}")
+            raise FormatError(f"malformed menu entry {_shown(entry)}")
         try:
             a, b = entry["pair"]
             contracts = []
@@ -555,7 +531,7 @@ def instance_from_dict(data: Mapping) -> Instance:
                     parsed[x] = literals[v] if type(v) is str else amount(v)
                 contracts.append(parsed)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise FormatError(f"malformed menu entry {entry!r}") from exc
+            raise FormatError(f"malformed menu entry {_shown(entry)}") from exc
         a, b = parse_agent(a), parse_agent(b)
         if error is None:
             try:

@@ -139,10 +139,6 @@ class Trace:
 
     steps: tuple[TraceStep, ...]
 
-    @property
-    def terminal_stage(self) -> int:
-        return self.steps[-1].stage
-
 
 class _Branch(Exception):
     """A choice point had several tied options and no scripted pick."""

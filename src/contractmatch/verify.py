@@ -16,7 +16,6 @@ from typing import Iterable
 
 from . import procedure, stability
 from .errors import (
-    BudgetExceededError,
     ContractMatchError,
     InfeasibleOutcomeError,
     PreconditionViolatedError,
@@ -255,14 +254,6 @@ def _group_tradeoff_report(
     return PropertyReport("group-tradeoff", not witnesses, tuple(witnesses))
 
 
-def _require_hypotheses(inst: Instance) -> None:
-    """Pairwise efficiency and disjoint yields, which several properties assume."""
-    if not is_pairwise_efficient(inst).holds:
-        raise PreconditionViolatedError("pairwise-efficiency")
-    if not has_disjoint_yields(inst).holds:
-        raise PreconditionViolatedError("disjoint-yields")
-
-
 def check_employment_invariance(
     inst: Instance, budget: EnumerationBudget | None = None
 ) -> PropertyReport:
@@ -271,25 +262,7 @@ def check_employment_invariance(
     Requires pairwise efficiency and disjoint yields; employment means a
     strictly positive payoff.
     """
-    _require_two_sided(inst)
-    _require_hypotheses(inst)
-    return _employment_invariance(inst, stability.enumerate_core(inst, budget))
-
-
-def _employment_invariance(inst: Instance, core: list[Outcome]) -> PropertyReport:
-    reference = None
-    witnesses = []
-    for stable in core:
-        v = stable.payoff_map()
-        employed = (
-            frozenset(f for f in inst.firms if v[f] > 0),
-            frozenset(w for w in inst.workers if v[w] > 0),
-        )
-        if reference is None:
-            reference = (stable, employed)
-        elif employed != reference[1]:
-            witnesses.append((reference[0], stable, reference[1], employed))
-    return PropertyReport("employment-invariance", not witnesses, tuple(witnesses))
+    return PropertyBattery(inst, budget).run("employment-invariance")
 
 
 def check_sides_opposed(inst: Instance, o1: Outcome, o2: Outcome) -> PropertyReport:
@@ -300,8 +273,7 @@ def check_sides_opposed(inst: Instance, o1: Outcome, o2: Outcome) -> PropertyRep
     stable. The implication is checked in both directions whenever its
     antecedent holds.
     """
-    _require_two_sided(inst)
-    _require_hypotheses(inst)
+    PropertyBattery(inst).require_hypotheses()
     _require_stable(inst, o1, "first outcome")
     _require_stable(inst, o2, "second outcome")
     return _sides_opposed_report(inst, o1, o2)
@@ -325,15 +297,18 @@ def _sides_opposed_report(inst: Instance, o1: Outcome, o2: Outcome) -> PropertyR
 class PropertyBattery:
     """Runs named properties on one instance, sharing their enumerations.
 
-    The core and the outcomes reachable under some tie resolution are each
-    computed at most once, when a property first needs them; an error one
-    of them raised is raised again to every later property that needs it.
+    Each report, the core and the outcomes reachable under some tie
+    resolution are computed at most once, when first needed. An error the
+    core or the tie enumeration raised is raised again to every later
+    property that needs it; a property that raises keeps no report and
+    raises afresh on its next run.
     """
 
     def __init__(self, inst: Instance, budget: EnumerationBudget | None = None):
         self.inst = inst
         self.budget = budget or EnumerationBudget()
         self._memo: dict[str, tuple] = {}
+        self._reports: dict[str, PropertyReport] = {}
 
     def _once(self, key: str, compute):
         if key not in self._memo:
@@ -352,13 +327,23 @@ class PropertyBattery:
     def runs(self) -> list[Outcome]:
         return self._once("runs", procedure.enumerate_procedure_outcomes)
 
+    def require_hypotheses(self) -> None:
+        """Pairwise efficiency and disjoint yields, which several properties assume."""
+        for name in ("pairwise-efficiency", "disjoint-yields"):
+            if not self.run(name).holds:
+                raise PreconditionViolatedError(name)
+
     def run(self, name: str) -> PropertyReport:
         """The report of the property `name`, one of PROPERTY_NAMES.
 
         Raises PreconditionViolatedError or another ContractMatchError when
         the property cannot be decided on this instance.
         """
-        return PROPERTIES[name](self)
+        # Errors are not kept: one held here would, through the frames of
+        # its traceback, hold the battery in a reference cycle.
+        if name not in self._reports:
+            self._reports[name] = PROPERTIES[name](self)
+        return self._reports[name]
 
 
 def _firm_pareto(battery: PropertyBattery) -> PropertyReport:
@@ -371,32 +356,44 @@ def _firm_pareto(battery: PropertyBattery) -> PropertyReport:
 
 
 def _firm_optimality(battery: PropertyBattery) -> PropertyReport:
-    inst = battery.inst
-    _require_hypotheses(inst)
+    battery.require_hypotheses()
     outcomes = battery.runs()
     if len(outcomes) != 1:
         return PropertyReport(
             "firm-optimality", False, tuple(outcomes), {"reason": "not a singleton"}
         )
-    return _firm_bound(inst, outcomes[0], battery.core())
+    return _firm_bound(battery.inst, outcomes[0], battery.core())
 
 
 def _employment(battery: PropertyBattery) -> PropertyReport:
-    _require_hypotheses(battery.inst)
-    return _employment_invariance(battery.inst, battery.core())
+    battery.require_hypotheses()
+    inst = battery.inst
+    reference = None
+    witnesses = []
+    for stable in battery.core():
+        v = stable.payoff_map()
+        employed = (
+            frozenset(f for f in inst.firms if v[f] > 0),
+            frozenset(w for w in inst.workers if v[w] > 0),
+        )
+        if reference is None:
+            reference = (stable, employed)
+        elif employed != reference[1]:
+            witnesses.append((reference[0], stable, reference[1], employed))
+    return PropertyReport("employment-invariance", not witnesses, tuple(witnesses))
 
 
 def _over_stable_pairs(
-    battery: PropertyBattery, name: str, report, require=None
+    battery: PropertyBattery, name: str, report, hypotheses: bool = False
 ) -> PropertyReport:
     # Every ordered pair of distinct outcomes among the first six of the
-    # core. The core is stable, so only the hypotheses `require` tests
-    # remain, and with fewer than two stable outcomes the property holds
-    # without them being tested.
+    # core. The core is stable, so only the battery's hypotheses remain,
+    # and with fewer than two stable outcomes the property holds without
+    # them being tested.
     core = battery.core()[:6]
     pairs = [(o1, o2) for o1 in core for o2 in core if o1 != o2]
-    if pairs and require is not None:
-        require(battery.inst)
+    if pairs and hypotheses:
+        battery.require_hypotheses()
     witnesses = []
     for o1, o2 in pairs:
         verdict = report(o1, o2)
@@ -406,9 +403,9 @@ def _over_stable_pairs(
 
 
 def _sides_opposed(battery: PropertyBattery) -> PropertyReport:
-    # _require_hypotheses raises NotTwoSidedError first on a pool.
+    # The hypotheses raise NotTwoSidedError first on a pool.
     report = partial(_sides_opposed_report, battery.inst)
-    return _over_stable_pairs(battery, "sides-opposed", report, _require_hypotheses)
+    return _over_stable_pairs(battery, "sides-opposed", report, hypotheses=True)
 
 
 def _pair_tradeoff(battery: PropertyBattery) -> PropertyReport:
@@ -421,15 +418,7 @@ def _group_tradeoff(battery: PropertyBattery) -> PropertyReport:
     outcomes = [
         Outcome.of(Matching(pairs), v) for pairs, v in islice(iter_raw_outcomes(inst), 8)
     ]
-    try:
-        core = battery.core()[:4]
-    except BudgetExceededError as exc:
-        # The core search runs out only when there are more outcomes than
-        # the budget; say so in the words outcome enumeration uses.
-        raise BudgetExceededError(
-            f"more than {battery.budget.max_outcomes} outcomes; "
-            "raise the enumeration budget"
-        ) from exc
+    core = battery.core()[:4]
     # The outcomes are feasible, the core's stable, and each group gains
     # strictly by construction: of the checker's hypotheses, only
     # "no-blocking" is left to test.

@@ -19,8 +19,10 @@ each allocation.
 import math
 import random
 import warnings
+from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from contractmatch import (
@@ -28,7 +30,6 @@ from contractmatch import (
     Allocation,
     BudgetExceededError,
     ContractMatchError,
-    ContractMenu,
     DuplicateMenuError,
     EmptyContractSetError,
     EnumerationBudget,
@@ -50,15 +51,38 @@ from contractmatch import (
     money_str,
     parse_money,
 )
-from contractmatch.model import ZERO, iter_raw_outcomes, parse_agent
+from contractmatch.model import ZERO, _shown, iter_raw_outcomes, parse_agent
 from contractmatch.procedure import Trace, TraceStep
 from markets import instance_of, menu
 
 
+#: One menu: its pair (low id first) and its contracts as Allocations.
+Menu = namedtuple("Menu", "pair contracts")
+
+
+@lru_cache(maxsize=64)
+def menus_of(inst):
+    """Every menu of `inst`, in pair order, parsed from its public dict form.
+
+    Each contract of `instance_to_dict(inst)["menus"]` becomes an
+    Allocation of the amounts `parse_money` reads from its strings.
+    """
+    return tuple(
+        Menu(
+            tuple(m["pair"]),
+            tuple(
+                Allocation(tuple(sorted((int(a), parse_money(v)) for a, v in c.items())))
+                for c in m["contracts"]
+            ),
+        )
+        for m in instance_to_dict(inst)["menus"]
+    )
+
+
 def menu_for(inst, a, b):
-    """The menu of the pair {a, b}, by a scan of inst.menus, or None."""
+    """The menu of the pair {a, b}, by a scan of menus_of(inst), or None."""
     key = (a, b) if a < b else (b, a)
-    for m in inst.menus:
+    for m in menus_of(inst):
         if m.pair == key:
             return m
     return None
@@ -74,7 +98,7 @@ def payoff(outcome, agent):
 
 def oracle_outcomes(inst):
     """Set of (matched pairs, payoff items) for every feasible outcome."""
-    menus = {m.pair: m.contracts for m in inst.menus}
+    menus = {m.pair: m.contracts for m in menus_of(inst)}
     agents = list(inst.agents)
 
     def involutions(rest):
@@ -109,7 +133,7 @@ def oracle_outcomes(inst):
 def oracle_blocking(inst, payoffs):
     """All (pair, contract) certificates via a naive double loop."""
     found = []
-    for m in inst.menus:
+    for m in menus_of(inst):
         a, b = m.pair
         for c in m.contracts:
             if c[a] > payoffs[a] and c[b] > payoffs[b]:
@@ -198,7 +222,7 @@ def relabelled(inst, seed, jitter=0.2):
 def _oriented_menus(inst):
     """(firm, worker, menu) for every menu of a two-sided instance."""
     firm_set = set(inst.firms)
-    for m in inst.menus:
+    for m in menus_of(inst):
         a, b = m.pair
         yield (a, b, m) if a in firm_set else (b, a, m)
 
@@ -277,7 +301,7 @@ def oracle_instance_from_dict(data):
     menus = []
     for entry in entries:
         if not isinstance(entry, Mapping) or not isinstance(entry.get("pair"), list):
-            raise FormatError(f"malformed menu entry {entry!r}")
+            raise FormatError(f"malformed menu entry {_shown(entry)}")
         try:
             contracts = []
             for c in entry["contracts"]:
@@ -290,7 +314,7 @@ def oracle_instance_from_dict(data):
                 contracts.append(contract)
             a, b = entry["pair"]
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise FormatError(f"malformed menu entry {entry!r}") from exc
+            raise FormatError(f"malformed menu entry {_shown(entry)}") from exc
         allocations = [
             Allocation(tuple(sorted((x, parse_money(v)) for x, v in c.items())))
             for c in contracts
@@ -305,10 +329,7 @@ def oracle_validate(agents, menus, firms, workers):
     `menus` holds (pair, Allocations) entries in input order. Checks run
     in the library's former order with its messages; duplicate
     contracts are dropped by Fraction equality of their Allocations. The
-    table and the scale are derived from the canonical Fraction menus, and
-    those menus are left in the instance's `menus` cache, so that a test
-    compares them with the loader's and not with menus rebuilt from the
-    table.
+    table and the scale are derived from the canonical Fraction menus.
     """
     agents = tuple(sorted(set(agents)))
     if not agents:
@@ -361,7 +382,7 @@ def oracle_validate(agents, menus, firms, workers):
                 contracts.append(c)
         if not contracts:
             raise EmptyContractSetError(f"menu for pair {key} has no contracts")
-        canonical.append(ContractMenu(key, tuple(contracts)))
+        canonical.append(Menu(key, tuple(contracts)))
     canonical.sort(key=lambda m: m.pair)
     if negatives:
         warnings.warn(
@@ -378,9 +399,7 @@ def oracle_validate(agents, menus, firms, workers):
         table.append(
             (first, second, m.pair, tuple((int(c[first] * scale), int(c[second] * scale)) for c in m.contracts))
         )
-    inst = Instance(agents, tuple(table), scale, firms, workers)
-    vars(inst)["menus"] = tuple(canonical)
-    return inst
+    return Instance(agents, tuple(table), scale, firms, workers)
 
 
 class _Branch(Exception):
@@ -515,13 +534,14 @@ def classic_da(inst: Instance) -> Outcome:
     """
     if not inst.two_sided:
         raise NotTwoSidedError("instance has no firm/worker partition")
-    for m in inst.menus:
+    menus = menus_of(inst)
+    for m in menus:
         if len(m.contracts) != 1:
             raise NotSingletonMenusError(f"pair {m.pair} has {len(m.contracts)} contracts")
 
     firm_set = set(inst.firms)
     contract: dict[tuple[int, int], Allocation] = {}
-    for m in inst.menus:
+    for m in menus:
         a, b = m.pair
         f, w = (a, b) if a in firm_set else (b, a)
         contract[(f, w)] = m.contracts[0]

@@ -164,6 +164,38 @@ class TestSolve:
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1 and not out
 
     @pytest.mark.parametrize(
+        "command, instance, outcome",
+        [
+            ("solve", '{"agents": [1, 2], "menus": [' + "[" * 900 + "]" * 900 + "]}", None),
+            (
+                "solve",
+                json.dumps({"agents": [1, 2, 3], "menus": [
+                    {"pair": [1, 2, 3], "contracts": [{"1": n, "2": n} for n in range(100)]}
+                ]}),
+                None,
+            ),
+            ("check", None, {"matches": [list(range(1, 301))], "payoffs": {"1": "0"}}),
+        ],
+        ids=["menu-entry-nested-900-deep", "three-agent-pair-with-100-contracts",
+             "300-agent-matched-pair"],
+    )
+    def test_long_offending_value_is_cut_in_one_error_line(
+        self, capsys, tmp_path, illustration_file, command, instance, outcome
+    ):
+        # The error shows the first 40 characters of the value's repr and
+        # the repr's length, as it does for a long money literal.
+        argv = [command, illustration_file]
+        if instance is not None:
+            argv[1] = str(tmp_path / "bad.json")
+            (tmp_path / "bad.json").write_text(instance, encoding="utf-8")
+        if outcome is not None:
+            argv.append(write_json(tmp_path / "outcome.json", outcome))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out
+        [line] = err.splitlines()
+        assert line.startswith("error:") and line.endswith(" characters)") and len(line) <= 120
+
+    @pytest.mark.parametrize(
         "changes",
         [
             {"agents": [1.7, 2, 3]},
@@ -326,9 +358,11 @@ class TestCheck:
             {"matches": 5},
             {"matches": [[1.5, 3]]},
             {"singles": [2.0, 4]},
+            {"matches": [[1, 1]]},
+            {"singles": 5},
         ],
         ids=["string-agent", "string-single", "three-agent-match", "matches-not-a-list",
-             "float-agent", "float-single"],
+             "float-agent", "float-single", "repeated-agent-match", "singles-not-a-list"],
     )
     def test_malformed_outcome_exits_2(self, capsys, tmp_path, illustration_file, changes):
         outcome = {
@@ -339,7 +373,14 @@ class TestCheck:
         outcome.update(changes)
         path = write_json(tmp_path / "outcome.json", outcome)
         code, _, err = run_cli(capsys, "check", illustration_file, path)
-        assert code == 2 and err.startswith("error:")
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
+    def test_empty_outcome_file_exits_2(self, capsys, tmp_path, illustration_file):
+        path = tmp_path / "outcome.json"
+        path.write_text("\n  \n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "check", illustration_file, str(path))
+        assert code == 2 and not out
+        assert err == f"error: {path}: empty outcome file\n"
 
     @pytest.mark.parametrize(
         "payoffs",
@@ -653,6 +694,27 @@ class TestVerify:
         )
         assert enumeration_calls == {"core": 0, "runs": 0}
 
+    def test_core_budget_error_has_one_wording(self, capsys, illustration_file):
+        # Every property that needs the core is skipped with the core
+        # search's own message; the two menu properties and firm-pareto
+        # need no core, and the hypotheses fail before the core is asked for.
+        message = "more than 2 outcomes examined; raise the enumeration budget"
+        code, out, _ = run_cli(capsys, "verify", illustration_file, "--max", "2")
+        skipped = {r["property"]: r["skipped"] for r in json_lines(out) if "skipped" in r}
+        assert code == 1
+        assert skipped == {
+            "firm-optimality": "precondition not met: disjoint-yields",
+            "employment-invariance": "precondition not met: disjoint-yields",
+            "sides-opposed": message,
+            "pair-tradeoff": message,
+            "group-tradeoff": message,
+        }
+        code, out, err = run_cli(
+            capsys, "verify", illustration_file, "--properties", "group-tradeoff", "--max", "2"
+        )
+        assert code == 2 and not out
+        assert err == f"error: group-tradeoff: {message}\n"
+
     def test_unknown_property_exits_2(self, capsys, modified_file):
         code, _, err = run_cli(capsys, "verify", modified_file, "--properties", "bogus")
         assert code == 2 and "unknown property" in err
@@ -758,6 +820,16 @@ class TestGenAndExample:
         code, out, err = run_cli(capsys, "gen", "--firms", "1", "--workers", "1", *flag)
         assert code == 2 and not out
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_pairwise_efficient_menu_wider_than_the_value_range_exits_2(self, capsys):
+        # Three distinct amounts cannot be drawn from the two values 1 and 2.
+        code, out, err = run_cli(
+            capsys, "gen", "--firms", "1", "--workers", "1", "--min-contracts", "3",
+            "--max-contracts", "3", "--min-value", "1", "--max-value", "2",
+            "--pairwise-efficient",
+        )
+        assert code == 2 and not out
+        assert err == "error: value_range too small for distinct amounts within a menu\n"
 
     def test_example_prints_builtin(self, capsys, illustration):
         code, out, _ = run_cli(capsys, "example", "illustration")

@@ -15,14 +15,14 @@ from contractmatch import (
     instance_from_dict,
     instance_to_dict,
 )
-from oracles import menu_for
+from oracles import menu_for, menus_of
 
 
 class TestBuiltins:
     def test_gs4_contents(self, gs4):
         assert gs4.agents == (1, 2, 3, 4)
         assert not gs4.two_sided
-        assert len(gs4.menus) == 6
+        assert len(menus_of(gs4)) == 6
         menu12 = menu_for(gs4, 1, 2)
         assert menu12.contracts == (
             Allocation(((1, 3), (2, 2))),
@@ -64,7 +64,7 @@ class TestGenRandom:
 
     def test_zero_density_means_no_menus(self):
         inst = gen_random(GenParams(n_firms=2, n_workers=2, menu_density=0.0, seed=7))
-        assert inst.menus == ()
+        assert menus_of(inst) == ()
 
     def test_generated_instances_are_valid_and_canonical(self):
         for seed in range(50):
@@ -168,10 +168,10 @@ class TestGenRandom:
                 GenParams(n_firms=1, n_workers=1, contracts_per_pair=(100, 100),
                           value_range=(-(10**9), 10**9), seed=3)
             )
-        assert len(inst.menus[0].contracts) == 100
+        assert len(menus_of(inst)[0].contracts) == 100
         wide = gen_random(GenParams(n_firms=1000, n_workers=250, contracts_per_pair=(1, 1),
                                     menu_density=0.0))
-        assert len(wide.agents) == 1250 and not wide.menus
+        assert len(wide.agents) == 1250 and not menus_of(wide)
 
     def test_agent_ids_are_firms_then_workers(self):
         inst = gen_random(GenParams(n_firms=2, n_workers=3, seed=5))

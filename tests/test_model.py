@@ -28,7 +28,6 @@ from contractmatch import (
     gen_random,
     instance_from_dict,
     instance_to_dict,
-    is_superadditive,
     money_str,
     outcome_from_dict,
     outcome_is_feasible,
@@ -37,7 +36,7 @@ from contractmatch import (
 )
 from contractmatch.model import MAX_MONEY_EXPONENT
 from markets import instance_of, menu
-from oracles import oracle_instance_from_dict, oracle_outcomes, relabelled, seeded_pool
+from oracles import menus_of, oracle_instance_from_dict, oracle_outcomes, relabelled, seeded_pool
 
 
 def outcome_of(inst, pairs, payoffs):
@@ -103,7 +102,7 @@ class TestValidation:
 
     def test_normalizes_pair_order(self):
         inst = instance_of((1, 2), [menu((2, 1), [{1: 1, 2: 1}])])
-        assert inst.menus[0].pair == (1, 2)
+        assert menus_of(inst)[0].pair == (1, 2)
         assert instance_from_dict(instance_to_dict(inst)) == inst
 
     def test_same_side_menu_rejected(self):
@@ -153,25 +152,14 @@ class TestValidation:
         contracts = [{1: -1, 2: 5}, {1: 5, 2: "-1/2"}, {1: 0, 2: 0}, {1: -1, 2: -1}]
         with pytest.warns(NegativeContractWarning, match="^3 contract"):
             inst = instance_of((1, 2), [menu((1, 2), contracts)])
-        assert len(inst.menus[0].contracts) == 4
+        assert len(menus_of(inst)[0].contracts) == 4
 
     def test_duplicate_contracts_are_dropped(self):
         inst = instance_of(
             (1, 2),
             [menu((1, 2), [{1: 1, 2: 2}, {1: 1, 2: 2}, {1: 2, 2: 1}])],
         )
-        assert len(inst.menus[0].contracts) == 2
-
-
-class TestSuperadditivity:
-    def test_gs4_includes_zero_division_everywhere(self, gs4):
-        assert is_superadditive(gs4)
-
-    def test_illustration_has_no_zero_division(self, illustration):
-        assert not is_superadditive(illustration)
-
-    def test_vacuous_without_menus(self):
-        assert is_superadditive(instance_of((1, 2)))
+        assert len(menus_of(inst)[0].contracts) == 2
 
 
 class TestEnumeration:
@@ -197,6 +185,10 @@ class TestEnumeration:
     def test_budget_exceeded(self, gs4):
         with pytest.raises(BudgetExceededError):
             enumerate_outcomes(gs4, EnumerationBudget(max_outcomes=5))
+
+    def test_budget_must_be_positive(self):
+        with pytest.raises(ValueError, match="^max_outcomes must be positive$"):
+            EnumerationBudget(0)
 
     @pytest.mark.parametrize("fixture", ["gs4", "illustration", "modified"])
     def test_matches_involution_oracle(self, fixture, request):
@@ -332,7 +324,7 @@ class TestSingleParseLoader:
             assert (inst, warned) == expected, seed
             negative += bool(warned)
             given = sum(len(m["contracts"]) for m in data["menus"])
-            deduplicated += given > sum(len(m.contracts) for m in inst.menus)
+            deduplicated += given > sum(len(m.contracts) for m in menus_of(inst))
         assert negative >= 20 and deduplicated >= 50
 
     def test_equal_literals_share_one_parsed_value(self):
@@ -340,7 +332,9 @@ class TestSingleParseLoader:
             "agents": [1, 2],
             "menus": [{"pair": [1, 2], "contracts": [{"1": "5/6", "2": "5/6"}]}],
         }
-        (a, x), (b, y) = instance_from_dict(data).menus[0].contracts[0].payments
+        inst = instance_from_dict(data)
+        first, second, _, [(i, j)] = inst.table[0]
+        (a, x), (b, y) = inst.allocation(first, i, second, j).payments
         assert (a, b, x) == (1, 2, Fraction(5, 6)) and x is y
 
     @pytest.mark.parametrize(
@@ -528,7 +522,6 @@ class TestLoaderAgainstOracle:
         want, want_warned = load_exactly(oracle_instance_from_dict, data)
         if isinstance(want, Instance):
             assert isinstance(got, Instance)
-            assert got.menus == want.menus
             assert (got.table, got.scale) == (want.table, want.scale)
             assert got == want
         else:
@@ -581,8 +574,8 @@ class TestSerialization:
         }
         inst = instance_from_dict(data)
         assert inst.two_sided
-        assert inst.menus[1].pair == (2, 4)
-        assert inst.menus[1].contracts[0][2] == Fraction(4)
+        assert menus_of(inst)[1].pair == (2, 4)
+        assert menus_of(inst)[1].contracts[0][2] == Fraction(4)
 
     def test_outcome_round_trip(self, illustration):
         o = outcome_of(illustration, [(1, 3), (2, 4)], {1: 3, 2: 4, 3: 1, 4: 2})
@@ -613,6 +606,6 @@ class TestSerialization:
                 "menus": [{"pair": [1, 2], "contracts": [{"1": "1.5", "2": "0.5"}]}],
             }
         )
-        c = inst.menus[0].contracts[0]
+        c = menus_of(inst)[0].contracts[0]
         assert c[1] == Fraction(3, 2) and c[2] == Fraction(1, 2)
         assert instance_from_dict(instance_to_dict(inst)) == inst

@@ -29,6 +29,7 @@ from markets import instance_of, menu
 from oracles import (
     NotSingletonMenusError,
     classic_da,
+    menus_of,
     oracle_run_procedure,
     oracle_tie_outcomes,
 )
@@ -116,7 +117,7 @@ class TestProposalSpace:
                 for f, got in build_proposal_space(inst, policy).items():
                     proposable = [
                         Proposal(f, sum(m.pair) - f, c)
-                        for m in inst.menus
+                        for m in menus_of(inst)
                         if f in m.pair
                         for c in m.contracts
                         if c[f] > 0
@@ -146,14 +147,14 @@ class TestRunProcedure:
         assert s2.proposals[1].worker == 3
         assert firm_payoff(s2.proposals[1]) == 3
         assert trace.steps[-1].proposers == ()
-        assert trace.terminal_stage == 3
+        assert trace.steps[-1].stage == 3
 
     def test_no_menus_means_everyone_single(self):
         inst = two_sided([], firms=(1, 2), workers=(3,))
         outcome, trace = run_procedure(inst)
         assert outcome.matching.pairs == ()
         assert all(v == 0 for _, v in outcome.payoffs)
-        assert trace.terminal_stage == 1
+        assert trace.steps[-1].stage == 1
         assert trace.steps[0].proposers == ()
 
     def test_modified_run_depends_on_firm_tie_rule(self, modified):
@@ -261,7 +262,7 @@ class TestProcedureProperties:
                     if w in held_payoff:
                         assert p.worker_payoff >= held_payoff[w]
                     held_payoff[w] = p.worker_payoff
-            assert trace.terminal_stage <= 1 + sum(
+            assert trace.steps[-1].stage <= 1 + sum(
                 len(ps) for ps in space.values()
             )
 

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from contractmatch import (
     EnumerationBudget,
     BudgetExceededError,
+    ContractMatchError,
     FormatError,
     GenParams,
     InfeasibleParamsError,
@@ -16,6 +19,7 @@ from contractmatch import (
     PreconditionViolatedError,
     PropertyReport,
     UnstableInputError,
+    builtin,
     check_employment_invariance,
     check_firm_optimality,
     check_group_tradeoff,
@@ -32,7 +36,8 @@ from contractmatch import (
     outcome_is_feasible,
     run_procedure,
 )
-from contractmatch.verify import PropertyBattery
+from contractmatch import verify
+from contractmatch.verify import PROPERTY_NAMES, PropertyBattery
 from markets import instance_of, menu
 from oracles import (
     menu_for,
@@ -626,3 +631,45 @@ class TestBatteryMatchesPublicCheckers:
                 elif several and got[0] is NotTwoSidedError:
                     seen["pool"] += 1
         assert all(seen.values()), seen
+
+
+def run_battery(battery):
+    """Every property of the battery, in the `verify` command's order."""
+    for prop in PROPERTY_NAMES:
+        try:
+            battery.run(prop)
+        except ContractMatchError:
+            pass
+
+
+class TestBatteryMemo:
+    @pytest.mark.parametrize("name", ["illustration", "illustration-modified", "worker-tie"])
+    def test_one_call_each_per_default_battery(self, monkeypatch, name):
+        calls = {"is_pairwise_efficient": 0, "has_disjoint_yields": 0}
+
+        def counted(attr):
+            checker = getattr(verify, attr)
+
+            def wrapper(inst):
+                calls[attr] += 1
+                return checker(inst)
+
+            return wrapper
+
+        for attr in calls:
+            monkeypatch.setattr(verify, attr, counted(attr))
+        run_battery(PropertyBattery(builtin(name)))
+        assert calls == {"is_pairwise_efficient": 1, "has_disjoint_yields": 1}
+
+    def test_is_freed_without_a_collection_when_properties_raise(self, modified):
+        # Three properties raise on this market. A battery that kept their
+        # errors would sit in a reference cycle through their tracebacks.
+        battery = PropertyBattery(modified)
+        run_battery(battery)
+        freed = weakref.ref(battery)
+        gc.disable()
+        try:
+            del battery
+            assert freed() is None
+        finally:
+            gc.enable()
