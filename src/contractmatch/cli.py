@@ -68,11 +68,14 @@ def _cmd_solve(args) -> int:
         for outcome in procedure.enumerate_procedure_outcomes(inst, budget):
             _print_json(model.outcome_to_dict(outcome))
         return 0
-    outcome, trace = procedure.run_procedure(inst, POLICIES[args.policy])
+    policy = POLICIES[args.policy]
+    if not args.trace:
+        _print_json(model.outcome_to_dict(procedure.solve(inst, policy)))
+        return 0
+    outcome, trace = procedure.run_procedure(inst, policy)
     _print_json(model.outcome_to_dict(outcome))
-    if args.trace:
-        for step in trace.steps:
-            _print_json(procedure.trace_step_to_dict(step))
+    for step in trace.steps:
+        _print_json(procedure.trace_step_to_dict(step))
     return 0
 
 

@@ -68,12 +68,33 @@ def parse_money(value) -> Fraction:
     A decimal exponent beyond MAX_MONEY_EXPONENT in size ("1e1001",
     "1e-1001") is a FormatError, raised before the power of ten is built.
     """
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(*_money_ratio(value))
+
+
+def _money_ratio(value) -> tuple[int, int]:
+    """The amount parse_money reads, as (numerator, denominator) in lowest terms."""
+    if type(value) is str:
+        # The shapes files use, "1234" and "617/2", are read without
+        # Fraction; any other shape, and any int() failure such as the
+        # digit limit or a zero denominator, takes the general path below.
+        num, slash, den = value.partition("/")
+        if num.isdecimal() and (den.isdecimal() or not slash):
+            try:
+                n, d = int(num), int(den) if slash else 1
+            except ValueError:
+                pass
+            else:
+                if d:
+                    g = math.gcd(n, d)
+                    return n // g, d // g
     if isinstance(value, bool):
         raise FormatError(f"money amount must be an integer or string, got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, Fraction):
-        return value
+        return value.as_integer_ratio()
     if isinstance(value, str):
         text = value.strip()
         _, marker, exponent = text.lower().partition("e")
@@ -85,7 +106,7 @@ def parse_money(value) -> Fraction:
                     f"money amount {_shown(value)} has a decimal exponent beyond "
                     f"{MAX_MONEY_EXPONENT} in size"
                 )
-            return Fraction(text)
+            return Fraction(text).as_integer_ratio()
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"cannot parse money amount {_shown(value)}") from exc
     raise FormatError(
@@ -102,7 +123,7 @@ def parse_agent(value) -> int:
             return int(value)
         except ValueError:
             pass
-    raise FormatError(f"agent id must be an integer, got {value!r}")
+    raise FormatError(f"agent id must be an integer, got {_shown(value)}")
 
 
 def money_str(value: Fraction) -> str:
@@ -475,14 +496,13 @@ def instance_from_dict(data: Mapping) -> Instance:
     amounts: dict[tuple[int, int], int] = {}  # each distinct amount to its index
 
     def amount(value) -> int:
-        return amounts.setdefault(parse_money(value).as_integer_ratio(), len(amounts))
+        return amounts.setdefault(_money_ratio(value), len(amounts))
 
     literals = _ParseMemo(amount)
     seen: set[tuple[int, int]] = set()
     menus: list[tuple] = []
-    dropped: list[tuple[int, int]] = []
 
-    def menu(a: int, b: int, contracts: list[dict]) -> tuple:
+    def menu(a: int, b: int, given: list, stray: dict | None) -> tuple[int, int]:
         if a == b:
             raise MalformedMenuError(f"menu pair {(a, b)!r} repeats an agent")
         for x in (a, b):
@@ -496,46 +516,70 @@ def instance_from_dict(data: Mapping) -> Instance:
             (a in firm_set and b in firm_set) or (a in worker_set and b in worker_set)
         ):
             raise SameSideMenuError(f"pair {key} joins two agents on the same side")
-        lo, hi = key
-        first, second = (hi, lo) if hi in firm_set else key
-        kept: list[tuple[int, int]] = []
-        for c in contracts:
-            if len(c) != 2 or lo not in c or hi not in c:
-                values = [Fraction(*ratio) for ratio in amounts]
-                shown = Allocation(tuple(sorted((p, values[i]) for p, i in c.items())))
-                raise MalformedMenuError(
-                    f"contract {shown!r} does not cover exactly the pair {key}"
-                )
-            pair = (c[first], c[second])
-            if pair in kept:
-                dropped.append(pair)
-            else:
-                kept.append(pair)
-        if not kept:
+        if stray is not None:
+            values = [Fraction(*ratio) for ratio in amounts]
+            shown = Allocation(tuple(sorted((p, values[i]) for p, i in stray.items())))
+            raise MalformedMenuError(
+                f"contract {shown!r} does not cover exactly the pair {key}"
+            )
+        if not given:
             raise EmptyContractSetError(f"menu for pair {key} has no contracts")
-        # Tuples of ints, which the garbage collector stops tracking.
-        return key, first, second, tuple(kept)
+        return key
 
     for entry in entries:
-        if not isinstance(entry, Mapping) or not isinstance(entry.get("pair"), list):
+        if not (type(entry) is dict or isinstance(entry, Mapping)) or not isinstance(
+            entry.get("pair"), list
+        ):
             raise FormatError(f"malformed menu entry {_shown(entry)}")
         try:
             a, b = entry["pair"]
-            contracts = []
+            try:
+                a, b = parse_agent(a), parse_agent(b)
+            except FormatError as exc:  # raised once the contracts have parsed
+                bad_pair, first, second = exc, None, None
+            else:
+                bad_pair = None
+                lo, hi = (a, b) if a < b else (b, a)
+                first, second = (hi, lo) if hi in firm_set else (lo, hi)
+            # Each contract as its (first, second) amount indexes; the first
+            # that does not cover exactly the pair is kept as parsed, for the
+            # menu's error.
+            given, stray = [], None
             for c in entry["contracts"]:
-                parsed = {}
-                for x, v in c.items():  # each id before its amount, as given
+                if type(c) is dict and len(c) == 2:
+                    (x, u), (y, v) = c.items()  # each id before its amount, as given
                     x = ids[x] if type(x) is str else parse_agent(x)
-                    if x in parsed:  # as keys "1" and "01" do
+                    u = literals[u] if type(u) is str else amount(u)
+                    y = ids[y] if type(y) is str else parse_agent(y)
+                    if x == y:  # as keys "1" and "01" do
                         raise FormatError(f"contract names agent {x} more than once")
-                    parsed[x] = literals[v] if type(v) is str else amount(v)
-                contracts.append(parsed)
+                    v = literals[v] if type(v) is str else amount(v)
+                    if x == first and y == second:
+                        given.append((u, v))
+                        continue
+                    if x == second and y == first:
+                        given.append((v, u))
+                        continue
+                    parsed = {x: u, y: v}
+                else:
+                    parsed = {}
+                    for x, v in c.items():
+                        x = ids[x] if type(x) is str else parse_agent(x)
+                        if x in parsed:
+                            raise FormatError(f"contract names agent {x} more than once")
+                        parsed[x] = literals[v] if type(v) is str else amount(v)
+                    if parsed.keys() == {first, second}:
+                        given.append((parsed[first], parsed[second]))
+                        continue
+                if stray is None:
+                    stray = parsed
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise FormatError(f"malformed menu entry {_shown(entry)}") from exc
-        a, b = parse_agent(a), parse_agent(b)
+        if bad_pair is not None:
+            raise bad_pair
         if error is None:
             try:
-                menus.append(menu(a, b, contracts))
+                menus.append((menu(a, b, given, stray), first, second, given))
             except InstanceError as exc:
                 error = exc
     if late is not None:
@@ -549,13 +593,13 @@ def instance_from_dict(data: Mapping) -> Instance:
     # From a list, not a generator: tuple() shrinks a generator's tuple to
     # fit, and CPython keeps such tuples, once freed, on free lists that
     # only a full collection empties, so each load would pin memory.
+    # dict.fromkeys drops repeated contracts, keeping the first.
     table = tuple([
-        (first, second, key, tuple([(ints[i], ints[j]) for i, j in kept]))
-        for key, first, second, kept in menus
+        (first, second, key, tuple([(ints[i], ints[j]) for i, j in dict.fromkeys(given)]))
+        for key, first, second, given in menus
     ])
     if min(ints, default=0) < 0:
-        given = [pair for *_, kept in menus for pair in kept] + dropped
-        negatives = sum(ints[i] < 0 or ints[j] < 0 for i, j in given)
+        negatives = sum(ints[i] < 0 or ints[j] < 0 for *_, given in menus for i, j in given)
         warnings.warn(
             f"{negatives} contract(s) contain negative amounts and can never "
             "appear in an outcome",

@@ -12,9 +12,10 @@ contracts) proposes again in the next stage, and the run stops at the
 first stage with no proposers. The held contracts form the final outcome,
 which is always stable.
 
-Payoff ties are resolved by a TieBreakPolicy; enumerate_procedure_outcomes
-explores every resolution instead and returns the set of reachable
-outcomes.
+solve runs the procedure once; run_procedure also records each stage in a
+trace. Payoff ties are resolved by a TieBreakPolicy;
+enumerate_procedure_outcomes explores every resolution instead and returns
+the set of reachable outcomes.
 """
 from __future__ import annotations
 
@@ -245,6 +246,16 @@ def _execute(
             record(stage, proposed, offers, held, rejected)
 
 
+def _held_outcome(inst: Instance, held: dict[int, tuple]) -> Outcome:
+    return inst.outcome([(f, -x, w, y) for x, _, y, f, w in held.values()])
+
+
+def solve(inst: Instance, policy: TieBreakPolicy = DEFAULT_POLICY) -> Outcome:
+    """The outcome of run_procedure, from a run that builds no trace."""
+    rows = _proposal_rows(inst, policy)
+    return _held_outcome(inst, _execute([rows[f] for f in sorted(rows)], policy.worker_keeps_held))
+
+
 def run_procedure(
     inst: Instance, policy: TieBreakPolicy = DEFAULT_POLICY
 ) -> tuple[Outcome, Trace]:
@@ -270,8 +281,7 @@ def run_procedure(
         )
 
     held = _execute([rows[f] for f in sorted(rows)], policy.worker_keeps_held, record=record)
-    outcome = inst.outcome([(f, -x, w, y) for x, _, y, f, w in held.values()])
-    return outcome, Trace(tuple(steps))
+    return _held_outcome(inst, held), Trace(tuple(steps))
 
 
 def enumerate_procedure_outcomes(
@@ -307,10 +317,7 @@ def enumerate_procedure_outcomes(
             stack.extend(script + (i,) for i in reversed(range(b.n_options)))
             continue
         reached.setdefault(frozenset(map(id, held.values())), held)
-    outcomes = {
-        inst.outcome([(f, -x, w, y) for x, _, y, f, w in held.values()])
-        for held in reached.values()
-    }
+    outcomes = {_held_outcome(inst, held) for held in reached.values()}
     return sorted(outcomes, key=Outcome.sort_key)
 
 

@@ -8,6 +8,7 @@ a property failure. PropertyBattery runs the named properties of the
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
@@ -315,10 +316,13 @@ class PropertyBattery:
             try:
                 self._memo[key] = (compute(self.inst, self.budget), None)
             except ContractMatchError as exc:
-                self._memo[key] = (None, exc)
+                # A copy, which has no traceback: the error itself would,
+                # through its traceback's frames, hold the battery in a
+                # reference cycle.
+                self._memo[key] = (None, copy.copy(exc))
         value, error = self._memo[key]
         if error is not None:
-            raise error
+            raise copy.copy(error)
         return value
 
     def core(self) -> list[Outcome]:

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contractmatch import (
+    BUILTIN_NAMES,
     ContractMatchError,
     GenParams,
     NegativeContractWarning,
+    builtin,
     gen_random,
     instance_from_dict,
     instance_to_dict,
@@ -85,6 +87,15 @@ class TestSolve:
         assert [r["stage"] for r in stages] == [1, 2, 3]
         assert stages[0]["proposers"] == [1, 2]
         assert stages[-1]["proposers"] == []
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_trace_starts_with_the_untraced_output(self, capsys, tmp_path, name):
+        # Only --trace runs the traced engine; the pool exits 2 under both.
+        path = write_json(tmp_path / "market.json", instance_to_dict(builtin(name)))
+        for policy in sorted(procedure.POLICIES):
+            plain = run_cli(capsys, "solve", path, "--policy", policy)
+            code, out, err = run_cli(capsys, "solve", path, "--policy", policy, "--trace")
+            assert (code, "".join(out.splitlines(keepends=True)[:1]), err) == plain
 
     def test_policy_flag_changes_modified_run(self, capsys, modified_file):
         code, out, _ = run_cli(
@@ -175,9 +186,10 @@ class TestSolve:
                 None,
             ),
             ("check", None, {"matches": [list(range(1, 301))], "payoffs": {"1": "0"}}),
+            ("check", None, {"matches": [[list(range(1, 31)), 3]], "payoffs": {"1": "0"}}),
         ],
         ids=["menu-entry-nested-900-deep", "three-agent-pair-with-100-contracts",
-             "300-agent-matched-pair"],
+             "300-agent-matched-pair", "list-as-agent-id"],
     )
     def test_long_offending_value_is_cut_in_one_error_line(
         self, capsys, tmp_path, illustration_file, command, instance, outcome

@@ -52,14 +52,18 @@ class TestMoney:
         assert parse_money("1.5") == Fraction(3, 2)
         assert parse_money("2/3") == Fraction(2, 3)
         assert parse_money("-4") == Fraction(-4)
+        for text, value in [("007", 7), ("6/4", Fraction(3, 2)), ("0/7", 0),
+                            ("٣/٢", Fraction(3, 2)), (" 3", 3), ("+3", 3)]:
+            assert parse_money(text) == value
 
     def test_rejects_floats_and_garbage(self):
         with pytest.raises(FormatError):
             parse_money(1.5)
         with pytest.raises(FormatError):
             parse_money(True)
-        with pytest.raises(FormatError):
-            parse_money("three")
+        for text in ("three", "1/0", "3/-2"):
+            with pytest.raises(FormatError, match=f"^cannot parse money amount {re.escape(repr(text))}$"):
+                parse_money(text)
 
     def test_exponent_beyond_the_cap_is_a_format_error(self):
         assert parse_money(f"1e{MAX_MONEY_EXPONENT}") == 10**MAX_MONEY_EXPONENT
@@ -76,9 +80,14 @@ class TestMoney:
                 parse_money(text)
 
     def test_long_literal_is_cut_in_the_message(self):
-        with pytest.raises(FormatError) as info:
-            parse_money("1" * 5000 + "x")
-        assert len(str(info.value)) < 120 and "5001 characters" in str(info.value)
+        # Digits past Python's limit on integer string conversion are
+        # rejected as any unreadable literal is.
+        for text in ("1" * 5000 + "x", "1" * 5000, "1" * 5000 + "/2"):
+            with pytest.raises(FormatError) as info:
+                parse_money(text)
+            assert str(info.value) == (
+                f"cannot parse money amount {'1' * 40!r}... ({len(text)} characters)"
+            )
 
     def test_money_str_round_trips(self):
         for text in ("3", "-2", "3/2", "7/3"):

@@ -24,6 +24,7 @@ from contractmatch import (
     is_weakly_pareto_optimal_for_firms,
     outcome_is_feasible,
     run_procedure,
+    solve,
 )
 from markets import instance_of, menu
 from oracles import (
@@ -172,6 +173,14 @@ class TestRunProcedure:
             a = run_procedure(inst, POLICIES["default"])
             b = run_procedure(inst, POLICIES["default"])
             assert a == b
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_solve_is_the_run_without_its_trace(self, seed):
+        # Amounts 0..5 over 10 x 10 markets tie often on both sides; the
+        # gate-5 corpus is checked in TestEngineMatchesOracle.
+        inst = gen_random(GenParams(10, 10, (1, 3), (0, 5), 1.0, seed=seed))
+        for policy in POLICIES.values():
+            assert solve(inst, policy) == run_procedure(inst, policy)[0]
 
     def test_workers_never_drop_a_held_proposal_for_nothing(self, modified):
         _, trace = run_procedure(modified, POLICIES["high-worker"])
@@ -351,7 +360,9 @@ def assert_engine_matches_oracle(inst, cap=None):
         with pytest.raises(BudgetExceededError):
             enumerate_procedure_outcomes(inst, EnumerationBudget(runs - 1))
     for policy in POLICIES.values():
-        assert run_procedure(inst, policy) == oracle_run_procedure(inst, policy)
+        outcome, trace = run_procedure(inst, policy)
+        assert (outcome, trace) == oracle_run_procedure(inst, policy)
+        assert solve(inst, policy) == outcome
     return runs
 
 

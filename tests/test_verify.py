@@ -661,15 +661,18 @@ class TestBatteryMemo:
         run_battery(PropertyBattery(builtin(name)))
         assert calls == {"is_pairwise_efficient": 1, "has_disjoint_yields": 1}
 
-    def test_is_freed_without_a_collection_when_properties_raise(self, modified):
-        # Three properties raise on this market. A battery that kept their
-        # errors would sit in a reference cycle through their tracebacks.
-        battery = PropertyBattery(modified)
-        run_battery(battery)
-        freed = weakref.ref(battery)
-        gc.disable()
-        try:
-            del battery
-            assert freed() is None
-        finally:
-            gc.enable()
+    def test_is_freed_without_a_collection_when_properties_raise(self, modified, illustration):
+        # Three properties raise on the first market; on the second the core
+        # search exceeds its budget, an error the battery keeps for the
+        # properties that need the core. A battery that kept the errors
+        # raised would sit in a reference cycle through their tracebacks.
+        for inst, budget in ((modified, None), (illustration, EnumerationBudget(2))):
+            battery = PropertyBattery(inst, budget)
+            run_battery(battery)
+            freed = weakref.ref(battery)
+            gc.disable()
+            try:
+                del battery
+                assert freed() is None
+            finally:
+                gc.enable()
