@@ -4,7 +4,9 @@ Exit codes: 0 when the command succeeds (or the checked property holds),
 1 when a checked property fails (witnesses are printed), 2 on malformed
 input, violated preconditions of an explicitly requested property, or an
 exceeded enumeration budget. Output is line-oriented JSON so runs can be
-diffed in CI.
+diffed in CI. A reader that closes stdout early, such as `head -1`, does
+not change the exit code: the command runs on, writing nothing more, and
+exits with its own code and no error line.
 """
 from __future__ import annotations
 
@@ -41,7 +43,19 @@ def _jsonable(value):
 
 
 def _print_json(data) -> None:
-    print(json.dumps(_jsonable(data), sort_keys=True))
+    """Print data as one JSON line, or an instance in its file form."""
+    if isinstance(data, model.Instance):
+        text = json.dumps(model.instance_to_dict(data), indent=2, sort_keys=True)
+    else:
+        text = json.dumps(_jsonable(data), sort_keys=True)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout. As the Python docs' note on SIGPIPE
+        # advises, the rest goes to os.devnull, so that the command ends
+        # with its own exit code; each line is flushed as it is printed,
+        # so none is left to fail at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _budget(args) -> EnumerationBudget:
@@ -137,14 +151,12 @@ def _cmd_gen(args) -> int:
         force_disjoint_yields=args.disjoint_yields,
         seed=args.seed,
     )
-    inst = generator.gen_random(params)
-    print(json.dumps(model.instance_to_dict(inst), indent=2, sort_keys=True))
+    _print_json(generator.gen_random(params))
     return 0
 
 
 def _cmd_example(args) -> int:
-    inst = generator.builtin(args.name)
-    print(json.dumps(model.instance_to_dict(inst), indent=2, sort_keys=True))
+    _print_json(generator.builtin(args.name))
     return 0
 
 

@@ -446,14 +446,16 @@ def instance_from_dict(data: Mapping) -> Instance:
     (first occurrence wins). Contracts with negative amounts are legal but
     unreachable in outcomes; they trigger a warning.
 
-    One pass over the menus parses and checks them and collects each
-    contract as a pair of indexes into the distinct amounts, so that
-    value-equal literals such as "1", "2/2" and "1.0" collide as
+    Two passes. The parse pass reads the menus in input order, raising
+    each format error as it is met and the partition's after them, and
+    collects each contract as a pair of indexes into the distinct amounts,
+    so that value-equal literals such as "1", "2/2" and "1.0" collide as
     duplicates; each distinct agent-id string and money string is parsed
-    once. The scale comes from the distinct amounts alone. Errors keep one
-    order: format errors first (the agents, the menus in input order, the
-    partition), then the agents' checks, the partition's, and the menus'
-    in input order.
+    once. The check pass then raises the first instance error. So errors
+    keep one order: format errors first (the agents, the menus in input
+    order, the partition), then the agents' checks, the partition's, and
+    the menus' in input order. The scale comes from the distinct amounts
+    alone.
     """
     if not isinstance(data, Mapping):
         raise FormatError("instance data must be a JSON object")
@@ -468,29 +470,7 @@ def instance_from_dict(data: Mapping) -> Instance:
     except FormatError as exc:  # raised after the menus' format errors
         firms, workers, late = None, None, exc
 
-    agent_set = set(agents)
-    error: InstanceError | None = None  # the first, raised once all has parsed
-    try:
-        if not agent_set:
-            raise InstanceError("instance must have at least one agent")
-        if min(agent_set) < 1:
-            raise InstanceError("agent ids must be positive integers")
-        if (firms is None) != (workers is None):
-            raise InvalidPartitionError("firms and workers must be given together")
-        if firms is not None:
-            firms = tuple(sorted(set(firms)))
-            workers = tuple(sorted(set(workers)))
-            for a in firms + workers:
-                if a not in agent_set:
-                    raise UnknownAgentError(f"partition references unknown agent {a}")
-            if set(firms) & set(workers):
-                raise InvalidPartitionError("firms and workers overlap")
-            if set(firms) | set(workers) != agent_set:
-                raise InvalidPartitionError("firms and workers must cover all agents")
-    except InstanceError as exc:
-        error = exc
     firm_set = set(firms or ())
-    worker_set = set(workers or ())
 
     ids = _ParseMemo(parse_agent)
     amounts: dict[tuple[int, int], int] = {}  # each distinct amount to its index
@@ -499,33 +479,7 @@ def instance_from_dict(data: Mapping) -> Instance:
         return amounts.setdefault(_money_ratio(value), len(amounts))
 
     literals = _ParseMemo(amount)
-    seen: set[tuple[int, int]] = set()
-    menus: list[tuple] = []
-
-    def menu(a: int, b: int, given: list, stray: dict | None) -> tuple[int, int]:
-        if a == b:
-            raise MalformedMenuError(f"menu pair {(a, b)!r} repeats an agent")
-        for x in (a, b):
-            if x not in agent_set:
-                raise UnknownAgentError(f"menu references unknown agent {x}")
-        key = (a, b) if a < b else (b, a)
-        if key in seen:
-            raise DuplicateMenuError(f"more than one menu for pair {key}")
-        seen.add(key)
-        if firm_set and (
-            (a in firm_set and b in firm_set) or (a in worker_set and b in worker_set)
-        ):
-            raise SameSideMenuError(f"pair {key} joins two agents on the same side")
-        if stray is not None:
-            values = [Fraction(*ratio) for ratio in amounts]
-            shown = Allocation(tuple(sorted((p, values[i]) for p, i in stray.items())))
-            raise MalformedMenuError(
-                f"contract {shown!r} does not cover exactly the pair {key}"
-            )
-        if not given:
-            raise EmptyContractSetError(f"menu for pair {key} has no contracts")
-        return key
-
+    collected: list[tuple] = []
     for entry in entries:
         if not (type(entry) is dict or isinstance(entry, Mapping)) or not isinstance(
             entry.get("pair"), list
@@ -539,11 +493,11 @@ def instance_from_dict(data: Mapping) -> Instance:
                 bad_pair, first, second = exc, None, None
             else:
                 bad_pair = None
-                lo, hi = (a, b) if a < b else (b, a)
+                key = lo, hi = (a, b) if a < b else (b, a)
                 first, second = (hi, lo) if hi in firm_set else (lo, hi)
             # Each contract as its (first, second) amount indexes; the first
             # that does not cover exactly the pair is kept as parsed, for the
-            # menu's error.
+            # check pass.
             given, stray = [], None
             for c in entry["contracts"]:
                 if type(c) is dict and len(c) == 2:
@@ -577,29 +531,63 @@ def instance_from_dict(data: Mapping) -> Instance:
             raise FormatError(f"malformed menu entry {_shown(entry)}") from exc
         if bad_pair is not None:
             raise bad_pair
-        if error is None:
-            try:
-                menus.append((menu(a, b, given, stray), first, second, given))
-            except InstanceError as exc:
-                error = exc
+        collected.append((key, first, second, a, b, stray, given))
     if late is not None:
         raise late
-    if error is not None:
-        raise error
+
+    agent_set = set(agents)
+    if not agent_set:
+        raise InstanceError("instance must have at least one agent")
+    if min(agent_set) < 1:
+        raise InstanceError("agent ids must be positive integers")
+    if (firms is None) != (workers is None):
+        raise InvalidPartitionError("firms and workers must be given together")
+    if firms is not None:
+        firms = tuple(sorted(firm_set))
+        workers = tuple(sorted(set(workers)))
+        for a in firms + workers:
+            if a not in agent_set:
+                raise UnknownAgentError(f"partition references unknown agent {a}")
+        if firm_set.intersection(workers):
+            raise InvalidPartitionError("firms and workers overlap")
+        if firm_set.union(workers) != agent_set:
+            raise InvalidPartitionError("firms and workers must cover all agents")
+    seen: set[tuple[int, int]] = set()
+    for key, first, second, a, b, stray, given in collected:
+        if a == b:
+            raise MalformedMenuError(f"menu pair {(a, b)!r} repeats an agent")
+        for x in (a, b):
+            if x not in agent_set:
+                raise UnknownAgentError(f"menu references unknown agent {x}")
+        if key in seen:
+            raise DuplicateMenuError(f"more than one menu for pair {key}")
+        seen.add(key)
+        # The partition covers the agents, so a pair without exactly one
+        # firm joins two firms or two workers.
+        if firm_set and (a in firm_set) == (b in firm_set):
+            raise SameSideMenuError(f"pair {key} joins two agents on the same side")
+        if stray is not None:
+            values = [Fraction(*ratio) for ratio in amounts]
+            shown = Allocation(tuple(sorted((p, values[i]) for p, i in stray.items())))
+            raise MalformedMenuError(
+                f"contract {shown!r} does not cover exactly the pair {key}"
+            )
+        if not given:
+            raise EmptyContractSetError(f"menu for pair {key} has no contracts")
 
     scale = math.lcm(*{d for _, d in amounts})
     ints = [n * (scale // d) for n, d in amounts]
-    menus.sort()
+    collected.sort()  # by pair, as the pairs lead and are distinct
     # From a list, not a generator: tuple() shrinks a generator's tuple to
     # fit, and CPython keeps such tuples, once freed, on free lists that
     # only a full collection empties, so each load would pin memory.
     # dict.fromkeys drops repeated contracts, keeping the first.
     table = tuple([
         (first, second, key, tuple([(ints[i], ints[j]) for i, j in dict.fromkeys(given)]))
-        for key, first, second, given in menus
+        for key, first, second, _, _, _, given in collected
     ])
     if min(ints, default=0) < 0:
-        negatives = sum(ints[i] < 0 or ints[j] < 0 for *_, given in menus for i, j in given)
+        negatives = sum(ints[i] < 0 or ints[j] < 0 for *_, given in collected for i, j in given)
         warnings.warn(
             f"{negatives} contract(s) contain negative amounts and can never "
             "appear in an outcome",

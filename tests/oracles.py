@@ -278,8 +278,9 @@ def oracle_instance_from_dict(data):
     """`instance_from_dict` by a parse of its own and the former validation.
 
     Every id and amount is parsed where it appears, with no memo, into an
-    Allocation per contract: first the ids of all of an entry's contracts,
-    then their amounts, then the pair. See oracle_validate for the rest.
+    Allocation per contract, in the loader's order within an entry: the
+    pair is unpacked, each contract is read id by id and amount by amount,
+    and the pair's ids are parsed last. See oracle_validate for the rest.
     """
     if not isinstance(data, Mapping):
         raise FormatError("instance data must be a JSON object")
@@ -303,22 +304,18 @@ def oracle_instance_from_dict(data):
         if not isinstance(entry, Mapping) or not isinstance(entry.get("pair"), list):
             raise FormatError(f"malformed menu entry {_shown(entry)}")
         try:
-            contracts = []
+            a, b = entry["pair"]
+            allocations = []
             for c in entry["contracts"]:
                 contract = {}
-                for a, v in c.items():
-                    a = parse_agent(a)
-                    if a in contract:  # "1" and "01" name one agent
-                        raise FormatError(f"contract names agent {a} more than once")
-                    contract[a] = v
-                contracts.append(contract)
-            a, b = entry["pair"]
+                for x, v in c.items():
+                    x = parse_agent(x)
+                    if x in contract:  # "1" and "01" name one agent
+                        raise FormatError(f"contract names agent {x} more than once")
+                    contract[x] = parse_money(v)
+                allocations.append(Allocation(tuple(sorted(contract.items()))))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise FormatError(f"malformed menu entry {_shown(entry)}") from exc
-        allocations = [
-            Allocation(tuple(sorted((x, parse_money(v)) for x, v in c.items())))
-            for c in contracts
-        ]
         menus.append(((parse_agent(a), parse_agent(b)), allocations))
     return oracle_validate(agents, menus, id_list("firms"), id_list("workers"))
 

@@ -37,21 +37,10 @@ from contractmatch import (
     run_procedure,
 )
 from contractmatch.cli import main as cli_main
+from markets import corpus_params
 from oracles import classic_da, oracle_core
 
 CORPUS_SIZE = 500
-
-
-def corpus_params(seed: int) -> GenParams:
-    # |F|, |W| <= 4, at most 3 contracts per pair, integer amounts 0..5
-    return GenParams(
-        n_firms=1 + seed % 4,
-        n_workers=1 + (seed // 4) % 4,
-        contracts_per_pair=(1, 3),
-        value_range=(0, 5),
-        menu_density=0.8,
-        seed=seed,
-    )
 
 
 @pytest.fixture(scope="module")

@@ -856,6 +856,20 @@ class TestGenAndExample:
         assert code == 0
 
 
+def close_after_one_line(*argv):
+    """Run the command, close its stdout after one line: (exit code, stderr)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "contractmatch.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=300), err
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path, illustration):
         path = write_json(tmp_path / "i.json", instance_to_dict(illustration))
@@ -887,3 +901,22 @@ class TestConsoleEntry:
                 text=True,
             )
             assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+    # Each command prints more than a pipe holds, so it meets the closed
+    # pipe with lines left to print; the command's own exit code stands.
+    def test_solve_trace_into_a_closed_pipe_exits_0(self, tmp_path):
+        inst = gen_random(GenParams(40, 40, seed=2))
+        path = write_json(tmp_path / "mid.json", instance_to_dict(inst))
+        assert close_after_one_line("solve", path, "--trace") == (0, b"")
+
+    def test_gen_into_a_closed_pipe_exits_0(self):
+        assert close_after_one_line("gen", "--firms", "200", "--workers", "200") == (0, b"")
+
+    def test_failing_check_into_a_closed_pipe_exits_1(self, tmp_path):
+        # Everyone single: thousands of pairs block, one certificate a line.
+        inst = gen_random(GenParams(200, 200, seed=1))
+        path = write_json(tmp_path / "big.json", instance_to_dict(inst))
+        single = write_json(
+            tmp_path / "single.json", {"matches": [], "payoffs": {str(a): "0" for a in inst.agents}}
+        )
+        assert close_after_one_line("check", path, single) == (1, b"")

@@ -35,14 +35,8 @@ from contractmatch import (
     parse_money,
 )
 from contractmatch.model import MAX_MONEY_EXPONENT
-from markets import instance_of, menu
+from markets import instance_of, menu, outcome_of
 from oracles import menus_of, oracle_instance_from_dict, oracle_outcomes, relabelled, seeded_pool
-
-
-def outcome_of(inst, pairs, payoffs):
-    v = {a: 0 for a in inst.agents}
-    v.update(payoffs)
-    return Outcome.of(Matching.from_pairs(pairs), v)
 
 
 class TestMoney:
@@ -463,6 +457,26 @@ def partition_fault(data, market, draw):
     ])))
 
 
+def entry_faults(data, market, draw):
+    """Up to two faults in one menu entry already given: one in its pair and
+    one among its contracts. The entry may be one that another fault put
+    in, so one entry may hold three."""
+    if not any(type(m) is dict for m in data["menus"]):
+        return malformed_entry(data, market, draw)
+    i = draw(st.sampled_from([i for i, m in enumerate(data["menus"]) if type(m) is dict]))
+    m = data["menus"][i] = dict(data["menus"][i])  # market keeps the entry as it was
+    a = m["pair"][0]
+    m["pair"] = draw(st.sampled_from([m["pair"], m["pair"] + [a], [a, "x"], [a, a], [a, 999]]))
+    contract = draw(st.sampled_from([
+        None, {"k": "1"}, [1, 2], {str(a): "three"}, {str(a): "1", "0" + str(a): "2"},
+        {str(a): "1"},
+    ]))
+    contracts = m.get("contracts")
+    if contract is not None and isinstance(contracts, list):
+        m["contracts"] = contracts[:]
+        m["contracts"].insert(draw(st.integers(0, len(contracts))), contract)
+
+
 def agents_fault(data, market, draw):
     agents = market["agents"]
     data["agents"] = draw(st.sampled_from([[], [0] + agents, agents + [1.5]]))
@@ -473,6 +487,7 @@ FAULTS = [
     unknown_agent_entry,
     duplicate_menu_entry,
     same_side_entry,
+    entry_faults,
     partition_fault,
     agents_fault,
 ]
@@ -480,14 +495,13 @@ FAULTS = [
 
 @st.composite
 def loader_inputs(draw):
-    """A relabelled fractional market in dict form, with up to two faults.
+    """A relabelled fractional market in dict form, faulty in up to two places.
 
     Every amount is written as one of its value-equal literals, some menus
     repeat a contract under other literals, and amounts may be negative.
-    Each fault sits in its own menu entry or in the agents or partition
-    lists: the reference parses the keys of all of an entry's contracts
-    before their amounts and its pair, so two format errors in one entry
-    may be reported in another order.
+    A place is the agents list, the partition or a menu entry, and one
+    entry may hold several faults, so the order of errors within an entry
+    is compared too.
     """
     seed = draw(st.integers(0, 10**6))
     params = GenParams(

@@ -11,7 +11,6 @@ from contractmatch import (
     BudgetExceededError,
     EnumerationBudget,
     GenParams,
-    Matching,
     NegativeContractWarning,
     NotTwoSidedError,
     Outcome,
@@ -26,7 +25,7 @@ from contractmatch import (
     run_procedure,
     solve,
 )
-from markets import instance_of, menu
+from markets import corpus_params, instance_of, menu, outcome_of, two_sided
 from oracles import (
     NotSingletonMenusError,
     classic_da,
@@ -36,20 +35,9 @@ from oracles import (
 )
 
 
-def outcome_of(inst, pairs, payoffs):
-    v = {a: 0 for a in inst.agents}
-    v.update(payoffs)
-    return Outcome.of(Matching.from_pairs(pairs), v)
-
-
 def firm_payoff(proposal):
     """What the proposal's contract pays its firm."""
     return proposal.allocation[proposal.firm]
-
-
-def two_sided(menus, firms, workers):
-    agents = tuple(sorted(set(firms) | set(workers)))
-    return instance_of(agents, menus, firms=firms, workers=workers)
 
 
 def singleton_instances(n, start_seed, value_range=(0, 5)):
@@ -332,18 +320,6 @@ class TestEnumerateTieBreaks:
     def test_branch_budget(self, modified):
         with pytest.raises(BudgetExceededError):
             enumerate_procedure_outcomes(modified, EnumerationBudget(max_outcomes=1))
-
-
-def corpus_params(seed):
-    # The gate-5 corpus of tests/test_acceptance.py.
-    return GenParams(
-        n_firms=1 + seed % 4,
-        n_workers=1 + (seed // 4) % 4,
-        contracts_per_pair=(1, 3),
-        value_range=(0, 5),
-        menu_density=0.8,
-        seed=seed,
-    )
 
 
 def assert_engine_matches_oracle(inst, cap=None):

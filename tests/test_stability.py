@@ -11,8 +11,6 @@ from contractmatch import (
     GenParams,
     InfeasibleOutcomeError,
     InfeasibleParamsError,
-    Matching,
-    Outcome,
     blocking_coalitions,
     enumerate_core,
     enumerate_outcomes,
@@ -22,7 +20,7 @@ from contractmatch import (
     run_procedure,
 )
 from contractmatch.stability import payoffs_are_blocked
-from markets import instance_of, menu
+from markets import instance_of, menu, outcome_of
 from oracles import (
     oracle_blocking,
     oracle_core,
@@ -31,12 +29,6 @@ from oracles import (
     relabelled,
     seeded_pool,
 )
-
-
-def outcome_of(inst, pairs, payoffs):
-    v = {a: 0 for a in inst.agents}
-    v.update(payoffs)
-    return Outcome.of(Matching.from_pairs(pairs), v)
 
 
 def payoff_tuple(outcome):

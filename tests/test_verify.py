@@ -38,7 +38,7 @@ from contractmatch import (
 )
 from contractmatch import verify
 from contractmatch.verify import PROPERTY_NAMES, PropertyBattery
-from markets import instance_of, menu
+from markets import menu, outcome_of, two_sided
 from oracles import (
     menu_for,
     oracle_disjoint_yields,
@@ -49,17 +49,6 @@ from oracles import (
     relabelled,
     seeded_pool,
 )
-
-
-def outcome_of(inst, pairs, payoffs):
-    v = {a: 0 for a in inst.agents}
-    v.update(payoffs)
-    return Outcome.of(Matching.from_pairs(pairs), v)
-
-
-def two_sided(menus, firms, workers):
-    agents = tuple(sorted(set(firms) | set(workers)))
-    return instance_of(agents, menus, firms=firms, workers=workers)
 
 
 def forced_instances(n, start_seed):
