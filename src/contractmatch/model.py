@@ -6,8 +6,8 @@ is always feasible and pays zero; singleton menus are implicit and never
 stored. An outcome matches agents into disjoint menued pairs, picks one
 menu entry per matched pair, and pays zero to everyone single.
 
-Amounts are exact: `fractions.Fraction` in menus and outcomes, and ints
-scaled by a common denominator in an instance's table. Input amounts must
+Amounts are exact: `fractions.Fraction` in outcomes, and ints scaled by a
+common denominator in an instance's contract columns. Input amounts must
 be integers or strings; floats are rejected because they do not
 round-trip exactly.
 """
@@ -164,16 +164,21 @@ class Allocation:
 class Instance:
     """A valid contract choice problem, optionally split into firms and workers.
 
-    Built by the loader, instance_from_dict, which stores the menus as one
-    integer table in pair order. A row is (first, second, pair, contracts):
-    first and second are the firm and the worker on a two-sided instance
-    and the menu pair on a pool, and each contract is (x, y), what it pays
-    first and second times `scale`, the common denominator of all the
-    instance's amounts, so the ints compare as the amounts do.
+    Built by the loader, instance_from_dict, which stores the contracts in
+    four parallel int columns, one entry per contract, in pair order and
+    then menu order. A contract pays agent firsts[k] the amount xs[k] and
+    agent seconds[k] the amount ys[k], each times `scale`, the common
+    denominator of all the instance's amounts, so the ints compare as the
+    amounts do. The first and the second are the firm and the worker on a
+    two-sided instance and the menu pair, low id first, on a pool. A menu
+    is a run of entries with one (first, second); spans() yields them.
     """
 
     agents: tuple[int, ...]
-    table: tuple[tuple, ...] = ()
+    firsts: tuple[int, ...] = ()
+    seconds: tuple[int, ...] = ()
+    xs: tuple[int, ...] = ()
+    ys: tuple[int, ...] = ()
     scale: int = 1
     firms: tuple[int, ...] | None = None
     workers: tuple[int, ...] | None = None
@@ -184,21 +189,21 @@ class Instance:
 
     @cached_property
     def money(self) -> dict[int, Fraction]:
-        """The amount of each table int, each built on first use and shared."""
+        """The amount of each column int, each built on first use and shared."""
         scale = self.scale
         return _ParseMemo(lambda x: Fraction(x, scale))
 
     def allocation(self, a: int, x: int, b: int, y: int) -> Allocation:
-        """The contract paying agent a the table int x and agent b the int y."""
+        """The contract paying agent a the column int x and agent b the int y."""
         money = self.money
         if a < b:
             return Allocation(((a, money[x]), (b, money[y])))
         return Allocation(((b, money[y]), (a, money[x])))
 
     def outcome(self, contracts: Iterable[tuple[int, int, int, int]]) -> Outcome:
-        """The outcome of disjoint table contracts (a, x, b, y), each paying
-        agent a the int x and agent b the int y, taken as given; every other
-        agent is single at zero.
+        """The outcome of disjoint contracts (a, x, b, y), each paying agent
+        a the column int x and agent b the int y, taken as given; every
+        other agent is single at zero.
         """
         money = self.money
         pairs, paid = [], {}
@@ -210,14 +215,23 @@ class Instance:
         return Outcome(Matching(tuple(pairs)), payoffs)
 
     @cached_property
-    def by_pair(self) -> dict[tuple[int, int], tuple]:
-        """The table row of each menu pair."""
-        return {row[2]: row for row in self.table}
+    def _starts(self) -> tuple[int, ...]:
+        """The column index at which each menu starts, then the columns' length."""
+        f, s = self.firsts, self.seconds
+        n = len(f)
+        return tuple([k for k in range(n) if k == 0 or f[k] != f[k - 1] or s[k] != s[k - 1]] + [n])
+
+    def spans(self) -> Iterator[tuple[int, int, int, int]]:
+        """(first, second, start, stop) of each menu, in pair order: the
+        menu's contracts are the column entries start to stop - 1."""
+        starts, firsts, seconds = self._starts, self.firsts, self.seconds
+        for start, stop in zip(starts, starts[1:]):
+            yield firsts[start], seconds[start], start, stop
 
     def scaled(self, payoffs: Mapping[int, Fraction]) -> dict[int, int]:
         """Each payoff times `scale`, rounded down.
 
-        An int of the table exceeds a scaled payoff exactly when its amount
+        A column int exceeds a scaled payoff exactly when its amount
         exceeds the payoff, whatever the payoff's denominator.
         """
         scale = self.scale
@@ -302,16 +316,26 @@ def outcome_is_feasible(inst: Instance, outcome: Outcome) -> bool:
     v = outcome.payoff_map()
     if any(x < 0 for x in v.values()):
         return False
-    matched: set[int] = set()
-    rows = inst.by_pair
     scale = inst.scale
+    # Each payoff times the scale, or None when that is not an int, which
+    # no column int can then equal.
+    exact = {
+        a: None if (x.numerator * scale) % x.denominator else x.numerator * scale // x.denominator
+        for a, x in v.items()
+    }
+    mate = {}
     for a, b in outcome.matching.pairs:
-        row = rows.get((a, b))
-        # A payoff times the scale equals a table int only when it is that int.
-        if row is None or (v[row[0]] * scale, v[row[1]] * scale) not in row[3]:
-            return False
-        matched.update((a, b))
-    return all(v[a] == 0 for a in inst.agents if a not in matched)
+        mate[a], mate[b] = b, a
+    # The contracts that pay a matched pair its payoffs. A menu repeats no
+    # contract, so there is at most one per matched pair.
+    met = [
+        a
+        for a, b, x, y in zip(inst.firsts, inst.seconds, inst.xs, inst.ys)
+        if x == exact[a] and y == exact[b] and mate.get(a) == b
+    ]
+    return len(met) == len(outcome.matching.pairs) and all(
+        v[a] == 0 for a in inst.agents if a not in mate
+    )
 
 
 def _require_feasible(inst: Instance, outcome: Outcome) -> None:
@@ -353,12 +377,16 @@ def iter_raw_outcomes(
     then allocations per matched pair in menu order with the last pair
     varying fastest.
     """
-    money = inst.money
+    money, xs, ys = inst.money, inst.xs, inst.ys
     # Each pair's contracts as (a, amount, b, amount). Contracts with a
     # negative amount can never satisfy the payoff bound.
     usable = {
-        pair: [(a, money[x], b, money[y]) for x, y in cs if x >= 0 and y >= 0]
-        for a, b, pair, cs in inst.table
+        (a, b) if a < b else (b, a): [
+            (a, money[x], b, money[y])
+            for x, y in zip(xs[start:stop], ys[start:stop])
+            if x >= 0 and y >= 0
+        ]
+        for a, b, start, stop in inst.spans()
     }
     base = {a: ZERO for a in inst.agents}
     for matching in _iter_matchings(list(usable)):
@@ -389,28 +417,37 @@ def enumerate_outcomes(
 
 
 def instance_to_dict(inst: Instance) -> dict:
-    """The dict form of the instance, written from its table.
+    """The dict form of the instance, written from its columns.
 
-    Each contract lists its agents in id order, as an Allocation does.
+    Each menu lists its pair low id first, and each contract its agents in
+    id order, as an Allocation does. An amount is written as money_str
+    writes it: str(x) at scale 1, otherwise from one gcd per distinct int.
     """
     d: dict = {"agents": list(inst.agents)}
     if inst.firms is not None:
         d["firms"] = list(inst.firms)
     if inst.workers is not None:
         d["workers"] = list(inst.workers)
-    money = inst.money
-    d["menus"] = [
-        {
-            "pair": list(pair),
-            "contracts": [
-                payments_to_dict(
-                    ((a, money[x]), (b, money[y])) if a < b else ((b, money[y]), (a, money[x]))
-                )
-                for x, y in contracts
-            ],
-        }
-        for a, b, pair, contracts in inst.table
-    ]
+    scale = inst.scale
+
+    def text(x: int) -> str:
+        g = math.gcd(x, scale)
+        return str(x // g) if g == scale else f"{x // g}/{scale // g}"
+
+    amount = str if scale == 1 else _ParseMemo(text).__getitem__
+    xs, ys = inst.xs, inst.ys
+    menus = d["menus"] = []
+    for a, b, start, stop in inst.spans():
+        x, y = xs[start:stop], ys[start:stop]
+        if a > b:
+            a, b, x, y = b, a, y, x
+        sa, sb = str(a), str(b)
+        menus.append(
+            {
+                "pair": [a, b],
+                "contracts": [{sa: amount(u), sb: amount(v)} for u, v in zip(x, y)],
+            }
+        )
     return d
 
 
@@ -441,21 +478,27 @@ class _ParseMemo(dict):
 def instance_from_dict(data: Mapping) -> Instance:
     """Build and validate an instance from its dict form: the one loader.
 
-    The instance is canonical: agents sorted, each menu pair stored (low,
-    high), menus sorted by pair, duplicate contracts within a menu dropped
-    (first occurrence wins). Contracts with negative amounts are legal but
-    unreachable in outcomes; they trigger a warning.
+    The instance is canonical: agents sorted, menus in pair order, each
+    pair's first the firm on a two-sided instance and the low id on a pool,
+    duplicate contracts within a menu dropped (first occurrence wins).
+    Contracts with negative amounts are legal but unreachable in outcomes;
+    they trigger a warning.
 
     Two passes. The parse pass reads the menus in input order, raising
-    each format error as it is met and the partition's after them, and
-    collects each contract as a pair of indexes into the distinct amounts,
-    so that value-equal literals such as "1", "2/2" and "1.0" collide as
-    duplicates; each distinct agent-id string and money string is parsed
-    once. The check pass then raises the first instance error. So errors
-    keep one order: format errors first (the agents, the menus in input
-    order, the partition), then the agents' checks, the partition's, and
-    the menus' in input order. The scale comes from the distinct amounts
-    alone.
+    each format error as it is met and the partition's after them. It
+    keeps, per menu, the pair as given and the offset of its first
+    contract, and per contract the indexes of its first's and its
+    second's amounts among the distinct amounts, so that value-equal
+    literals such as "1", "2/2" and "1.0" collide as duplicates; each
+    distinct agent-id string and money string is parsed once. A contract
+    of two string amounts keyed by the pair's ids as canonical strings
+    is read by those keys; any other contract, or one that meets a format
+    error there, is read in the order of the file. The check pass then
+    raises the first instance error. So errors keep one order: format
+    errors first (the agents, the menus in input order, the partition),
+    then the agents' checks, the partition's, and the menus' in input
+    order. The scale comes from the distinct amounts alone, and no
+    container per menu or per contract outlives the load.
     """
     if not isinstance(data, Mapping):
         raise FormatError("instance data must be a JSON object")
@@ -473,13 +516,27 @@ def instance_from_dict(data: Mapping) -> Instance:
     firm_set = set(firms or ())
 
     ids = _ParseMemo(parse_agent)
-    amounts: dict[tuple[int, int], int] = {}  # each distinct amount to its index
+    # Each distinct amount, an int when whole and (numerator, denominator)
+    # otherwise, to its index.
+    amounts: dict = {}
 
     def amount(value) -> int:
-        return amounts.setdefault(_money_ratio(value), len(amounts))
+        if type(value) is not int:
+            n, d = _money_ratio(value)
+            value = n if d == 1 else (n, d)
+        return amounts.setdefault(value, len(amounts))
 
     literals = _ParseMemo(amount)
-    collected: list[tuple] = []
+    # Per menu: its pair as given and the offset of its first contract in
+    # us and vs, which hold each contract's first's and second's amount
+    # index; the first contract that does not cover exactly the pair is
+    # kept as parsed, for the check pass.
+    pair_a: list[int] = []
+    pair_b: list[int] = []
+    offsets: list[int] = []
+    us: list[int] = []
+    vs: list[int] = []
+    strays: dict[int, dict] = {}
     for entry in entries:
         if not (type(entry) is dict or isinstance(entry, Mapping)) or not isinstance(
             entry.get("pair"), list
@@ -488,19 +545,33 @@ def instance_from_dict(data: Mapping) -> Instance:
         try:
             a, b = entry["pair"]
             try:
-                a, b = parse_agent(a), parse_agent(b)
+                a = a if type(a) is int else parse_agent(a)
+                b = b if type(b) is int else parse_agent(b)
             except FormatError as exc:  # raised once the contracts have parsed
                 bad_pair, first, second = exc, None, None
             else:
                 bad_pair = None
-                key = lo, hi = (a, b) if a < b else (b, a)
+                lo, hi = (a, b) if a < b else (b, a)
                 first, second = (hi, lo) if hi in firm_set else (lo, hi)
-            # Each contract as its (first, second) amount indexes; the first
-            # that does not cover exactly the pair is kept as parsed, for the
-            # check pass.
-            given, stray = [], None
+            sf = sw = None  # the keys of the fast path below
+            if first != second:
+                try:
+                    sf, sw = str(first), str(second)
+                except ValueError:  # past the digit limit no id string can reach
+                    pass
+            start, stray = len(us), None
             for c in entry["contracts"]:
                 if type(c) is dict and len(c) == 2:
+                    u, v = c.get(sf), c.get(sw)
+                    if type(u) is str and type(v) is str:
+                        try:
+                            u, v = literals[u], literals[v]
+                        except FormatError:
+                            pass  # raised below, in the order of the file
+                        else:
+                            us.append(u)
+                            vs.append(v)
+                            continue
                     (x, u), (y, v) = c.items()  # each id before its amount, as given
                     x = ids[x] if type(x) is str else parse_agent(x)
                     u = literals[u] if type(u) is str else amount(u)
@@ -509,10 +580,12 @@ def instance_from_dict(data: Mapping) -> Instance:
                         raise FormatError(f"contract names agent {x} more than once")
                     v = literals[v] if type(v) is str else amount(v)
                     if x == first and y == second:
-                        given.append((u, v))
+                        us.append(u)
+                        vs.append(v)
                         continue
                     if x == second and y == first:
-                        given.append((v, u))
+                        us.append(v)
+                        vs.append(u)
                         continue
                     parsed = {x: u, y: v}
                 else:
@@ -523,7 +596,8 @@ def instance_from_dict(data: Mapping) -> Instance:
                             raise FormatError(f"contract names agent {x} more than once")
                         parsed[x] = literals[v] if type(v) is str else amount(v)
                     if parsed.keys() == {first, second}:
-                        given.append((parsed[first], parsed[second]))
+                        us.append(parsed[first])
+                        vs.append(parsed[second])
                         continue
                 if stray is None:
                     stray = parsed
@@ -531,7 +605,12 @@ def instance_from_dict(data: Mapping) -> Instance:
             raise FormatError(f"malformed menu entry {_shown(entry)}") from exc
         if bad_pair is not None:
             raise bad_pair
-        collected.append((key, first, second, a, b, stray, given))
+        if stray is not None:
+            strays[len(offsets)] = stray
+        pair_a.append(a)
+        pair_b.append(b)
+        offsets.append(start)
+    offsets.append(len(us))
     if late is not None:
         raise late
 
@@ -552,49 +631,76 @@ def instance_from_dict(data: Mapping) -> Instance:
             raise InvalidPartitionError("firms and workers overlap")
         if firm_set.union(workers) != agent_set:
             raise InvalidPartitionError("firms and workers must cover all agents")
-    seen: set[tuple[int, int]] = set()
-    for key, first, second, a, b, stray, given in collected:
+    # Each menu's pair (lo, hi) as the int lo * span + hi, to the menu's
+    # index; the ints sort as the pairs do.
+    span = max(agent_set) + 1
+    menus: dict[int, int] = {}
+    for m, (a, b) in enumerate(zip(pair_a, pair_b)):
         if a == b:
             raise MalformedMenuError(f"menu pair {(a, b)!r} repeats an agent")
         for x in (a, b):
             if x not in agent_set:
                 raise UnknownAgentError(f"menu references unknown agent {x}")
-        if key in seen:
-            raise DuplicateMenuError(f"more than one menu for pair {key}")
-        seen.add(key)
+        lo, hi = (a, b) if a < b else (b, a)
+        key = lo * span + hi
+        if key in menus:
+            raise DuplicateMenuError(f"more than one menu for pair {(lo, hi)}")
+        menus[key] = m
         # The partition covers the agents, so a pair without exactly one
         # firm joins two firms or two workers.
-        if firm_set and (a in firm_set) == (b in firm_set):
-            raise SameSideMenuError(f"pair {key} joins two agents on the same side")
-        if stray is not None:
-            values = [Fraction(*ratio) for ratio in amounts]
-            shown = Allocation(tuple(sorted((p, values[i]) for p, i in stray.items())))
+        if firms is not None and (a in firm_set) == (b in firm_set):
+            raise SameSideMenuError(f"pair {(lo, hi)} joins two agents on the same side")
+        if m in strays:
+            values = [Fraction(*k) if type(k) is tuple else Fraction(k) for k in amounts]
+            shown = Allocation(tuple(sorted((p, values[i]) for p, i in strays[m].items())))
             raise MalformedMenuError(
-                f"contract {shown!r} does not cover exactly the pair {key}"
+                f"contract {shown!r} does not cover exactly the pair {(lo, hi)}"
             )
-        if not given:
-            raise EmptyContractSetError(f"menu for pair {key} has no contracts")
+        if offsets[m] == offsets[m + 1]:
+            raise EmptyContractSetError(f"menu for pair {(lo, hi)} has no contracts")
 
-    scale = math.lcm(*{d for _, d in amounts})
-    ints = [n * (scale // d) for n, d in amounts]
-    collected.sort()  # by pair, as the pairs lead and are distinct
-    # From a list, not a generator: tuple() shrinks a generator's tuple to
-    # fit, and CPython keeps such tuples, once freed, on free lists that
-    # only a full collection empties, so each load would pin memory.
-    # dict.fromkeys drops repeated contracts, keeping the first.
-    table = tuple([
-        (first, second, key, tuple([(ints[i], ints[j]) for i, j in dict.fromkeys(given)]))
-        for key, first, second, _, _, _, given in collected
-    ])
+    scale = math.lcm(*{k[1] for k in amounts if type(k) is tuple})
+    ints = [k * scale if type(k) is int else k[0] * (scale // k[1]) for k in amounts]
+    # The contracts in pair order, as indexes into us and vs, and the first
+    # and the second of their menus.
+    order: list[int] = []
+    firsts: list[int] = []
+    seconds: list[int] = []
+    for key in sorted(menus):
+        m = menus[key]
+        start, stop = offsets[m], offsets[m + 1]
+        order += range(start, stop)
+        lo, hi = divmod(key, span)
+        if hi in firm_set:
+            lo, hi = hi, lo
+        firsts += [lo] * (stop - start)
+        seconds += [hi] * (stop - start)
+    xs = [ints[us[k]] for k in order]
+    ys = [ints[vs[k]] for k in order]
+    # A menu's contracts share its first and second, so a contract repeated
+    # within a menu repeats a whole row of the columns. Rows are compared
+    # by hash first, which keeps no tuple per contract alive.
+    if len(set(map(hash, zip(firsts, seconds, xs, ys)))) < len(xs):
+        # dict.fromkeys drops repeated contracts, keeping the first.
+        firsts, seconds, xs, ys = zip(*dict.fromkeys(zip(firsts, seconds, xs, ys)))
     if min(ints, default=0) < 0:
-        negatives = sum(ints[i] < 0 or ints[j] < 0 for *_, given in collected for i, j in given)
+        negatives = sum(ints[i] < 0 or ints[j] < 0 for i, j in zip(us, vs))
         warnings.warn(
             f"{negatives} contract(s) contain negative amounts and can never "
             "appear in an outcome",
             NegativeContractWarning,
             stacklevel=2,
         )
-    return Instance(tuple(sorted(agent_set)), table, scale, firms, workers)
+    return Instance(
+        tuple(sorted(agent_set)),
+        tuple(firsts),
+        tuple(seconds),
+        tuple(xs),
+        tuple(ys),
+        scale,
+        firms,
+        workers,
+    )
 
 
 def outcome_to_dict(outcome: Outcome) -> dict:

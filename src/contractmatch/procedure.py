@@ -79,7 +79,7 @@ def _proposal_rows(inst: Instance, policy: TieBreakPolicy) -> dict[int, list[tup
     """Each firm's proposable contracts as the engine's rows, sorted best-first.
 
     A row is (-firm amount, tie key, worker amount, firm, worker), all
-    ints, with both amounts from the instance's table. Rows sort as
+    ints, with both amounts from the instance's columns. Rows sort as
     tuples: a firm's own payoff, then the policy's worker rule, then the
     worker's amount, which in one firm's list orders contracts tied on
     worker and firm payoff as their allocations compare. No two rows of
@@ -88,8 +88,9 @@ def _proposal_rows(inst: Instance, policy: TieBreakPolicy) -> dict[int, list[tup
     _require_two_sided(inst)
     side = 1 if policy.firm_prefers_low_worker else -1
     rows: dict[int, list[tuple]] = {f: [] for f in inst.firms}
-    for f, w, _, contracts in inst.table:
-        rows[f] += ((-x, side * w, y, f, w) for x, y in contracts if x > 0)
+    for f, w, x, y in zip(inst.firsts, inst.seconds, inst.xs, inst.ys):
+        if x > 0:
+            rows[f].append((-x, side * w, y, f, w))
     for firm_rows in rows.values():
         firm_rows.sort()
     return rows
@@ -106,7 +107,7 @@ def build_proposal_space(
     """Each firm's contracts paying it more than zero, sorted best-first.
 
     Payoff ties are ordered by the policy's firm rule, then by allocation.
-    The sort runs on the integer amounts of the instance's table.
+    The sort runs on the integer amounts of the instance's columns.
     """
     return {
         f: tuple(_proposal(inst, row) for row in rows)

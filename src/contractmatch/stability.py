@@ -35,7 +35,9 @@ def payoffs_are_blocked(inst: Instance, payoffs: dict[int, Fraction]) -> bool:
     The test behind is_stable and verify's stability check.
     """
     v = inst.scaled(payoffs)
-    return any(x > v[a] and y > v[b] for a, b, _, cs in inst.table for x, y in cs)
+    return any(
+        x > v[a] and y > v[b] for a, b, x, y in zip(inst.firsts, inst.seconds, inst.xs, inst.ys)
+    )
 
 
 def blocking_coalitions(inst: Instance, outcome: Outcome) -> list[BlockingCertificate]:
@@ -43,9 +45,8 @@ def blocking_coalitions(inst: Instance, outcome: Outcome) -> list[BlockingCertif
     _require_feasible(inst, outcome)
     v = inst.scaled(outcome.payoff_map())
     return [
-        BlockingCertificate(pair, inst.allocation(a, x, b, y))
-        for a, b, pair, contracts in inst.table
-        for x, y in contracts
+        BlockingCertificate((a, b) if a < b else (b, a), inst.allocation(a, x, b, y))
+        for a, b, x, y in zip(inst.firsts, inst.seconds, inst.xs, inst.ys)
         if x > v[a] and y > v[b]
     ]
 
@@ -67,7 +68,7 @@ def enumerate_core(
     a newly assigned agent pays it more than its payoff and pays the other
     member more than that member has or, if still unassigned, more than
     any contract with an unassigned partner would pay it. Amounts are
-    the ints of the instance's table, and the search runs on an explicit
+    the ints of the instance's columns, and the search runs on an explicit
     stack, so its depth is not bounded by the recursion limit.
 
     The budget bounds the outcomes examined: stable outcomes reached plus
@@ -88,10 +89,10 @@ def enumerate_core(
     # rivals[i]: (own, partner, partner's) of each contract paying both
     # members more than zero, the only ones that can block; best first.
     rivals: list[list[tuple[int, int, int]]] = [[] for _ in agents]
-    for first, _, pair, contracts in inst.table:
-        a, b = pair
+    for first, second, start, stop in inst.spans():
+        pair = a, b = (first, second) if first < second else (second, first)
         i, j = index[a], index[b]
-        for k, (x, y) in enumerate(contracts):
+        for k, (x, y) in enumerate(zip(inst.xs[start:stop], inst.ys[start:stop])):
             if first != a:
                 x, y = y, x
             if x >= 0 and y >= 0:

@@ -62,7 +62,9 @@ def is_pairwise_efficient(inst: Instance) -> PropertyReport:
     """
     _require_two_sided(inst)
     witnesses = []
-    for f, w, pair, cs in inst.table:
+    for f, w, start, stop in inst.spans():
+        pair = (f, w) if f < w else (w, f)
+        cs = list(zip(inst.xs[start:stop], inst.ys[start:stop]))
         for i, (xi, yi) in enumerate(cs):
             for xj, yj in cs[i + 1:]:
                 if (xi - xj) * (yi - yj) >= 0:
@@ -76,8 +78,8 @@ def has_disjoint_yields(inst: Instance) -> PropertyReport:
     """No firm can earn the same amount with two different workers."""
     _require_two_sided(inst)
     yields: dict[int, list[tuple[int, set[int]]]] = {f: [] for f in inst.firms}
-    for f, w, _, cs in inst.table:
-        yields[f].append((w, {x for x, _ in cs}))
+    for f, w, start, stop in inst.spans():
+        yields[f].append((w, set(inst.xs[start:stop])))
     witnesses = []
     for f, entries in sorted(yields.items()):
         for i, (w1, s1) in enumerate(entries):
@@ -101,8 +103,8 @@ def is_weakly_pareto_optimal_for_firms(inst: Instance, outcome: Outcome) -> Prop
     _require_feasible(inst, outcome)
     v = inst.scaled(outcome.payoff_map())
     better: dict[int, dict[int, tuple]] = {f: {} for f in inst.firms}
-    for f, w, _, cs in inst.table:
-        for x, y in cs:
+    for f, w, start, stop in inst.spans():
+        for x, y in zip(inst.xs[start:stop], inst.ys[start:stop]):
             if x > v[f] and y >= 0:
                 better[f][w] = (f, x, w, y)
                 break
@@ -222,7 +224,7 @@ def check_group_tradeoff(
     v = outcome.payoff_map()
     vs = stable_outcome.payoff_map()
     mate = stable_outcome.matching.mate
-    scaled = inst.scaled(v)
+    blocking = _blocking_pairs(inst, v)
     for a in members:
         if not vs[a] > v[a]:
             raise PreconditionViolatedError(
@@ -231,7 +233,7 @@ def check_group_tradeoff(
         # A strict gain over a nonnegative payoff means the agent is matched
         # in the stable outcome, so the partner is always a distinct agent.
         b = mate(a)
-        if _blocks(inst, scaled, a, b):
+        if (a, b) in blocking:
             raise PreconditionViolatedError(
                 "no-blocking",
                 f"pair {{{a}, {b}}} blocks the first outcome",
@@ -239,10 +241,15 @@ def check_group_tradeoff(
     return _group_tradeoff_report(v, vs, mate, members)
 
 
-def _blocks(inst: Instance, v: dict[int, int], a: int, b: int) -> bool:
-    """True iff a contract of the pair {a, b} pays both more than the scaled payoffs `v`."""
-    row = inst.by_pair.get((a, b) if a < b else (b, a))
-    return row is not None and any(x > v[row[0]] and y > v[row[1]] for x, y in row[3])
+def _blocking_pairs(inst: Instance, payoffs: dict[int, Fraction]) -> set[tuple[int, int]]:
+    """Each pair, in both orders, with a contract paying both members more than `payoffs`."""
+    v = inst.scaled(payoffs)
+    pairs = {
+        (a, b)
+        for a, b, x, y in zip(inst.firsts, inst.seconds, inst.xs, inst.ys)
+        if x > v[a] and y > v[b]
+    }
+    return pairs | {(b, a) for a, b in pairs}
 
 
 def _group_tradeoff_report(
@@ -431,13 +438,13 @@ def _group_tradeoff(battery: PropertyBattery) -> PropertyReport:
     checked = 0
     for o in outcomes:
         vo = o.payoff_map()
-        scaled = inst.scaled(vo)
+        blocking = _blocking_pairs(inst, vo)
         for s, vs in stable:
             group = [a for a in inst.agents if vs[a] > vo[a]]
             if not group:
                 continue
             mate = s.matching.mate
-            if any(_blocks(inst, scaled, a, mate(a)) for a in group):
+            if any((a, mate(a)) in blocking for a in group):
                 continue
             report = _group_tradeoff_report(vo, vs, mate, group)
             checked += 1

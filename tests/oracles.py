@@ -7,7 +7,7 @@ The ordered core keeps the library's former core engine, a sweep over
 every outcome. The loader reference keeps the library's older
 construction path, which parses every literal on its own, builds an
 Allocation per contract, drops duplicates by Fraction equality and
-derives the integer table from the Fraction menus. The tie replay
+derives the integer columns from the Fraction menus. The tie replay
 keeps the library's former proposing engine, which compares Fraction
 payoffs, removes each proposal from a copy of its firm's list, and builds
 a trace on every run. `classic_da`, textbook deferred acceptance on
@@ -326,7 +326,8 @@ def oracle_validate(agents, menus, firms, workers):
     `menus` holds (pair, Allocations) entries in input order. Checks run
     in the library's former order with its messages; duplicate
     contracts are dropped by Fraction equality of their Allocations. The
-    table and the scale are derived from the canonical Fraction menus.
+    contract columns and the scale are derived from the canonical
+    Fraction menus.
     """
     agents = tuple(sorted(set(agents)))
     if not agents:
@@ -363,7 +364,7 @@ def oracle_validate(agents, menus, firms, workers):
         if key in seen:
             raise DuplicateMenuError(f"more than one menu for pair {key}")
         seen.add(key)
-        if firm_set and (
+        if firms is not None and (
             (a in firm_set and b in firm_set) or (a in worker_set and b in worker_set)
         ):
             raise SameSideMenuError(f"pair {key} joins two agents on the same side")
@@ -389,14 +390,18 @@ def oracle_validate(agents, menus, firms, workers):
         )
 
     scale = math.lcm(*{v.denominator for m in canonical for c in m.contracts for _, v in c.payments})
-    table = []
+    firsts, seconds, xs, ys = [], [], [], []
     for m in canonical:
         lo, hi = m.pair
         first, second = (hi, lo) if hi in firm_set else (lo, hi)
-        table.append(
-            (first, second, m.pair, tuple((int(c[first] * scale), int(c[second] * scale)) for c in m.contracts))
-        )
-    return Instance(agents, tuple(table), scale, firms, workers)
+        for c in m.contracts:
+            firsts.append(first)
+            seconds.append(second)
+            xs.append(int(c[first] * scale))
+            ys.append(int(c[second] * scale))
+    return Instance(
+        agents, tuple(firsts), tuple(seconds), tuple(xs), tuple(ys), scale, firms, workers
+    )
 
 
 class _Branch(Exception):

@@ -227,6 +227,24 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", write_json(tmp_path / "bad.json", data))
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "core"])
+    def test_menu_between_two_workers_of_an_empty_firms_list_exits_2(
+        self, capsys, tmp_path, command
+    ):
+        # An empty list of firms is a partition in which every agent is a
+        # worker, so no menu can join two of its agents.
+        data = {"agents": [1, 2], "firms": [], "workers": [1, 2],
+                "menus": [{"pair": [1, 2], "contracts": [{"1": "1", "2": "1"}]}]}
+        code, out, err = run_cli(capsys, command, write_json(tmp_path / "m.json", data))
+        assert (code, out) == (2, "")
+        assert err == "error: pair (1, 2) joins two agents on the same side\n"
+
+    def test_empty_firms_list_without_menus_solves_to_all_single(self, capsys, tmp_path):
+        data = {"agents": [1, 2], "firms": [], "workers": [1, 2], "menus": []}
+        code, out, err = run_cli(capsys, "solve", write_json(tmp_path / "m.json", data))
+        assert (code, err) == (0, "")
+        assert json_lines(out) == [{"matches": [], "payoffs": {"1": "0", "2": "0"}, "singles": [1, 2]}]
+
 
 def proposal(text):
     """A trace proposal from "firm-worker:firm amount/worker amount"."""

@@ -103,6 +103,12 @@ class TestValidation:
         with pytest.raises(FormatError, match=f"^{message}$"):
             instance_from_dict(data)
 
+    def test_ids_past_the_digit_limit_of_str_load_from_ints(self):
+        # No id string can name such an agent, so the contract is read entry by entry.
+        big = 10**5000
+        inst = instance_of((1, big), [menu((big, 1), [{big: 2, 1: 3}])], firms=(big,), workers=(1,))
+        assert (inst.firsts, inst.seconds, inst.xs, inst.ys) == ((big,), (1,), (2,), (3,))
+
     def test_normalizes_pair_order(self):
         inst = instance_of((1, 2), [menu((2, 1), [{1: 1, 2: 1}])])
         assert menus_of(inst)[0].pair == (1, 2)
@@ -336,7 +342,7 @@ class TestSingleParseLoader:
             "menus": [{"pair": [1, 2], "contracts": [{"1": "5/6", "2": "5/6"}]}],
         }
         inst = instance_from_dict(data)
-        first, second, _, [(i, j)] = inst.table[0]
+        (first,), (second,), (i,), (j,) = inst.firsts, inst.seconds, inst.xs, inst.ys
         (a, x), (b, y) = inst.allocation(first, i, second, j).payments
         assert (a, b, x) == (1, 2, Fraction(5, 6)) and x is y
 
@@ -454,6 +460,8 @@ def partition_fault(data, market, draw):
         {"workers": None},
         {"workers": workers + ["x"]},
         {"firms": "12"},
+        {"firms": [], "workers": firms + workers},
+        {"firms": firms + workers, "workers": []},
     ])))
 
 
@@ -545,15 +553,16 @@ class TestLoaderAgainstOracle:
         want, want_warned = load_exactly(oracle_instance_from_dict, data)
         if isinstance(want, Instance):
             assert isinstance(got, Instance)
-            assert (got.table, got.scale) == (want.table, want.scale)
+            assert (got.firsts, got.seconds, got.xs, got.ys, got.scale) == (
+                want.firsts, want.seconds, want.xs, want.ys, want.scale
+            )
             assert got == want
         else:
             assert got == want
         assert got_warned == want_warned
 
     def test_adds_fewer_tracked_objects_than_contracts(self):
-        # The table holds ints in tuples, which the garbage collector stops
-        # tracking: no object per contract stays tracked.
+        # The instance holds four tuples of ints and no object per contract.
         data = instance_to_dict(gen_random(GenParams(40, 40, seed=5)))
         contracts = sum(len(m["contracts"]) for m in data["menus"])
         gc.collect()
@@ -561,12 +570,74 @@ class TestLoaderAgainstOracle:
         inst = instance_from_dict(data)
         gc.collect()
         assert len(gc.get_objects()) - before < contracts
-        assert inst.table
+        assert inst.xs
+
+
+def written_ways(data, rng):
+    """(name, dict) for ways of writing the market `data`, in canonical form.
+
+    The loader reads a contract of two string amounts keyed by the pair's
+    canonical id strings by those keys. The first four ways keep the
+    market; the others put a fault into one contract, which the loader
+    must report as it would without that fast path.
+    """
+
+    def every(change):
+        menus = [{"pair": m["pair"], "contracts": [change(c) for c in m["contracts"]]}
+                 for m in data["menus"]]
+        return {**data, "menus": menus}
+
+    def one(change):
+        menus = [{"pair": m["pair"], "contracts": list(m["contracts"])} for m in data["menus"]]
+        contracts = rng.choice(menus)["contracts"]
+        i = rng.randrange(len(contracts))
+        contracts[i] = change(contracts[i])
+        return {**data, "menus": menus}
+
+    yield "canonical", data
+    yield "zero-padded ids", every(lambda c: {"0" + a: x for a, x in c.items()})
+    yield "int ids and amounts", every(
+        lambda c: {int(a): x if "/" in x else int(x) for a, x in c.items()}
+    )
+    yield "keys swapped", every(lambda c: dict(reversed(c.items())))
+    if not data["menus"]:
+        return
+    unknown = str(max(data["agents"]) + 1)
+    if rng.random() < 0.5:  # an agent of the pair again, as "0" and its id
+        yield "third key", one(lambda c: {**c, "0" + next(iter(c)): "1"})
+    else:
+        yield "third key", one(lambda c: {**c, unknown: "1"})
+    yield "true after 1", one(lambda c: dict(zip(c, [1, True])))
+    yield "bad first slot", one(lambda c: dict(zip(c, ["1/0", list(c.values())[1]])))
+    yield "bad second slot", one(lambda c: dict(zip(c, [list(c.values())[0], "x"])))
+    yield "both slots bad", one(lambda c: dict(zip(c, ["1/0", "x"])))
+
+
+class TestFastPathAgainstOracle:
+    @pytest.mark.filterwarnings("ignore::contractmatch.NegativeContractWarning")
+    def test_every_way_of_writing_a_market_loads_as_the_oracle_does(self):
+        faulty = 0
+        for seed in range(80):
+            rng = random.Random(seed)
+            if seed % 4 == 3:
+                inst = seeded_pool(seed)
+            else:
+                params = GenParams(1 + seed % 4, 1 + (seed // 4) % 4, (1, 3), (-3, 6), 0.8, seed=seed)
+                inst = relabelled(gen_random(params), seed)
+            for name, data in written_ways(instance_to_dict(inst), rng):
+                got = load_exactly(instance_from_dict, data)
+                assert got == load_exactly(oracle_instance_from_dict, data), (seed, name)
+                if name in ("canonical", "zero-padded ids", "int ids and amounts", "keys swapped"):
+                    assert got[0] == inst, (seed, name)
+                else:
+                    assert isinstance(got[0], tuple), (seed, name)
+                    faulty += 1
+        assert faulty >= 300
 
 
 class TestSerialization:
     def test_instance_round_trip(self):
-        # instance_to_dict writes each menu from the table; reading it back
+        # instance_to_dict writes each menu from the columns; reading it back
         # must give the same instance, fractional and negative amounts too.
         markets = [builtin(name) for name in BUILTIN_NAMES]
         with warnings.catch_warnings():
@@ -583,7 +654,7 @@ class TestSerialization:
             for inst in markets:
                 assert instance_from_dict(instance_to_dict(inst)) == inst
         assert sum(inst.scale > 1 for inst in markets) >= 20
-        assert sum(x < 0 for inst in markets for *_, cs in inst.table for c in cs for x in c) >= 20
+        assert sum(x < 0 for inst in markets for x in inst.xs + inst.ys) >= 20
 
     def test_reads_documented_instance_shape(self):
         data = {

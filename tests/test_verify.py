@@ -140,7 +140,7 @@ class TestDisjointYields:
 
 
 class TestMenuCheckersMatchFractionOracles:
-    """The menu checkers on the instance's integer table against the
+    """The menu checkers on the instance's integer columns against the
     Fraction checkers they replaced: whole reports, witnesses in order."""
 
     @pytest.mark.filterwarnings("ignore::contractmatch.NegativeContractWarning")
