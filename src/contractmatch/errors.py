@@ -60,6 +60,10 @@ class PreconditionViolatedError(ContractMatchError):
         self.precondition = precondition
         super().__init__(message or f"precondition not met: {precondition}")
 
+    def __reduce__(self):
+        # args holds the message alone, so copy and pickle pass both.
+        return type(self), (self.precondition, str(self)), self.__dict__
+
 
 class UnknownNameError(ContractMatchError):
     """No builtin instance with the requested name."""

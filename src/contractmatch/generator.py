@@ -196,7 +196,7 @@ def gen_random(p: GenParams) -> Instance:
         for x, y in zip(fv, wv):
             if (x, y) not in divisions:
                 divisions.append((x, y))
-        menus.append({"pair": [f, w], "contracts": [{f: x, w: y} for x, y in divisions]})
+        menus.append(_menu(f, w, divisions))
 
     return instance_from_dict(
         {"agents": list(firms + workers), "firms": list(firms), "workers": list(workers),

@@ -47,18 +47,40 @@ DEFAULT_MAX_OUTCOMES = 250_000
 MAX_MONEY_EXPONENT = 1000
 
 
+def _repr(value) -> str:
+    """repr(value), but an int past Python's limit on int-to-str
+    conversion, alone or in a list, tuple or dict, is shown by its digit
+    count, as <5001-digit int>; any other value whose repr meets that
+    limit, by its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        pass
+    if isinstance(value, int):
+        n = abs(value)
+        k = int(n.bit_length() * 0.30102999566398120)  # n has k or k + 1 digits
+        return f"<{'-' * (value < 0)}{k + (n >= 10**k)}-digit int>"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_repr(k)}: {_repr(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        inner = ", ".join(map(_repr, value))
+        return f"[{inner}]" if isinstance(value, list) else f"({inner})"
+    return f"<{type(value).__name__} too long to show>"
+
+
 def _shown(value) -> str:
-    """The repr of an input value, cut after 40 characters, then its length.
+    """The repr of an input value, as _repr gives it, cut after 40
+    characters, then its length.
 
     A string is cut before its repr is taken, any other value after.
     """
     if isinstance(value, str):
         text, cut = value, repr(value[:40])
     else:
-        text = repr(value)
+        text = _repr(value)
         cut = text[:40]
     if len(text) <= 40:
-        return repr(value)
+        return _repr(value)
     return f"{cut}... ({len(text)} characters)"
 
 
@@ -156,7 +178,7 @@ class Allocation:
         raise KeyError(agent)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{a}: {money_str(v)}" for a, v in self.payments)
+        inner = ", ".join(f"{_repr(a)}: {money_str(v)}" for a, v in self.payments)
         return f"Allocation({{{inner}}})"
 
 
@@ -490,10 +512,10 @@ def instance_from_dict(data: Mapping) -> Instance:
     contract, and per contract the indexes of its first's and its
     second's amounts among the distinct amounts, so that value-equal
     literals such as "1", "2/2" and "1.0" collide as duplicates; each
-    distinct agent-id string and money string is parsed once. A contract
-    of two string amounts keyed by the pair's ids as canonical strings
-    is read by those keys; any other contract, or one that meets a format
-    error there, is read in the order of the file. The check pass then
+    distinct money string is parsed once. A contract of two string
+    amounts keyed by the pair's ids as canonical strings is read by those
+    keys; any other contract, or one that meets a format error there, is
+    read entry by entry in the order of the file. The check pass then
     raises the first instance error. So errors keep one order: format
     errors first (the agents, the menus in input order, the partition),
     then the agents' checks, the partition's, and the menus' in input
@@ -514,8 +536,6 @@ def instance_from_dict(data: Mapping) -> Instance:
         firms, workers, late = None, None, exc
 
     firm_set = set(firms or ())
-
-    ids = _ParseMemo(parse_agent)
     # Each distinct amount, an int when whole and (numerator, denominator)
     # otherwise, to its index.
     amounts: dict = {}
@@ -572,33 +592,16 @@ def instance_from_dict(data: Mapping) -> Instance:
                             us.append(u)
                             vs.append(v)
                             continue
-                    (x, u), (y, v) = c.items()  # each id before its amount, as given
-                    x = ids[x] if type(x) is str else parse_agent(x)
-                    u = literals[u] if type(u) is str else amount(u)
-                    y = ids[y] if type(y) is str else parse_agent(y)
-                    if x == y:  # as keys "1" and "01" do
+                parsed = {}
+                for x, v in c.items():
+                    x = parse_agent(x)
+                    if x in parsed:
                         raise FormatError(f"contract names agent {x} more than once")
-                    v = literals[v] if type(v) is str else amount(v)
-                    if x == first and y == second:
-                        us.append(u)
-                        vs.append(v)
-                        continue
-                    if x == second and y == first:
-                        us.append(v)
-                        vs.append(u)
-                        continue
-                    parsed = {x: u, y: v}
-                else:
-                    parsed = {}
-                    for x, v in c.items():
-                        x = ids[x] if type(x) is str else parse_agent(x)
-                        if x in parsed:
-                            raise FormatError(f"contract names agent {x} more than once")
-                        parsed[x] = literals[v] if type(v) is str else amount(v)
-                    if parsed.keys() == {first, second}:
-                        us.append(parsed[first])
-                        vs.append(parsed[second])
-                        continue
+                    parsed[x] = literals[v] if type(v) is str else amount(v)
+                if len(parsed) == 2 and first in parsed and second in parsed:
+                    us.append(parsed[first])
+                    vs.append(parsed[second])
+                    continue
                 if stray is None:
                     stray = parsed
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -626,7 +629,7 @@ def instance_from_dict(data: Mapping) -> Instance:
         workers = tuple(sorted(set(workers)))
         for a in firms + workers:
             if a not in agent_set:
-                raise UnknownAgentError(f"partition references unknown agent {a}")
+                raise UnknownAgentError(f"partition references unknown agent {_repr(a)}")
         if firm_set.intersection(workers):
             raise InvalidPartitionError("firms and workers overlap")
         if firm_set.union(workers) != agent_set:
@@ -637,27 +640,27 @@ def instance_from_dict(data: Mapping) -> Instance:
     menus: dict[int, int] = {}
     for m, (a, b) in enumerate(zip(pair_a, pair_b)):
         if a == b:
-            raise MalformedMenuError(f"menu pair {(a, b)!r} repeats an agent")
+            raise MalformedMenuError(f"menu pair {_repr((a, b))} repeats an agent")
         for x in (a, b):
             if x not in agent_set:
-                raise UnknownAgentError(f"menu references unknown agent {x}")
+                raise UnknownAgentError(f"menu references unknown agent {_repr(x)}")
         lo, hi = (a, b) if a < b else (b, a)
         key = lo * span + hi
         if key in menus:
-            raise DuplicateMenuError(f"more than one menu for pair {(lo, hi)}")
+            raise DuplicateMenuError(f"more than one menu for pair {_repr((lo, hi))}")
         menus[key] = m
         # The partition covers the agents, so a pair without exactly one
         # firm joins two firms or two workers.
         if firms is not None and (a in firm_set) == (b in firm_set):
-            raise SameSideMenuError(f"pair {(lo, hi)} joins two agents on the same side")
+            raise SameSideMenuError(f"pair {_repr((lo, hi))} joins two agents on the same side")
         if m in strays:
             values = [Fraction(*k) if type(k) is tuple else Fraction(k) for k in amounts]
             shown = Allocation(tuple(sorted((p, values[i]) for p, i in strays[m].items())))
             raise MalformedMenuError(
-                f"contract {shown!r} does not cover exactly the pair {(lo, hi)}"
+                f"contract {shown!r} does not cover exactly the pair {_repr((lo, hi))}"
             )
         if offsets[m] == offsets[m + 1]:
-            raise EmptyContractSetError(f"menu for pair {(lo, hi)} has no contracts")
+            raise EmptyContractSetError(f"menu for pair {_repr((lo, hi))} has no contracts")
 
     scale = math.lcm(*{k[1] for k in amounts if type(k) is tuple})
     ints = [k * scale if type(k) is int else k[0] * (scale // k[1]) for k in amounts]
@@ -731,7 +734,7 @@ def outcome_from_dict(data: Mapping) -> Outcome:
     known = set(payoffs)
     for a in matching.matched_agents():
         if a not in known:
-            raise FormatError(f"matched agent {a} has no payoff entry")
+            raise FormatError(f"matched agent {_repr(a)} has no payoff entry")
     singles = data.get("singles")
     if singles is not None:
         if not isinstance(singles, list):

@@ -75,8 +75,9 @@ POLICIES: dict[str, TieBreakPolicy] = {
 }
 
 
-def _proposal_rows(inst: Instance, policy: TieBreakPolicy) -> dict[int, list[tuple]]:
-    """Each firm's proposable contracts as the engine's rows, sorted best-first.
+def _proposal_rows(inst: Instance, policy: TieBreakPolicy) -> list[list[tuple]]:
+    """Each firm's proposable contracts as the engine's rows, sorted
+    best-first, in firm id order.
 
     A row is (-firm amount, tie key, worker amount, firm, worker), all
     ints, with both amounts from the instance's columns. Rows sort as
@@ -93,7 +94,7 @@ def _proposal_rows(inst: Instance, policy: TieBreakPolicy) -> dict[int, list[tup
             rows[f].append((-x, side * w, y, f, w))
     for firm_rows in rows.values():
         firm_rows.sort()
-    return rows
+    return list(rows.values())
 
 
 def _proposal(inst: Instance, row: tuple) -> Proposal:
@@ -111,7 +112,7 @@ def build_proposal_space(
     """
     return {
         f: tuple(_proposal(inst, row) for row in rows)
-        for f, rows in _proposal_rows(inst, policy).items()
+        for f, rows in zip(inst.firms, _proposal_rows(inst, policy))
     }
 
 
@@ -253,8 +254,8 @@ def _held_outcome(inst: Instance, held: dict[int, tuple]) -> Outcome:
 
 def solve(inst: Instance, policy: TieBreakPolicy = DEFAULT_POLICY) -> Outcome:
     """The outcome of run_procedure, from a run that builds no trace."""
-    rows = _proposal_rows(inst, policy)
-    return _held_outcome(inst, _execute([rows[f] for f in sorted(rows)], policy.worker_keeps_held))
+    held = _execute(_proposal_rows(inst, policy), policy.worker_keeps_held)
+    return _held_outcome(inst, held)
 
 
 def run_procedure(
@@ -281,7 +282,7 @@ def run_procedure(
             )
         )
 
-    held = _execute([rows[f] for f in sorted(rows)], policy.worker_keeps_held, record=record)
+    held = _execute(rows, policy.worker_keeps_held, record=record)
     return _held_outcome(inst, held), Trace(tuple(steps))
 
 
@@ -295,8 +296,7 @@ def enumerate_procedure_outcomes(
     tie resolutions may collapse to few distinct outcomes. Each run is
     replayed from the first stage, with no trace.
     """
-    rows = _proposal_rows(inst, DEFAULT_POLICY)
-    firm_rows = [rows[f] for f in sorted(rows)]
+    firm_rows = _proposal_rows(inst, DEFAULT_POLICY)
     keeps_held = DEFAULT_POLICY.worker_keeps_held
     cap = (budget or EnumerationBudget()).max_outcomes
 

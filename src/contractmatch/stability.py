@@ -29,25 +29,27 @@ class BlockingCertificate:
     allocation: Allocation
 
 
-def payoffs_are_blocked(inst: Instance, payoffs: dict[int, Fraction]) -> bool:
-    """True iff some pair blocks `payoffs`, which must cover all agents.
-
-    The test behind is_stable and verify's stability check.
-    """
+def _blocking(inst: Instance, payoffs: dict[int, Fraction]):
+    """Each contract (a, x, b, y) paying both its agents more than `payoffs`,
+    which must cover all agents, in pair order then menu order."""
     v = inst.scaled(payoffs)
-    return any(
-        x > v[a] and y > v[b] for a, b, x, y in zip(inst.firsts, inst.seconds, inst.xs, inst.ys)
-    )
+    for a, b, x, y in zip(inst.firsts, inst.seconds, inst.xs, inst.ys):
+        if x > v[a] and y > v[b]:
+            yield a, x, b, y
+
+
+def payoffs_are_blocked(inst: Instance, payoffs: dict[int, Fraction]) -> bool:
+    """True iff some pair blocks `payoffs`: the test behind is_stable and
+    verify's stability check."""
+    return next(_blocking(inst, payoffs), None) is not None
 
 
 def blocking_coalitions(inst: Instance, outcome: Outcome) -> list[BlockingCertificate]:
     """Every (pair, contract) that blocks the outcome, in pair order then menu order."""
     _require_feasible(inst, outcome)
-    v = inst.scaled(outcome.payoff_map())
     return [
         BlockingCertificate((a, b) if a < b else (b, a), inst.allocation(a, x, b, y))
-        for a, b, x, y in zip(inst.firsts, inst.seconds, inst.xs, inst.ys)
-        if x > v[a] and y > v[b]
+        for a, x, b, y in _blocking(inst, outcome.payoff_map())
     ]
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from functools import partial
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable
@@ -27,13 +26,14 @@ from .model import (
     Instance,
     Matching,
     Outcome,
+    _repr,
     _require_feasible,
     _require_two_sided,
     iter_raw_outcomes,
     outcome_is_feasible,
     parse_agent,
 )
-from .stability import payoffs_are_blocked
+from .stability import _blocking, payoffs_are_blocked
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ def check_group_tradeoff(
     for a in members:
         if not vs[a] > v[a]:
             raise PreconditionViolatedError(
-                "strict-gain", f"agent {a} does not strictly gain in the stable outcome"
+                "strict-gain", f"agent {_repr(a)} does not strictly gain in the stable outcome"
             )
         # A strict gain over a nonnegative payoff means the agent is matched
         # in the stable outcome, so the partner is always a distinct agent.
@@ -236,19 +236,14 @@ def check_group_tradeoff(
         if (a, b) in blocking:
             raise PreconditionViolatedError(
                 "no-blocking",
-                f"pair {{{a}, {b}}} blocks the first outcome",
+                f"pair {{{_repr(a)}, {_repr(b)}}} blocks the first outcome",
             )
     return _group_tradeoff_report(v, vs, mate, members)
 
 
 def _blocking_pairs(inst: Instance, payoffs: dict[int, Fraction]) -> set[tuple[int, int]]:
     """Each pair, in both orders, with a contract paying both members more than `payoffs`."""
-    v = inst.scaled(payoffs)
-    pairs = {
-        (a, b)
-        for a, b, x, y in zip(inst.firsts, inst.seconds, inst.xs, inst.ys)
-        if x > v[a] and y > v[b]
-    }
+    pairs = {(a, b) for a, _, b, _ in _blocking(inst, payoffs)}
     return pairs | {(b, a) for a, b in pairs}
 
 
@@ -306,22 +301,20 @@ class PropertyBattery:
     """Runs named properties on one instance, sharing their enumerations.
 
     Each report, the core and the outcomes reachable under some tie
-    resolution are computed at most once, when first needed. An error the
-    core or the tie enumeration raised is raised again to every later
-    property that needs it; a property that raises keeps no report and
-    raises afresh on its next run.
+    resolution are computed at most once, when first needed. An error one
+    of them raised is kept, as a copy, and raised again, as a fresh copy,
+    to every later call that needs it.
     """
 
     def __init__(self, inst: Instance, budget: EnumerationBudget | None = None):
         self.inst = inst
         self.budget = budget or EnumerationBudget()
         self._memo: dict[str, tuple] = {}
-        self._reports: dict[str, PropertyReport] = {}
 
-    def _once(self, key: str, compute):
+    def _once(self, key: str, compute, *args):
         if key not in self._memo:
             try:
-                self._memo[key] = (compute(self.inst, self.budget), None)
+                self._memo[key] = (compute(*args), None)
             except ContractMatchError as exc:
                 # A copy, which has no traceback: the error itself would,
                 # through its traceback's frames, hold the battery in a
@@ -333,10 +326,10 @@ class PropertyBattery:
         return value
 
     def core(self) -> list[Outcome]:
-        return self._once("core", stability.enumerate_core)
+        return self._once("core", stability.enumerate_core, self.inst, self.budget)
 
     def runs(self) -> list[Outcome]:
-        return self._once("runs", procedure.enumerate_procedure_outcomes)
+        return self._once("runs", procedure.enumerate_procedure_outcomes, self.inst, self.budget)
 
     def require_hypotheses(self) -> None:
         """Pairwise efficiency and disjoint yields, which several properties assume."""
@@ -350,11 +343,7 @@ class PropertyBattery:
         Raises PreconditionViolatedError or another ContractMatchError when
         the property cannot be decided on this instance.
         """
-        # Errors are not kept: one held here would, through the frames of
-        # its traceback, hold the battery in a reference cycle.
-        if name not in self._reports:
-            self._reports[name] = PROPERTIES[name](self)
-        return self._reports[name]
+        return self._once(name, PROPERTIES[name], self)
 
 
 def _firm_pareto(battery: PropertyBattery) -> PropertyReport:
@@ -394,19 +383,12 @@ def _employment(battery: PropertyBattery) -> PropertyReport:
     return PropertyReport("employment-invariance", not witnesses, tuple(witnesses))
 
 
-def _over_stable_pairs(
-    battery: PropertyBattery, name: str, report, hypotheses: bool = False
-) -> PropertyReport:
+def _over_stable_pairs(battery: PropertyBattery, name: str, report) -> PropertyReport:
     # Every ordered pair of distinct outcomes among the first six of the
-    # core. The core is stable, so only the battery's hypotheses remain,
-    # and with fewer than two stable outcomes the property holds without
-    # them being tested.
+    # core. The core is stable, so only the battery's hypotheses remain.
     core = battery.core()[:6]
-    pairs = [(o1, o2) for o1 in core for o2 in core if o1 != o2]
-    if pairs and hypotheses:
-        battery.require_hypotheses()
     witnesses = []
-    for o1, o2 in pairs:
+    for o1, o2 in [(o1, o2) for o1 in core for o2 in core if o1 != o2]:
         verdict = report(o1, o2)
         if not verdict.holds:
             witnesses.append((o1, o2) + verdict.witnesses)
@@ -414,9 +396,14 @@ def _over_stable_pairs(
 
 
 def _sides_opposed(battery: PropertyBattery) -> PropertyReport:
-    # The hypotheses raise NotTwoSidedError first on a pool.
-    report = partial(_sides_opposed_report, battery.inst)
-    return _over_stable_pairs(battery, "sides-opposed", report, hypotheses=True)
+    # The hypotheses are tested at the first pair of stable outcomes, so
+    # with fewer than two the property holds untested. On a pool they
+    # raise NotTwoSidedError.
+    def report(o1: Outcome, o2: Outcome) -> PropertyReport:
+        battery.require_hypotheses()
+        return _sides_opposed_report(battery.inst, o1, o2)
+
+    return _over_stable_pairs(battery, "sides-opposed", report)
 
 
 def _pair_tradeoff(battery: PropertyBattery) -> PropertyReport:

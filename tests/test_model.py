@@ -109,6 +109,62 @@ class TestValidation:
         inst = instance_of((1, big), [menu((big, 1), [{big: 2, 1: 3}])], firms=(big,), workers=(1,))
         assert (inst.firsts, inst.seconds, inst.xs, inst.ys) == ((big,), (1,), (2,), (3,))
 
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (
+                lambda a: instance_of((1, a), [menu((1, a), [{1: 1, a: 1}])], (1, a), ()),
+                SameSideMenuError,
+                "pair (1, ID) joins two agents on the same side",
+            ),
+            (
+                lambda a: instance_of((1,), [menu((1, a), [{1: 1, a: 1}])]),
+                UnknownAgentError,
+                "menu references unknown agent ID",
+            ),
+            (
+                lambda a: instance_of((1, 2), (), (1, a), (2,)),
+                UnknownAgentError,
+                "partition references unknown agent ID",
+            ),
+            (
+                lambda a: instance_of((1, a), [{"pair": [a]}]),
+                FormatError,
+                "malformed menu entry {'pair': [ID]}",
+            ),
+            (
+                lambda a: instance_of((1, a), [menu((1, a), [])]),
+                EmptyContractSetError,
+                "menu for pair (1, ID) has no contracts",
+            ),
+            (
+                lambda a: instance_of((1, 2, a), [menu((1, 2), [{1: 1, a: 1}])]),
+                MalformedMenuError,
+                "contract Allocation({1: 1, ID: 1}) does not cover exactly the pair (1, 2)",
+            ),
+            (
+                lambda a: Matching.from_pairs([[1, a, 3]]),
+                FormatError,
+                "matched pair must list two agents, got [1, ID, 3]",
+            ),
+            (
+                lambda a: outcome_from_dict({"matches": [[1, a]], "payoffs": {1: 0}}),
+                FormatError,
+                "matched agent ID has no payoff entry",
+            ),
+        ],
+        ids=["same-side", "unknown-menu-agent", "unknown-partition-agent", "malformed-entry",
+             "no-contracts", "stray-contract", "matched-pair", "matched-agent-unpaid"],
+    )
+    def test_an_id_past_the_digit_limit_is_shown_by_its_digit_count(self, make, error, message):
+        # 10**5000 has 5001 digits, past the 4,300 Python converts to str by
+        # default; an id within the limit is shown as before.
+        for a, shown in ((10**5000, "<5001-digit int>"), (7, "7")):
+            with pytest.raises(error) as err:
+                make(a)
+            assert type(err.value) is error
+            assert str(err.value) == message.replace("ID", shown)
+
     def test_normalizes_pair_order(self):
         inst = instance_of((1, 2), [menu((2, 1), [{1: 1, 2: 1}])])
         assert menus_of(inst)[0].pair == (1, 2)

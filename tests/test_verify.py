@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import warnings
 import weakref
 from fractions import Fraction
@@ -631,23 +633,56 @@ def run_battery(battery):
             pass
 
 
+def count_hypothesis_calls(monkeypatch):
+    """The calls made from here on to the two hypothesis checkers, by name."""
+    calls = {"is_pairwise_efficient": 0, "has_disjoint_yields": 0}
+
+    def counted(attr):
+        checker = getattr(verify, attr)
+
+        def wrapper(inst):
+            calls[attr] += 1
+            return checker(inst)
+
+        return wrapper
+
+    for attr in calls:
+        monkeypatch.setattr(verify, attr, counted(attr))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("pairwise-efficiency",), "precondition not met: pairwise-efficiency"),
+        (("group", "group contains unknown agents"), "group contains unknown agents"),
+    ],
+    ids=["precondition-only", "with-message"],
+)
+def test_precondition_error_survives_copy_and_pickle(args, message):
+    exc = PreconditionViolatedError(*args)
+    for twin in (exc, copy.copy(exc), pickle.loads(pickle.dumps(exc))):
+        assert type(twin) is PreconditionViolatedError
+        assert (str(twin), twin.precondition) == (message, args[0])
+
+
 class TestBatteryMemo:
     @pytest.mark.parametrize("name", ["illustration", "illustration-modified", "worker-tie"])
     def test_one_call_each_per_default_battery(self, monkeypatch, name):
-        calls = {"is_pairwise_efficient": 0, "has_disjoint_yields": 0}
-
-        def counted(attr):
-            checker = getattr(verify, attr)
-
-            def wrapper(inst):
-                calls[attr] += 1
-                return checker(inst)
-
-            return wrapper
-
-        for attr in calls:
-            monkeypatch.setattr(verify, attr, counted(attr))
+        calls = count_hypothesis_calls(monkeypatch)
         run_battery(PropertyBattery(builtin(name)))
+        assert calls == {"is_pairwise_efficient": 1, "has_disjoint_yields": 1}
+
+    def test_failed_hypotheses_raise_the_same_error_twice(self, monkeypatch, illustration):
+        # Firm 1 earns 1 with either worker, so disjoint yields fail. The
+        # battery keeps the error as a copy and raises a copy of it again.
+        calls = count_hypothesis_calls(monkeypatch)
+        battery = PropertyBattery(illustration)
+        for _ in range(2):
+            with pytest.raises(PreconditionViolatedError) as err:
+                battery.run("firm-optimality")
+            assert str(err.value) == "precondition not met: disjoint-yields"
+            assert err.value.precondition == "disjoint-yields"
         assert calls == {"is_pairwise_efficient": 1, "has_disjoint_yields": 1}
 
     def test_is_freed_without_a_collection_when_properties_raise(self, modified, illustration):
