@@ -116,13 +116,13 @@ def _cmd_verify(args) -> int:
     inst = model.read_instance_file(args.instance)
     battery = verify.PropertyBattery(inst, _budget(args))
     explicit = args.properties is not None
-    names = args.properties.split(",") if explicit else list(verify.PROPERTY_NAMES)
-    exit_code = 0
+    names = [n.strip() for n in args.properties.split(",")] if explicit else verify.PROPERTY_NAMES
     for name in names:
-        name = name.strip()
         if name not in verify.PROPERTY_NAMES:
             print(f"error: unknown property {name!r}", file=sys.stderr)
             return 2
+    exit_code = 0
+    for name in names:
         try:
             report = battery.run(name)
         except ContractMatchError as exc:

@@ -155,6 +155,13 @@ def money_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _money_repr(value: Fraction) -> str:
+    """money_str(value), with each int past the digit limit shown as _repr shows it."""
+    if value.denominator == 1:
+        return _repr(value.numerator)
+    return f"{_repr(value.numerator)}/{_repr(value.denominator)}"
+
+
 def payments_to_dict(payments: Iterable[tuple[int, Fraction]]) -> dict[str, str]:
     """The JSON form of (agent, amount) pairs: {"1": "3", "3": "1/2"}."""
     return {str(a): money_str(v) for a, v in payments}
@@ -178,7 +185,7 @@ class Allocation:
         raise KeyError(agent)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{_repr(a)}: {money_str(v)}" for a, v in self.payments)
+        inner = ", ".join(f"{_repr(a)}: {_money_repr(v)}" for a, v in self.payments)
         return f"Allocation({{{inner}}})"
 
 
@@ -504,38 +511,52 @@ def instance_from_dict(data: Mapping) -> Instance:
     pair's first the firm on a two-sided instance and the low id on a pool,
     duplicate contracts within a menu dropped (first occurrence wins).
     Contracts with negative amounts are legal but unreachable in outcomes;
-    they trigger a warning.
+    they trigger a warning that counts the contracts kept.
 
-    Two passes. The parse pass reads the menus in input order, raising
-    each format error as it is met and the partition's after them. It
-    keeps, per menu, the pair as given and the offset of its first
-    contract, and per contract the indexes of its first's and its
+    One pass in reading order, which raises the first fault it meets: the
+    agents and their checks, then the partition and its checks, then each
+    menu entry in input order. An entry's pair comes first: its format,
+    then a repeated agent, an unknown agent, a pair already given and a
+    pair on one side. Its contracts follow one by one, each raised where
+    it is malformed or does not cover exactly the pair, and then an empty
+    menu. A contract is kept as the indexes of its first's and its
     second's amounts among the distinct amounts, so that value-equal
     literals such as "1", "2/2" and "1.0" collide as duplicates; each
-    distinct money string is parsed once. A contract of two string
-    amounts keyed by the pair's ids as canonical strings is read by those
-    keys; any other contract, or one that meets a format error there, is
-    read entry by entry in the order of the file. The check pass then
-    raises the first instance error. So errors keep one order: format
-    errors first (the agents, the menus in input order, the partition),
-    then the agents' checks, the partition's, and the menus' in input
-    order. The scale comes from the distinct amounts alone, and no
-    container per menu or per contract outlives the load.
+    distinct money string is parsed once. A contract of two string amounts
+    keyed by the pair's ids as canonical strings is read by those keys;
+    any other contract, or one that meets a format error there, is read
+    entry by entry in the order of the file. The scale comes from the
+    distinct amounts alone, and no container per menu or per contract
+    outlives the load.
     """
     if not isinstance(data, Mapping):
         raise FormatError("instance data must be a JSON object")
     agents = _id_list(data, "agents")
     if agents is None:
         raise FormatError("instance needs an integer 'agents' list")
+    agent_set = set(agents)
+    if not agent_set:
+        raise InstanceError("instance must have at least one agent")
+    if min(agent_set) < 1:
+        raise InstanceError("agent ids must be positive integers")
+    firms, workers = _id_list(data, "firms"), _id_list(data, "workers")
+    if (firms is None) != (workers is None):
+        raise InvalidPartitionError("firms and workers must be given together")
+    firm_set = set(firms or ())
+    if firms is not None:
+        firms = tuple(sorted(firm_set))
+        workers = tuple(sorted(set(workers)))
+        for a in firms + workers:
+            if a not in agent_set:
+                raise UnknownAgentError(f"partition references unknown agent {_repr(a)}")
+        if firm_set.intersection(workers):
+            raise InvalidPartitionError("firms and workers overlap")
+        if firm_set.union(workers) != agent_set:
+            raise InvalidPartitionError("firms and workers must cover all agents")
     entries = data.get("menus", [])
     if not isinstance(entries, (list, tuple)):
         raise FormatError("instance 'menus' must be a list")
-    try:
-        firms, workers, late = _id_list(data, "firms"), _id_list(data, "workers"), None
-    except FormatError as exc:  # raised after the menus' format errors
-        firms, workers, late = None, None, exc
 
-    firm_set = set(firms or ())
     # Each distinct amount, an int when whole and (numerator, denominator)
     # otherwise, to its index.
     amounts: dict = {}
@@ -547,16 +568,15 @@ def instance_from_dict(data: Mapping) -> Instance:
         return amounts.setdefault(value, len(amounts))
 
     literals = _ParseMemo(amount)
-    # Per menu: its pair as given and the offset of its first contract in
-    # us and vs, which hold each contract's first's and second's amount
-    # index; the first contract that does not cover exactly the pair is
-    # kept as parsed, for the check pass.
-    pair_a: list[int] = []
-    pair_b: list[int] = []
+    # Each menu's pair (lo, hi) as the int lo * span + hi, to the menu's
+    # index; the ints sort as the pairs do. Per menu, the offset of its
+    # first contract in us and vs, which hold each contract's first's and
+    # second's amount index.
+    span = max(agent_set) + 1
+    menus: dict[int, int] = {}
     offsets: list[int] = []
     us: list[int] = []
     vs: list[int] = []
-    strays: dict[int, dict] = {}
     for entry in entries:
         if not (type(entry) is dict or isinstance(entry, Mapping)) or not isinstance(
             entry.get("pair"), list
@@ -564,22 +584,30 @@ def instance_from_dict(data: Mapping) -> Instance:
             raise FormatError(f"malformed menu entry {_shown(entry)}")
         try:
             a, b = entry["pair"]
-            try:
-                a = a if type(a) is int else parse_agent(a)
-                b = b if type(b) is int else parse_agent(b)
-            except FormatError as exc:  # raised once the contracts have parsed
-                bad_pair, first, second = exc, None, None
-            else:
-                bad_pair = None
-                lo, hi = (a, b) if a < b else (b, a)
-                first, second = (hi, lo) if hi in firm_set else (lo, hi)
-            sf = sw = None  # the keys of the fast path below
-            if first != second:
-                try:
-                    sf, sw = str(first), str(second)
-                except ValueError:  # past the digit limit no id string can reach
-                    pass
-            start, stray = len(us), None
+            a = a if type(a) is int else parse_agent(a)
+            b = b if type(b) is int else parse_agent(b)
+            if a == b:
+                raise MalformedMenuError(f"menu pair {_repr((a, b))} repeats an agent")
+            for x in (a, b):
+                if x not in agent_set:
+                    raise UnknownAgentError(f"menu references unknown agent {_repr(x)}")
+            lo, hi = (a, b) if a < b else (b, a)
+            key = lo * span + hi
+            if key in menus:
+                raise DuplicateMenuError(f"more than one menu for pair {_repr((lo, hi))}")
+            # The partition covers the agents, so a pair without exactly one
+            # firm joins two firms or two workers.
+            if firms is not None and (a in firm_set) == (b in firm_set):
+                raise SameSideMenuError(
+                    f"pair {_repr((lo, hi))} joins two agents on the same side"
+                )
+            menus[key] = len(offsets)
+            offsets.append(len(us))
+            first, second = (hi, lo) if hi in firm_set else (lo, hi)
+            try:  # the keys of the fast path below
+                sf, sw = str(first), str(second)
+            except ValueError:  # past the digit limit no id string can reach
+                sf = sw = None
             for c in entry["contracts"]:
                 if type(c) is dict and len(c) == 2:
                     u, v = c.get(sf), c.get(sw)
@@ -602,65 +630,16 @@ def instance_from_dict(data: Mapping) -> Instance:
                     us.append(parsed[first])
                     vs.append(parsed[second])
                     continue
-                if stray is None:
-                    stray = parsed
+                values = [Fraction(*k) if type(k) is tuple else Fraction(k) for k in amounts]
+                shown = Allocation(tuple(sorted((p, values[i]) for p, i in parsed.items())))
+                raise MalformedMenuError(
+                    f"contract {shown!r} does not cover exactly the pair {_repr((lo, hi))}"
+                )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise FormatError(f"malformed menu entry {_shown(entry)}") from exc
-        if bad_pair is not None:
-            raise bad_pair
-        if stray is not None:
-            strays[len(offsets)] = stray
-        pair_a.append(a)
-        pair_b.append(b)
-        offsets.append(start)
-    offsets.append(len(us))
-    if late is not None:
-        raise late
-
-    agent_set = set(agents)
-    if not agent_set:
-        raise InstanceError("instance must have at least one agent")
-    if min(agent_set) < 1:
-        raise InstanceError("agent ids must be positive integers")
-    if (firms is None) != (workers is None):
-        raise InvalidPartitionError("firms and workers must be given together")
-    if firms is not None:
-        firms = tuple(sorted(firm_set))
-        workers = tuple(sorted(set(workers)))
-        for a in firms + workers:
-            if a not in agent_set:
-                raise UnknownAgentError(f"partition references unknown agent {_repr(a)}")
-        if firm_set.intersection(workers):
-            raise InvalidPartitionError("firms and workers overlap")
-        if firm_set.union(workers) != agent_set:
-            raise InvalidPartitionError("firms and workers must cover all agents")
-    # Each menu's pair (lo, hi) as the int lo * span + hi, to the menu's
-    # index; the ints sort as the pairs do.
-    span = max(agent_set) + 1
-    menus: dict[int, int] = {}
-    for m, (a, b) in enumerate(zip(pair_a, pair_b)):
-        if a == b:
-            raise MalformedMenuError(f"menu pair {_repr((a, b))} repeats an agent")
-        for x in (a, b):
-            if x not in agent_set:
-                raise UnknownAgentError(f"menu references unknown agent {_repr(x)}")
-        lo, hi = (a, b) if a < b else (b, a)
-        key = lo * span + hi
-        if key in menus:
-            raise DuplicateMenuError(f"more than one menu for pair {_repr((lo, hi))}")
-        menus[key] = m
-        # The partition covers the agents, so a pair without exactly one
-        # firm joins two firms or two workers.
-        if firms is not None and (a in firm_set) == (b in firm_set):
-            raise SameSideMenuError(f"pair {_repr((lo, hi))} joins two agents on the same side")
-        if m in strays:
-            values = [Fraction(*k) if type(k) is tuple else Fraction(k) for k in amounts]
-            shown = Allocation(tuple(sorted((p, values[i]) for p, i in strays[m].items())))
-            raise MalformedMenuError(
-                f"contract {shown!r} does not cover exactly the pair {_repr((lo, hi))}"
-            )
-        if offsets[m] == offsets[m + 1]:
+        if offsets[-1] == len(us):
             raise EmptyContractSetError(f"menu for pair {_repr((lo, hi))} has no contracts")
+    offsets.append(len(us))
 
     scale = math.lcm(*{k[1] for k in amounts if type(k) is tuple})
     ints = [k * scale if type(k) is int else k[0] * (scale // k[1]) for k in amounts]
@@ -687,7 +666,7 @@ def instance_from_dict(data: Mapping) -> Instance:
         # dict.fromkeys drops repeated contracts, keeping the first.
         firsts, seconds, xs, ys = zip(*dict.fromkeys(zip(firsts, seconds, xs, ys)))
     if min(ints, default=0) < 0:
-        negatives = sum(ints[i] < 0 or ints[j] < 0 for i, j in zip(us, vs))
+        negatives = sum(x < 0 or y < 0 for x, y in zip(xs, ys))
         warnings.warn(
             f"{negatives} contract(s) contain negative amounts and can never "
             "appear in an outcome",

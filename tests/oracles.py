@@ -4,10 +4,11 @@ These deliberately take different routes than the library: outcomes are
 enumerated agent-first over all involutions (the library walks pair
 subsets), and blocking is a plain double loop over pairs and contracts.
 The ordered core keeps the library's former core engine, a sweep over
-every outcome. The loader reference keeps the library's older
-construction path, which parses every literal on its own, builds an
-Allocation per contract, drops duplicates by Fraction equality and
-derives the integer columns from the Fraction menus. The tie replay
+every outcome. The loader reference reads in the loader's order and
+raises the first fault, but keeps the library's older construction
+path, which parses every literal on its own, builds an Allocation per
+contract, drops duplicates by Fraction equality and derives the integer
+columns from the Fraction menus. The tie replay
 keeps the library's former proposing engine, which compares Fraction
 payoffs, removes each proposal from a copy of its firm's list, and builds
 a trace on every run. `classic_da`, textbook deferred acceptance on
@@ -277,10 +278,15 @@ def oracle_firm_pareto(inst, payoffs):
 def oracle_instance_from_dict(data):
     """`instance_from_dict` by a parse of its own and the former validation.
 
-    Every id and amount is parsed where it appears, with no memo, into an
-    Allocation per contract, in the loader's order within an entry: the
-    pair is unpacked, each contract is read id by id and amount by amount,
-    and the pair's ids are parsed last. See oracle_validate for the rest.
+    It reads in the loader's order and raises the first fault: the agents
+    and their checks, the partition and its checks, then each menu entry
+    in input order. An entry's pair is parsed and checked first (repeat,
+    unknown agent, duplicate, same side). Then each contract is read id
+    by id and amount by amount, with no memo, into an Allocation, which
+    must cover exactly the pair. An empty menu is checked last. Duplicate
+    contracts are dropped by Fraction equality of their Allocations, the
+    warning counts the contracts kept, and the contract columns and the
+    scale are derived from the canonical Fraction menus.
     """
     if not isinstance(data, Mapping):
         raise FormatError("instance data must be a JSON object")
@@ -296,39 +302,6 @@ def oracle_instance_from_dict(data):
     agents = id_list("agents")
     if agents is None:
         raise FormatError("instance needs an integer 'agents' list")
-    entries = data.get("menus", [])
-    if not isinstance(entries, (list, tuple)):
-        raise FormatError("instance 'menus' must be a list")
-    menus = []
-    for entry in entries:
-        if not isinstance(entry, Mapping) or not isinstance(entry.get("pair"), list):
-            raise FormatError(f"malformed menu entry {_shown(entry)}")
-        try:
-            a, b = entry["pair"]
-            allocations = []
-            for c in entry["contracts"]:
-                contract = {}
-                for x, v in c.items():
-                    x = parse_agent(x)
-                    if x in contract:  # "1" and "01" name one agent
-                        raise FormatError(f"contract names agent {x} more than once")
-                    contract[x] = parse_money(v)
-                allocations.append(Allocation(tuple(sorted(contract.items()))))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise FormatError(f"malformed menu entry {_shown(entry)}") from exc
-        menus.append(((parse_agent(a), parse_agent(b)), allocations))
-    return oracle_validate(agents, menus, id_list("firms"), id_list("workers"))
-
-
-def oracle_validate(agents, menus, firms, workers):
-    """The Instance of parsed parts, by the library's former validation.
-
-    `menus` holds (pair, Allocations) entries in input order. Checks run
-    in the library's former order with its messages; duplicate
-    contracts are dropped by Fraction equality of their Allocations. The
-    contract columns and the scale are derived from the canonical
-    Fraction menus.
-    """
     agents = tuple(sorted(set(agents)))
     if not agents:
         raise InstanceError("instance must have at least one agent")
@@ -336,6 +309,7 @@ def oracle_validate(agents, menus, firms, workers):
         raise InstanceError("agent ids must be positive integers")
     agent_set = set(agents)
 
+    firms, workers = id_list("firms"), id_list("workers")
     if (firms is None) != (workers is None):
         raise InvalidPartitionError("firms and workers must be given together")
     if firms is not None:
@@ -348,13 +322,22 @@ def oracle_validate(agents, menus, firms, workers):
             raise InvalidPartitionError("firms and workers overlap")
         if set(firms) | set(workers) != agent_set:
             raise InvalidPartitionError("firms and workers must cover all agents")
-
     firm_set = set(firms or ())
     worker_set = set(workers or ())
+
+    entries = data.get("menus", [])
+    if not isinstance(entries, (list, tuple)):
+        raise FormatError("instance 'menus' must be a list")
     seen = set()
     canonical = []
-    negatives = 0
-    for (a, b), allocations in menus:
+    for entry in entries:
+        if (
+            not isinstance(entry, Mapping)
+            or not isinstance(entry.get("pair"), list)
+            or len(entry["pair"]) != 2
+        ):
+            raise FormatError(f"malformed menu entry {_shown(entry)}")
+        a, b = (parse_agent(x) for x in entry["pair"])
         if a == b:
             raise MalformedMenuError(f"menu pair {(a, b)!r} repeats an agent")
         for x in (a, b):
@@ -370,18 +353,30 @@ def oracle_validate(agents, menus, firms, workers):
             raise SameSideMenuError(f"pair {key} joins two agents on the same side")
         lo, hi = key
         contracts = []
-        for c in allocations:
-            p = c.payments
-            if len(p) != 2 or p[0][0] != lo or p[1][0] != hi:
-                raise MalformedMenuError(f"contract {c!r} does not cover exactly the pair {key}")
-            if p[0][1] < 0 or p[1][1] < 0:
-                negatives += 1
-            if c not in contracts:
-                contracts.append(c)
+        try:
+            for c in entry["contracts"]:
+                contract = {}
+                for x, v in c.items():
+                    x = parse_agent(x)
+                    if x in contract:  # "1" and "01" name one agent
+                        raise FormatError(f"contract names agent {x} more than once")
+                    contract[x] = parse_money(v)
+                allocation = Allocation(tuple(sorted(contract.items())))
+                if sorted(contract) != [lo, hi]:
+                    raise MalformedMenuError(
+                        f"contract {allocation!r} does not cover exactly the pair {key}"
+                    )
+                if allocation not in contracts:
+                    contracts.append(allocation)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise FormatError(f"malformed menu entry {_shown(entry)}") from exc
         if not contracts:
             raise EmptyContractSetError(f"menu for pair {key} has no contracts")
         canonical.append(Menu(key, tuple(contracts)))
     canonical.sort(key=lambda m: m.pair)
+    negatives = sum(
+        any(v < 0 for _, v in c.payments) for m in canonical for c in m.contracts
+    )
     if negatives:
         warnings.warn(
             f"{negatives} contract(s) contain negative amounts and can never "

@@ -746,8 +746,10 @@ class TestVerify:
         assert err == f"error: group-tradeoff: {message}\n"
 
     def test_unknown_property_exits_2(self, capsys, modified_file):
-        code, _, err = run_cli(capsys, "verify", modified_file, "--properties", "bogus")
-        assert code == 2 and "unknown property" in err
+        # Every name is checked before any property runs, so none prints.
+        for names in ("bogus", "pairwise-efficiency,bogus"):
+            code, out, err = run_cli(capsys, "verify", modified_file, "--properties", names)
+            assert (code, out, err) == (2, "", "error: unknown property 'bogus'\n")
 
 
 class TestRelabelledFractionalMarket:

@@ -143,6 +143,11 @@ class TestValidation:
                 "contract Allocation({1: 1, ID: 1}) does not cover exactly the pair (1, 2)",
             ),
             (
+                lambda a: instance_of((1, 2, 3), [menu((1, 2), [{1: a, 3: 1}])]),
+                MalformedMenuError,
+                "contract Allocation({1: ID, 3: 1}) does not cover exactly the pair (1, 2)",
+            ),
+            (
                 lambda a: Matching.from_pairs([[1, a, 3]]),
                 FormatError,
                 "matched pair must list two agents, got [1, ID, 3]",
@@ -154,11 +159,12 @@ class TestValidation:
             ),
         ],
         ids=["same-side", "unknown-menu-agent", "unknown-partition-agent", "malformed-entry",
-             "no-contracts", "stray-contract", "matched-pair", "matched-agent-unpaid"],
+             "no-contracts", "stray-contract", "stray-contract-amount", "matched-pair",
+             "matched-agent-unpaid"],
     )
     def test_an_id_past_the_digit_limit_is_shown_by_its_digit_count(self, make, error, message):
         # 10**5000 has 5001 digits, past the 4,300 Python converts to str by
-        # default; an id within the limit is shown as before.
+        # default; an id or an amount within the limit is shown as before.
         for a, shown in ((10**5000, "<5001-digit int>"), (7, "7")):
             with pytest.raises(error) as err:
                 make(a)
@@ -219,12 +225,55 @@ class TestValidation:
             inst = instance_of((1, 2), [menu((1, 2), contracts)])
         assert len(menus_of(inst)[0].contracts) == 4
 
+    def test_negative_contracts_are_counted_after_repeats_are_dropped(self):
+        contracts = [{1: -1, 2: 5}, {1: -1, 2: 5}, {1: "-2/2", 2: 5}]
+        with pytest.warns(NegativeContractWarning, match=r"^1 contract\(s\) "):
+            inst = instance_of((1, 2), [menu((1, 2), contracts)])
+        assert len(inst.xs) == 1
+
     def test_duplicate_contracts_are_dropped(self):
         inst = instance_of(
             (1, 2),
             [menu((1, 2), [{1: 1, 2: 2}, {1: 1, 2: 2}, {1: 2, 2: 1}])],
         )
         assert len(menus_of(inst)[0].contracts) == 2
+
+
+class TestReadingOrder:
+    """The loader raises the first fault in reading order: the agents, then
+    the partition, then each menu entry, its pair before its contracts."""
+
+    @pytest.mark.parametrize(
+        "changes, error, message",
+        [
+            (
+                {"menus": [{"pair": [1, 1], "contracts": [{"1": "1"}]},
+                           {"pair": [1, 2], "contracts": [{"1": "x", "2": "1"}]}]},
+                MalformedMenuError,
+                "menu pair (1, 1) repeats an agent",
+            ),
+            (
+                {"firms": "1", "menus": [{"pair": [1, 2], "contracts": [{"1": "1", "2": "1"}]}, 5]},
+                FormatError,
+                "instance 'firms' must be a list of agent ids",
+            ),
+            (
+                {"menus": [{"pair": [1, "x"], "contracts": [{"1": "three", "2": "1"}]}]},
+                FormatError,
+                "agent id must be an integer, got 'x'",
+            ),
+        ],
+        ids=["repeated-pair-before-a-later-bad-literal",
+             "bad-partition-before-a-later-malformed-entry",
+             "bad-pair-id-before-its-malformed-contract"],
+    )
+    def test_the_first_fault_in_reading_order_is_raised(self, changes, error, message):
+        data = {"agents": [1, 2, 3], "firms": [1], "workers": [2, 3], "menus": []}
+        data.update(changes)
+        for load in (instance_from_dict, oracle_instance_from_dict):
+            with pytest.raises(error) as err:
+                load(data)
+            assert type(err.value) is error and str(err.value) == message
 
 
 class TestEnumeration:

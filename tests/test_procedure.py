@@ -19,6 +19,8 @@ from contractmatch import (
     build_proposal_space,
     enumerate_procedure_outcomes,
     gen_random,
+    instance_from_dict,
+    instance_to_dict,
     is_stable,
     is_weakly_pareto_optimal_for_firms,
     outcome_is_feasible,
@@ -435,3 +437,69 @@ class TestClassicDA:
             for policy in POLICIES.values():
                 run, _ = run_procedure(inst, policy)
                 assert run.matching == da.matching
+
+
+def without_unproposed(inst, trace, rng):
+    """The dict form of `inst` with each contract the traced run never
+    proposed deleted with probability 1/2; a menu left with no contract
+    goes too.
+
+    A contract is matched to the trace's proposals by its Fraction
+    amounts, read from the dict form, so no engine code is shared.
+    """
+    proposed = {
+        p.allocation.payments for step in trace.steps for p in step.proposals.values()
+    }
+    data = instance_to_dict(inst)
+    menus = []
+    for m in data["menus"]:
+        contracts = [
+            c for c in m["contracts"]
+            if tuple(sorted((int(a), Fraction(x)) for a, x in c.items())) in proposed
+            or rng.random() < 0.5
+        ]
+        if contracts:
+            menus.append({"pair": m["pair"], "contracts": contracts})
+    return {**data, "menus": menus}
+
+
+def assert_dead_contracts_change_nothing(inst, seed):
+    """Under each policy, deleting contracts the run never proposed leaves
+    its outcome and its trace as they were; returns how many were deleted."""
+    deleted = 0
+    for policy in POLICIES.values():
+        run = run_procedure(inst, policy)
+        data = without_unproposed(inst, run[1], random.Random(seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeContractWarning)
+            smaller = instance_from_dict(data)
+        assert run_procedure(smaller, policy) == run, (seed, policy)
+        deleted += len(inst.xs) - len(smaller.xs)
+    return deleted
+
+
+class TestDeadContracts:
+    """A relation that holds at any size: the run never looks past the last
+    contract it proposed, so deleting any it did not propose changes
+    nothing."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        n_firms=st.integers(1, 6),
+        n_workers=st.integers(1, 6),
+        values=st.sampled_from([(0, 6), (-2, 6), (1, 60)]),
+        forced=st.booleans(),
+        seed=st.integers(0, 10**6),
+    )
+    def test_small_markets(self, n_firms, n_workers, values, forced, seed):
+        forced = forced and values == (1, 60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeContractWarning)
+            inst = gen_random(
+                GenParams(n_firms, n_workers, (1, 3), values, 0.8, forced, forced, seed=seed)
+            )
+        assert_dead_contracts_change_nothing(inst, seed)
+
+    def test_a_seeded_60_by_60_market(self):
+        inst = gen_random(GenParams(60, 60, (1, 3), (0, 6), 0.8, seed=60))
+        assert assert_dead_contracts_change_nothing(inst, 60) > 1000
