@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -25,8 +26,14 @@ from .procedure import POLICIES
 
 BUDGET_ENV_VAR = "CONTRACTMATCH_MAX_OUTCOMES"
 
+_LEAVES = frozenset({str, int, bool, type(None)})
+
 
 def _jsonable(value):
+    # Leaves first, by exact type: Fraction's class is an ABC, so an
+    # isinstance test against it costs several times more.
+    if type(value) in _LEAVES:
+        return value
     if isinstance(value, Outcome):
         return model.outcome_to_dict(value)
     if isinstance(value, model.Allocation):
@@ -58,6 +65,23 @@ def _print_json(data) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _read(read, path):
+    """read(path) with the cyclic garbage collector paused, then restored
+    to its prior state.
+
+    A decoded JSON document and the loader's lists hold no reference
+    cycles, so reference counting frees them; the collector would only
+    scan them again and again as they grow.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return read(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _budget(args) -> EnumerationBudget:
     if getattr(args, "max", None) is not None:
         cap, source = args.max, "--max"
@@ -76,7 +100,7 @@ def _budget(args) -> EnumerationBudget:
 
 
 def _cmd_solve(args) -> int:
-    inst = model.read_instance_file(args.instance)
+    inst = _read(model.read_instance_file, args.instance)
     budget = _budget(args)
     if args.all_tiebreaks:
         for outcome in procedure.enumerate_procedure_outcomes(inst, budget):
@@ -94,8 +118,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    inst = model.read_instance_file(args.instance)
-    outcome = model.read_outcome_file(args.outcome)
+    inst = _read(model.read_instance_file, args.instance)
+    outcome = _read(model.read_outcome_file, args.outcome)
     certificates = stability.blocking_coalitions(inst, outcome)
     _print_json({"stable": not certificates})
     for cert in certificates:
@@ -104,7 +128,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_core(args) -> int:
-    inst = model.read_instance_file(args.instance)
+    inst = _read(model.read_instance_file, args.instance)
     core = stability.enumerate_core(inst, _budget(args))
     for outcome in core:
         _print_json(model.outcome_to_dict(outcome))
@@ -113,7 +137,7 @@ def _cmd_core(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    inst = model.read_instance_file(args.instance)
+    inst = _read(model.read_instance_file, args.instance)
     battery = verify.PropertyBattery(inst, _budget(args))
     explicit = args.properties is not None
     names = [n.strip() for n in args.properties.split(",")] if explicit else verify.PROPERTY_NAMES

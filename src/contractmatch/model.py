@@ -101,16 +101,22 @@ def _money_ratio(value) -> tuple[int, int]:
         # The shapes files use, "1234" and "617/2", are read without
         # Fraction; any other shape, and any int() failure such as the
         # digit limit or a zero denominator, takes the general path below.
-        num, slash, den = value.partition("/")
-        if num.isdecimal() and (den.isdecimal() or not slash):
+        if value.isdecimal():
             try:
-                n, d = int(num), int(den) if slash else 1
+                return int(value), 1
             except ValueError:
                 pass
-            else:
-                if d:
-                    g = math.gcd(n, d)
-                    return n // g, d // g
+        else:
+            num, slash, den = value.partition("/")
+            if slash and num.isdecimal() and den.isdecimal():
+                try:
+                    n, d = int(num), int(den)
+                except ValueError:
+                    pass
+                else:
+                    if d:
+                        g = math.gcd(n, d)
+                        return n // g, d // g
     if isinstance(value, bool):
         raise FormatError(f"money amount must be an integer or string, got {value!r}")
     if isinstance(value, int):
@@ -490,10 +496,7 @@ def _id_list(data: Mapping, key: str) -> list[int] | None:
 
 
 class _ParseMemo(dict):
-    """Parsed values of keys, each key parsed on first use.
-
-    The loader's memos take only str keys, so that True never stands for 1.
-    """
+    """Parsed values of keys, each key parsed on first use."""
 
     def __init__(self, parse):
         super().__init__()
@@ -502,6 +505,45 @@ class _ParseMemo(dict):
     def __missing__(self, key):
         value = self[key] = self.parse(key)
         return value
+
+
+class _Literals(dict):
+    """The loader's amounts: each money string met, to the index of its amount.
+
+    `amounts` maps each distinct amount, an int when whole and (numerator,
+    denominator) otherwise, to its index, so that value-equal literals such
+    as "1", "2/2" and "1.0" share one index. A string is parsed once, on
+    first use. Only str keys are stored, so that True never stands for 1.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.amounts: dict = {}
+
+    def __missing__(self, text):
+        n, d = _money_ratio(text)
+        amounts = self.amounts
+        i = self[text] = amounts.setdefault(n if d == 1 else (n, d), len(amounts))
+        return i
+
+    def index(self, value) -> int:
+        """The index of an amount given as any value parse_money reads."""
+        amounts = self.amounts
+        if type(value) is not int:
+            if type(value) is str:
+                return self[value]
+            n, d = _money_ratio(value)
+            value = n if d == 1 else (n, d)
+        return amounts.setdefault(value, len(amounts))
+
+
+def _key_of(agent: int):
+    """The string a file's contract names an agent by, or, past the digit
+    limit, where no string can, a new object that equals no key."""
+    try:
+        return str(agent)
+    except ValueError:
+        return object()
 
 
 def instance_from_dict(data: Mapping) -> Instance:
@@ -557,17 +599,10 @@ def instance_from_dict(data: Mapping) -> Instance:
     if not isinstance(entries, (list, tuple)):
         raise FormatError("instance 'menus' must be a list")
 
-    # Each distinct amount, an int when whole and (numerator, denominator)
-    # otherwise, to its index.
-    amounts: dict = {}
-
-    def amount(value) -> int:
-        if type(value) is not int:
-            n, d = _money_ratio(value)
-            value = n if d == 1 else (n, d)
-        return amounts.setdefault(value, len(amounts))
-
-    literals = _ParseMemo(amount)
+    literals = _Literals()
+    amounts = literals.amounts
+    # Each agent to the key a contract names it by, for the fast path below.
+    keys = {a: _key_of(a) for a in agent_set}
     # Each menu's pair (lo, hi) as the int lo * span + hi, to the menu's
     # index; the ints sort as the pairs do. Per menu, the offset of its
     # first contract in us and vs, which hold each contract's first's and
@@ -586,28 +621,27 @@ def instance_from_dict(data: Mapping) -> Instance:
             a, b = entry["pair"]
             a = a if type(a) is int else parse_agent(a)
             b = b if type(b) is int else parse_agent(b)
+            ka, kb = keys.get(a), keys.get(b)
             if a == b:
                 raise MalformedMenuError(f"menu pair {_repr((a, b))} repeats an agent")
-            for x in (a, b):
-                if x not in agent_set:
-                    raise UnknownAgentError(f"menu references unknown agent {_repr(x)}")
-            lo, hi = (a, b) if a < b else (b, a)
-            key = lo * span + hi
-            if key in menus:
+            if ka is None:
+                raise UnknownAgentError(f"menu references unknown agent {_repr(a)}")
+            if kb is None:
+                raise UnknownAgentError(f"menu references unknown agent {_repr(b)}")
+            lo, hi, klo, khi = (a, b, ka, kb) if a < b else (b, a, kb, ka)
+            # A pair given before leaves the number of menus as it was.
+            menus[lo * span + hi] = len(offsets)
+            if len(menus) == len(offsets):
                 raise DuplicateMenuError(f"more than one menu for pair {_repr((lo, hi))}")
             # The partition covers the agents, so a pair without exactly one
             # firm joins two firms or two workers.
-            if firms is not None and (a in firm_set) == (b in firm_set):
+            hi_firm = hi in firm_set
+            if firms is not None and hi_firm == (lo in firm_set):
                 raise SameSideMenuError(
                     f"pair {_repr((lo, hi))} joins two agents on the same side"
                 )
-            menus[key] = len(offsets)
+            first, second, sf, sw = (hi, lo, khi, klo) if hi_firm else (lo, hi, klo, khi)
             offsets.append(len(us))
-            first, second = (hi, lo) if hi in firm_set else (lo, hi)
-            try:  # the keys of the fast path below
-                sf, sw = str(first), str(second)
-            except ValueError:  # past the digit limit no id string can reach
-                sf = sw = None
             for c in entry["contracts"]:
                 if type(c) is dict and len(c) == 2:
                     u, v = c.get(sf), c.get(sw)
@@ -625,7 +659,7 @@ def instance_from_dict(data: Mapping) -> Instance:
                     x = parse_agent(x)
                     if x in parsed:
                         raise FormatError(f"contract names agent {x} more than once")
-                    parsed[x] = literals[v] if type(v) is str else amount(v)
+                    parsed[x] = literals.index(v)
                 if len(parsed) == 2 and first in parsed and second in parsed:
                     us.append(parsed[first])
                     vs.append(parsed[second])

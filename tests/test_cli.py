@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from contractmatch import (
     gen_random,
     instance_from_dict,
     instance_to_dict,
+    model,
     outcome_from_dict,
     outcome_to_dict,
     procedure,
@@ -541,9 +543,10 @@ class TestFuzzedInput:
         except ContractMatchError:
             pass
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(inputs=_inputs)
-    def test_check_command(self, inputs):
+    @staticmethod
+    def exits_cleanly(inputs, command, *options):
+        """Run the command on the inputs' files: it exits 0, 1 or 2 and
+        writes only error and warning lines to stderr."""
         instance, outcome = inputs
         with tempfile.TemporaryDirectory() as tmp:
             inst_path = os.path.join(tmp, "instance.json")
@@ -551,14 +554,29 @@ class TestFuzzedInput:
             for path, data in ((inst_path, instance), (outcome_path, outcome)):
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(json.dumps(data))
+            files = [inst_path, outcome_path] if command == "check" else [inst_path]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["check", inst_path, outcome_path])
+                code = main([command, *files, *options])
         assert code in (0, 1, 2)
         lines = err.getvalue().splitlines()
         assert all(line.startswith(("error: ", "warning: ")) for line in lines)
         if code == 2:
             assert lines[-1].startswith("error: ")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(inputs=_inputs)
+    def test_check_command(self, inputs):
+        self.exits_cleanly(inputs, "check")
+
+    @pytest.mark.parametrize(
+        "command", [["solve"], ["core", "--max", "50"], ["verify", "--max", "50"]],
+        ids=["solve", "core", "verify"],
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(inputs=_inputs)
+    def test_instance_commands(self, command, inputs):
+        self.exits_cleanly(inputs, *command)
 
 
 class TestCore:
@@ -876,10 +894,10 @@ class TestGenAndExample:
         assert code == 0
 
 
-def close_after_one_line(*argv):
+def close_after_one_line(*argv, program=("-m", "contractmatch.cli")):
     """Run the command, close its stdout after one line: (exit code, stderr)."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "contractmatch.cli", *argv],
+        [sys.executable, *program, *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
@@ -940,3 +958,92 @@ class TestConsoleEntry:
             tmp_path / "single.json", {"matches": [], "payoffs": {str(a): "0" for a in inst.agents}}
         )
         assert close_after_one_line("check", path, single) == (1, b"")
+
+
+# Runs the command line argv[2:] with the collector on or off as argv[1]
+# says, then writes its exit code and the collector's state to stderr.
+COLLECTOR_AFTER_MAIN = """
+import gc, sys
+from contractmatch.cli import main
+if sys.argv[1] == "off":
+    gc.disable()
+code = main(sys.argv[2:])
+print(code, gc.isenabled(), file=sys.stderr)
+"""
+
+
+class TestCollector:
+    """Each command reads its input files with the cyclic garbage collector
+    paused, and leaves the collector as it found it, whatever the exit."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, illustration_file, modified_file, gs4_file):
+        stable = {"matches": [[1, 3], [2, 4]], "payoffs": {"1": "3", "2": "4", "3": "1", "4": "2"}}
+        (tmp_path / "bad.json").write_text("{", encoding="utf-8")
+        return {
+            "ill": illustration_file,
+            "mod": modified_file,
+            "gs4": gs4_file,
+            "bad": str(tmp_path / "bad.json"),
+            "bad-menu": write_json(tmp_path / "bad-menu.json", {"agents": [1, 2], "menus": [5]}),
+            "stable": write_json(tmp_path / "stable.json", stable),
+            "single": write_json(
+                tmp_path / "single.json", {"matches": [], "payoffs": {a: "0" for a in "1234"}}
+            ),
+        }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["solve", "ill"], 0),
+            (["solve", "bad"], 2),
+            (["solve", "gs4"], 2),
+            (["check", "ill", "stable"], 0),
+            (["check", "gs4", "single"], 1),
+            (["check", "ill", "bad"], 2),
+            (["core", "ill"], 0),
+            (["core", "gs4", "--max", "1"], 2),
+            (["verify", "ill", "--properties", "firm-pareto"], 0),
+            (["verify", "mod"], 1),
+            (["verify", "bad-menu"], 2),
+        ],
+        ids=lambda v: "-".join(v) if isinstance(v, list) else f"exit{v}",
+    )
+    def test_is_left_as_found(self, capsys, files, argv, code, enabled):
+        argv = [files.get(a, a) for a in argv]
+        try:
+            if not enabled:
+                gc.disable()
+            assert run_cli(capsys, *argv)[0] == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_is_paused_while_input_is_read(self, capsys, monkeypatch, files):
+        # The command line looks each reader up on the model module when it
+        # calls it, so that a wrapper set there sees every read.
+        paused = []
+        for name in ("read_instance_file", "read_outcome_file"):
+            read = getattr(model, name)
+            monkeypatch.setattr(
+                model, name, lambda path, read=read: paused.append(not gc.isenabled()) or read(path)
+            )
+        assert run_cli(capsys, "check", files["ill"], files["stable"])[0] == 0
+        assert paused == [True, True] and gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", ["on", "off"])
+    def test_is_left_as_found_when_stdout_is_closed(self, tmp_path, enabled):
+        inst = gen_random(GenParams(60, 60, seed=1))
+        path = write_json(tmp_path / "m.json", instance_to_dict(inst))
+        single = write_json(
+            tmp_path / "single.json", {"matches": [], "payoffs": {str(a): "0" for a in inst.agents}}
+        )
+        program = ("-c", COLLECTOR_AFTER_MAIN, enabled)
+        state = str(enabled == "on").encode()
+        assert close_after_one_line("solve", path, "--trace", program=program) == (
+            0, b"0 " + state + b"\n"
+        )
+        assert close_after_one_line("check", path, single, program=program) == (
+            0, b"1 " + state + b"\n"
+        )

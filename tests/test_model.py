@@ -109,6 +109,17 @@ class TestValidation:
         inst = instance_of((1, big), [menu((big, 1), [{big: 2, 1: 3}])], firms=(big,), workers=(1,))
         assert (inst.firsts, inst.seconds, inst.xs, inst.ys) == ((big,), (1,), (2,), (3,))
 
+    @pytest.mark.parametrize("other", [3, 10**5000 + 1], ids=["one-id-past", "both-ids-past"])
+    def test_a_key_past_the_digit_limit_is_no_key_of_the_fast_path(self, other):
+        # No key, None included, may stand for an id no string can name:
+        # the contract is read entry by entry, and None is no agent id.
+        big = 10**5000
+        data = {"agents": [big, other], "firms": [big], "workers": [other],
+                "menus": [{"pair": [big, other], "contracts": [{None: "1", "4": "2"}]}]}
+        for load in (instance_from_dict, oracle_instance_from_dict):
+            with pytest.raises(FormatError, match="^agent id must be an integer, got None$"):
+                load(data)
+
     @pytest.mark.parametrize(
         "make, error, message",
         [
@@ -270,6 +281,34 @@ class TestReadingOrder:
     def test_the_first_fault_in_reading_order_is_raised(self, changes, error, message):
         data = {"agents": [1, 2, 3], "firms": [1], "workers": [2, 3], "menus": []}
         data.update(changes)
+        for load in (instance_from_dict, oracle_instance_from_dict):
+            with pytest.raises(error) as err:
+                load(data)
+            assert type(err.value) is error and str(err.value) == message
+
+
+class TestPairCheckOrder:
+    """An entry's pair is checked for a repeated agent, then for each
+    unknown agent in the order given, then for a pair given before, then
+    for a pair on one side."""
+
+    @pytest.mark.parametrize(
+        "menus, error, message",
+        [
+            ([{"pair": [9, 9], "contracts": [{"9": "1"}]}],
+             MalformedMenuError, "menu pair (9, 9) repeats an agent"),
+            ([{"pair": [9, 8], "contracts": [{"9": "1", "8": "1"}]}],
+             UnknownAgentError, "menu references unknown agent 9"),
+            ([{"pair": [1, 2], "contracts": [{"1": "1", "2": "1"}]},
+              {"pair": [2, 1], "contracts": [{"1": "2", "2": "2"}]},
+              {"pair": [2, 3], "contracts": [{"2": "1", "3": "1"}]}],
+             DuplicateMenuError, "more than one menu for pair (1, 2)"),
+        ],
+        ids=["repeated-agent-before-unknown", "first-unknown-before-second",
+             "repeated-pair-before-same-side-pair"],
+    )
+    def test_the_first_fault_of_the_pair_checks_is_raised(self, menus, error, message):
+        data = {"agents": [1, 2, 3], "firms": [1], "workers": [2, 3], "menus": menus}
         for load in (instance_from_dict, oracle_instance_from_dict):
             with pytest.raises(error) as err:
                 load(data)
@@ -738,6 +777,40 @@ class TestFastPathAgainstOracle:
                     assert isinstance(got[0], tuple), (seed, name)
                     faulty += 1
         assert faulty >= 300
+
+
+class TestBenchmarkShapedMarket:
+    @pytest.mark.parametrize("values", [(0, 5), (0, 1000)], ids=["ties", "near-strict"])
+    def test_loads_as_the_oracle_does(self, values):
+        # As the solve-market workload writes its files: a 40x40 market
+        # with every agent relabelled and every amount times k/2 for one
+        # odd k, written "n" or "n/2", its menus in the order of the old ids.
+        rng = random.Random(values[1])
+        inst = gen_random(GenParams(40, 40, (1, 4), values, 0.75, seed=values[1]))
+        new = dict(zip(inst.agents, rng.sample(range(1, 801), 80)))
+        k = 2 * rng.randrange(50) + 1
+        data = instance_to_dict(inst)
+        menus = [
+            {
+                "pair": [new[a] for a in m["pair"]],
+                "contracts": [
+                    {str(new[int(a)]): money_str(Fraction(int(x) * k, 2)) for a, x in c.items()}
+                    for c in m["contracts"]
+                ],
+            }
+            for m in data["menus"]
+        ]
+        data = {
+            "agents": sorted(new.values()),
+            "firms": [new[a] for a in data["firms"]],
+            "workers": [new[a] for a in data["workers"]],
+            "menus": menus,
+        }
+        pairs = [sorted(m["pair"]) for m in menus]
+        assert pairs != sorted(pairs)
+        got = load_exactly(instance_from_dict, data)
+        assert isinstance(got[0], Instance) and got[0].scale == 2
+        assert got == load_exactly(oracle_instance_from_dict, data)
 
 
 class TestSerialization:
