@@ -6,16 +6,17 @@ is always feasible and pays zero; singleton menus are implicit and never
 stored. An outcome matches agents into disjoint menued pairs, picks one
 menu entry per matched pair, and pays zero to everyone single.
 
-Amounts are exact: `fractions.Fraction` in outcomes, and ints scaled by a
-common denominator in an instance's contract columns. Input amounts must
-be integers or strings; floats are rejected because they do not
-round-trip exactly.
+Amounts are exact: `fractions.Fraction` in outcomes, and in an
+instance's contract columns signed ranks, which compare as the amounts
+do and share their signs. Input amounts must be integers or strings;
+floats are rejected because they do not round-trip exactly.
 """
 from __future__ import annotations
 
 import json
 import math
 import warnings
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -201,12 +202,14 @@ class Instance:
 
     Built by the loader, instance_from_dict, which stores the contracts in
     four parallel int columns, one entry per contract, in pair order and
-    then menu order. A contract pays agent firsts[k] the amount xs[k] and
-    agent seconds[k] the amount ys[k], each times `scale`, the common
-    denominator of all the instance's amounts, so the ints compare as the
-    amounts do. The first and the second are the firm and the worker on a
-    two-sided instance and the menu pair, low id first, on a pool. A menu
-    is a run of entries with one (first, second); spans() yields them.
+    then menu order. A contract pays agent firsts[k] the amount of rank
+    xs[k] and agent seconds[k] that of rank ys[k]. `levels` holds the
+    distinct amounts and zero in increasing order, as (numerator,
+    denominator) in lowest terms: zero has rank 0, the levels above it 1,
+    2, ... and those below it -1, -2, .... The first and the second are
+    the firm and the worker on a two-sided instance and the menu pair, low
+    id first, on a pool. A menu is a run of entries with one (first,
+    second); spans() yields them.
     """
 
     agents: tuple[int, ...]
@@ -214,7 +217,7 @@ class Instance:
     seconds: tuple[int, ...] = ()
     xs: tuple[int, ...] = ()
     ys: tuple[int, ...] = ()
-    scale: int = 1
+    levels: tuple[tuple[int, int], ...] = ((0, 1),)
     firms: tuple[int, ...] | None = None
     workers: tuple[int, ...] | None = None
 
@@ -223,13 +226,18 @@ class Instance:
         return self.firms is not None and self.workers is not None
 
     @cached_property
+    def _ranks(self) -> dict[tuple[int, int], int]:
+        """The rank of each level, keyed by the level."""
+        return {level: r for r, level in enumerate(self.levels, -self.levels.index((0, 1)))}
+
+    @cached_property
     def money(self) -> dict[int, Fraction]:
-        """The amount of each column int, each built on first use and shared."""
-        scale = self.scale
-        return _ParseMemo(lambda x: Fraction(x, scale))
+        """The amount of each rank, each built on first use and shared."""
+        levels, z = self.levels, self.levels.index((0, 1))
+        return _ParseMemo(lambda r: Fraction(*levels[r + z]))
 
     def allocation(self, a: int, x: int, b: int, y: int) -> Allocation:
-        """The contract paying agent a the column int x and agent b the int y."""
+        """The contract paying agent a the rank x and agent b the rank y."""
         money = self.money
         if a < b:
             return Allocation(((a, money[x]), (b, money[y])))
@@ -237,8 +245,8 @@ class Instance:
 
     def outcome(self, contracts: Iterable[tuple[int, int, int, int]]) -> Outcome:
         """The outcome of disjoint contracts (a, x, b, y), each paying agent
-        a the column int x and agent b the int y, taken as given; every
-        other agent is single at zero.
+        a the rank x and agent b the rank y, taken as given; every other
+        agent is single at zero.
         """
         money = self.money
         pairs, paid = [], {}
@@ -263,14 +271,16 @@ class Instance:
         for start, stop in zip(starts, starts[1:]):
             yield firsts[start], seconds[start], start, stop
 
-    def scaled(self, payoffs: Mapping[int, Fraction]) -> dict[int, int]:
-        """Each payoff times `scale`, rounded down.
-
-        A column int exceeds a scaled payoff exactly when its amount
-        exceeds the payoff, whatever the payoff's denominator.
-        """
-        scale = self.scale
-        return {a: v.numerator * scale // v.denominator for a, v in payoffs.items()}
+    def floor_ranks(self, payoffs: Mapping[int, Fraction]) -> dict[int, int]:
+        """The rank of the greatest level at most each payoff, by one lookup
+        when the payoff is a level and else by binary search: a rank
+        exceeds it exactly when its amount exceeds the payoff."""
+        floors = {a: self._ranks.get(v.as_integer_ratio()) for a, v in payoffs.items()}
+        for a, r in floors.items():
+            if r is None:
+                i = bisect_right(self.levels, payoffs[a], key=lambda level: Fraction(*level))
+                floors[a] = i - 1 - self.levels.index((0, 1))
+        return floors
 
 
 @dataclass(frozen=True)
@@ -345,19 +355,13 @@ class Outcome:
 
 def outcome_is_feasible(inst: Instance, outcome: Outcome) -> bool:
     """True iff the outcome satisfies every feasibility invariant of the instance."""
-    agents = tuple([a for a, _ in outcome.payoffs])
-    if agents != inst.agents:
+    if tuple([a for a, _ in outcome.payoffs]) != inst.agents:
         return False
-    v = outcome.payoff_map()
-    if any(x < 0 for x in v.values()):
+    # Each payoff's rank. Zero is a level, so a payoff that is no level, of
+    # rank None, is feasible for no agent.
+    v = {a: inst._ranks.get(x.as_integer_ratio()) for a, x in outcome.payoffs}
+    if None in v.values() or min(v.values()) < 0:
         return False
-    scale = inst.scale
-    # Each payoff times the scale, or None when that is not an int, which
-    # no column int can then equal.
-    exact = {
-        a: None if (x.numerator * scale) % x.denominator else x.numerator * scale // x.denominator
-        for a, x in v.items()
-    }
     mate = {}
     for a, b in outcome.matching.pairs:
         mate[a], mate[b] = b, a
@@ -366,7 +370,7 @@ def outcome_is_feasible(inst: Instance, outcome: Outcome) -> bool:
     met = [
         a
         for a, b, x, y in zip(inst.firsts, inst.seconds, inst.xs, inst.ys)
-        if x == exact[a] and y == exact[b] and mate.get(a) == b
+        if x == v[a] and y == v[b] and mate.get(a) == b
     ]
     return len(met) == len(outcome.matching.pairs) and all(
         v[a] == 0 for a in inst.agents if a not in mate
@@ -456,20 +460,13 @@ def instance_to_dict(inst: Instance) -> dict:
 
     Each menu lists its pair low id first, and each contract its agents in
     id order, as an Allocation does. An amount is written as money_str
-    writes it: str(x) at scale 1, otherwise from one gcd per distinct int.
+    writes it, from one string per level.
     """
     d: dict = {"agents": list(inst.agents)}
-    if inst.firms is not None:
-        d["firms"] = list(inst.firms)
-    if inst.workers is not None:
-        d["workers"] = list(inst.workers)
-    scale = inst.scale
-
-    def text(x: int) -> str:
-        g = math.gcd(x, scale)
-        return str(x // g) if g == scale else f"{x // g}/{scale // g}"
-
-    amount = str if scale == 1 else _ParseMemo(text).__getitem__
+    if inst.two_sided:
+        d["firms"], d["workers"] = list(inst.firms), list(inst.workers)
+    z = inst.levels.index((0, 1))  # texts[r] is rank r's string; a negative r counts from the end
+    texts = [str(n) if m == 1 else f"{n}/{m}" for n, m in inst.levels[z:] + inst.levels[:z]]
     xs, ys = inst.xs, inst.ys
     menus = d["menus"] = []
     for a, b, start, stop in inst.spans():
@@ -477,12 +474,8 @@ def instance_to_dict(inst: Instance) -> dict:
         if a > b:
             a, b, x, y = b, a, y, x
         sa, sb = str(a), str(b)
-        menus.append(
-            {
-                "pair": [a, b],
-                "contracts": [{sa: amount(u), sb: amount(v)} for u, v in zip(x, y)],
-            }
-        )
+        contracts = [{sa: texts[u], sb: texts[v]} for u, v in zip(x, y)]
+        menus.append({"pair": [a, b], "contracts": contracts})
     return d
 
 
@@ -567,7 +560,7 @@ def instance_from_dict(data: Mapping) -> Instance:
     distinct money string is parsed once. A contract of two string amounts
     keyed by the pair's ids as canonical strings is read by those keys;
     any other contract, or one that meets a format error there, is read
-    entry by entry in the order of the file. The scale comes from the
+    entry by entry in the order of the file. The ranks come from the
     distinct amounts alone, and no container per menu or per contract
     outlives the load.
     """
@@ -675,8 +668,23 @@ def instance_from_dict(data: Mapping) -> Instance:
             raise EmptyContractSetError(f"menu for pair {_repr((lo, hi))} has no contracts")
     offsets.append(len(us))
 
-    scale = math.lcm(*{k[1] for k in amounts if type(k) is tuple})
-    ints = [k * scale if type(k) is int else k[0] * (scale // k[1]) for k in amounts]
+    # The levels: the distinct amounts and zero, sorted by their floats,
+    # which keep their order, or exactly if two share a float or one lies
+    # past a float's range. ranks[i] is the rank of the amount of index i.
+    zero = amounts.setdefault(0, len(amounts))
+    ratios = [(k, 1) if type(k) is int else k for k in amounts]
+    try:
+        keys = [n / d for n, d in ratios]
+    except OverflowError:
+        keys = []
+    if len(set(keys)) < len(ratios):
+        keys = [Fraction(n, d) for n, d in ratios]
+    by_amount = sorted(range(len(keys)), key=keys.__getitem__)
+    levels = tuple(map(ratios.__getitem__, by_amount))
+    z = by_amount.index(zero)
+    ranks = [0] * len(keys)
+    for r, i in enumerate(by_amount, -z):
+        ranks[i] = r
     # The contracts in pair order, as indexes into us and vs, and the first
     # and the second of their menus.
     order: list[int] = []
@@ -691,15 +699,15 @@ def instance_from_dict(data: Mapping) -> Instance:
             lo, hi = hi, lo
         firsts += [lo] * (stop - start)
         seconds += [hi] * (stop - start)
-    xs = [ints[us[k]] for k in order]
-    ys = [ints[vs[k]] for k in order]
+    xs = [ranks[us[k]] for k in order]
+    ys = [ranks[vs[k]] for k in order]
     # A menu's contracts share its first and second, so a contract repeated
     # within a menu repeats a whole row of the columns. Rows are compared
     # by hash first, which keeps no tuple per contract alive.
     if len(set(map(hash, zip(firsts, seconds, xs, ys)))) < len(xs):
         # dict.fromkeys drops repeated contracts, keeping the first.
         firsts, seconds, xs, ys = zip(*dict.fromkeys(zip(firsts, seconds, xs, ys)))
-    if min(ints, default=0) < 0:
+    if z:
         negatives = sum(x < 0 or y < 0 for x, y in zip(xs, ys))
         warnings.warn(
             f"{negatives} contract(s) contain negative amounts and can never "
@@ -707,16 +715,8 @@ def instance_from_dict(data: Mapping) -> Instance:
             NegativeContractWarning,
             stacklevel=2,
         )
-    return Instance(
-        tuple(sorted(agent_set)),
-        tuple(firsts),
-        tuple(seconds),
-        tuple(xs),
-        tuple(ys),
-        scale,
-        firms,
-        workers,
-    )
+    columns = (tuple(firsts), tuple(seconds), tuple(xs), tuple(ys), levels)
+    return Instance(tuple(sorted(agent_set)), *columns, firms, workers)
 
 
 def outcome_to_dict(outcome: Outcome) -> dict:

@@ -108,7 +108,7 @@ def build_proposal_space(
     """Each firm's contracts paying it more than zero, sorted best-first.
 
     Payoff ties are ordered by the policy's firm rule, then by allocation.
-    The sort runs on the integer amounts of the instance's columns.
+    The sort runs on the amount ranks of the instance's columns.
     """
     return {
         f: tuple(_proposal(inst, row) for row in rows)

@@ -32,7 +32,7 @@ class BlockingCertificate:
 def _blocking(inst: Instance, payoffs: dict[int, Fraction]):
     """Each contract (a, x, b, y) paying both its agents more than `payoffs`,
     which must cover all agents, in pair order then menu order."""
-    v = inst.scaled(payoffs)
+    v = inst.floor_ranks(payoffs)
     for a, b, x, y in zip(inst.firsts, inst.seconds, inst.xs, inst.ys):
         if x > v[a] and y > v[b]:
             yield a, x, b, y
@@ -70,7 +70,7 @@ def enumerate_core(
     a newly assigned agent pays it more than its payoff and pays the other
     member more than that member has or, if still unassigned, more than
     any contract with an unassigned partner would pay it. Amounts are
-    the ints of the instance's columns, and the search runs on an explicit
+    the ranks of the instance's columns, and the search runs on an explicit
     stack, so its depth is not bounded by the recursion limit.
 
     The budget bounds the outcomes examined: stable outcomes reached plus

@@ -101,7 +101,7 @@ def is_weakly_pareto_optimal_for_firms(inst: Instance, outcome: Outcome) -> Prop
     """
     _require_two_sided(inst)
     _require_feasible(inst, outcome)
-    v = inst.scaled(outcome.payoff_map())
+    v = inst.floor_ranks(outcome.payoff_map())
     better: dict[int, dict[int, tuple]] = {f: {} for f in inst.firms}
     for f, w, start, stop in inst.spans():
         for x, y in zip(inst.xs[start:stop], inst.ys[start:stop]):

@@ -2,9 +2,13 @@
 
 `menu` and `instance_of` only assemble the dict form a file would hold and
 pass it to `instance_from_dict`, which parses and checks every id and
-amount.
+amount. `many_denominators` builds a market in that form, and
+`ordinal_map` transforms one; neither compares amounts with engine code.
 """
-from contractmatch import GenParams, Matching, Outcome, instance_from_dict
+import random
+from fractions import Fraction
+
+from contractmatch import GenParams, Matching, Outcome, instance_from_dict, money_str
 
 
 def menu(pair, contracts):
@@ -46,3 +50,80 @@ def corpus_params(seed: int) -> GenParams:
         menu_density=0.8,
         seed=seed,
     )
+
+
+def primes(count: int) -> list[int]:
+    """The first `count` primes, by a sieve of Eratosthenes."""
+    limit = 16
+    while True:
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for p in range(2, int(limit**0.5) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+        found = [p for p in range(limit) if sieve[p]]
+        if len(found) >= count:
+            return found[:count]
+        limit *= 2
+
+
+def many_denominators(n: int, seed: int = 0) -> dict:
+    """The dict form of an n x n market whose amounts have 4n^2 denominators.
+
+    Firms 1..n, workers n+1..2n, and a two-contract menu for every pair.
+    Each amount is k/p for the next of the first 4n^2 primes p, with k
+    uniform in 1..50p, written in lowest terms as the writer writes it, so
+    that a common denominator of all the amounts would have thousands of
+    digits.
+    """
+    rng = random.Random(seed)
+    denominators = iter(primes(4 * n * n))
+
+    def amount() -> str:
+        p = next(denominators)
+        return money_str(Fraction(rng.randint(1, 50 * p), p))
+
+    firms, workers = list(range(1, n + 1)), list(range(n + 1, 2 * n + 1))
+    menus = [
+        menu((f, w), [{str(f): amount(), str(w): amount()} for _ in range(2)])
+        for f in firms
+        for w in workers
+    ]
+    return {"agents": firms + workers, "firms": firms, "workers": workers, "menus": menus}
+
+
+def ordinal_map(data: dict, rng: random.Random) -> tuple[dict, dict]:
+    """The market `data` with each agent's amounts moved by a map of its
+    own that is strictly increasing and fixes 0, and those maps.
+
+    An agent's distinct positive amounts, in increasing order, go to the
+    running sums of random positive fractions, and its negative amounts,
+    in decreasing order, to those sums negated. So every comparison of
+    two amounts of one agent, or of one amount with 0, comes out as
+    before, in numbers with other denominators. The maps are
+    {agent: {amount: image}}, with 0 to 0 for every agent.
+    """
+    received: dict[int, set] = {int(a): {Fraction(0)} for a in data["agents"]}
+    for m in data["menus"]:
+        for c in m["contracts"]:
+            for a, x in c.items():
+                received[int(a)].add(Fraction(x))
+    maps = {}
+    for a, amounts in received.items():
+        image = maps[a] = {Fraction(0): Fraction(0)}
+        for sign in (1, -1):
+            total = Fraction(0)
+            for x in sorted(x * sign for x in amounts if x * sign > 0):
+                total += Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
+                image[x * sign] = total * sign
+    menus = [
+        {
+            "pair": m["pair"],
+            "contracts": [
+                {a: money_str(maps[int(a)][Fraction(x)]) for a, x in c.items()}
+                for c in m["contracts"]
+            ],
+        }
+        for m in data["menus"]
+    ]
+    return {**data, "menus": menus}, maps

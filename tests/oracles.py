@@ -17,7 +17,6 @@ menus. The pairwise-efficiency and disjoint-yields references keep the
 library's former checkers, which compare Fraction amounts looked up in
 each allocation.
 """
-import math
 import random
 import warnings
 from collections import namedtuple
@@ -286,7 +285,7 @@ def oracle_instance_from_dict(data):
     must cover exactly the pair. An empty menu is checked last. Duplicate
     contracts are dropped by Fraction equality of their Allocations, the
     warning counts the contracts kept, and the contract columns and the
-    scale are derived from the canonical Fraction menus.
+    levels are derived from the canonical Fraction menus.
     """
     if not isinstance(data, Mapping):
         raise FormatError("instance data must be a JSON object")
@@ -384,7 +383,11 @@ def oracle_instance_from_dict(data):
             NegativeContractWarning,
         )
 
-    scale = math.lcm(*{v.denominator for m in canonical for c in m.contracts for _, v in c.payments})
+    # The levels: the distinct amounts and zero as sorted Fractions. The
+    # rank of an amount is its index less the number of negative levels.
+    amounts = sorted({v for m in canonical for c in m.contracts for _, v in c.payments} | {ZERO})
+    negative = sum(v < 0 for v in amounts)
+    rank = {v: i - negative for i, v in enumerate(amounts)}
     firsts, seconds, xs, ys = [], [], [], []
     for m in canonical:
         lo, hi = m.pair
@@ -392,10 +395,11 @@ def oracle_instance_from_dict(data):
         for c in m.contracts:
             firsts.append(first)
             seconds.append(second)
-            xs.append(int(c[first] * scale))
-            ys.append(int(c[second] * scale))
+            xs.append(rank[c[first]])
+            ys.append(rank[c[second]])
+    levels = tuple(v.as_integer_ratio() for v in amounts)
     return Instance(
-        agents, tuple(firsts), tuple(seconds), tuple(xs), tuple(ys), scale, firms, workers
+        agents, tuple(firsts), tuple(seconds), tuple(xs), tuple(ys), levels, firms, workers
     )
 
 

@@ -1,6 +1,8 @@
 import gc
 import random
 import re
+import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -35,7 +37,7 @@ from contractmatch import (
     parse_money,
 )
 from contractmatch.model import MAX_MONEY_EXPONENT
-from markets import instance_of, menu, outcome_of
+from markets import instance_of, many_denominators, menu, outcome_of
 from oracles import menus_of, oracle_instance_from_dict, oracle_outcomes, relabelled, seeded_pool
 
 
@@ -106,8 +108,12 @@ class TestValidation:
     def test_ids_past_the_digit_limit_of_str_load_from_ints(self):
         # No id string can name such an agent, so the contract is read entry by entry.
         big = 10**5000
-        inst = instance_of((1, big), [menu((big, 1), [{big: 2, 1: 3}])], firms=(big,), workers=(1,))
-        assert (inst.firsts, inst.seconds, inst.xs, inst.ys) == ((big,), (1,), (2,), (3,))
+        data = {"agents": [1, big], "firms": [big], "workers": [1],
+                "menus": [menu((big, 1), [{big: 2, 1: 3}])]}
+        inst = instance_from_dict(data)
+        assert (inst.firsts, inst.seconds) == ((big,), (1,))
+        assert inst == oracle_instance_from_dict(data)
+        assert inst.allocation(big, *inst.xs, 1, *inst.ys).payments == ((1, 3), (big, 2))
 
     @pytest.mark.parametrize("other", [3, 10**5000 + 1], ids=["one-id-past", "both-ids-past"])
     def test_a_key_past_the_digit_limit_is_no_key_of_the_fast_path(self, other):
@@ -697,8 +703,8 @@ class TestLoaderAgainstOracle:
         want, want_warned = load_exactly(oracle_instance_from_dict, data)
         if isinstance(want, Instance):
             assert isinstance(got, Instance)
-            assert (got.firsts, got.seconds, got.xs, got.ys, got.scale) == (
-                want.firsts, want.seconds, want.xs, want.ys, want.scale
+            assert (got.firsts, got.seconds, got.xs, got.ys, got.levels) == (
+                want.firsts, want.seconds, want.xs, want.ys, want.levels
             )
             assert got == want
         else:
@@ -809,8 +815,54 @@ class TestBenchmarkShapedMarket:
         pairs = [sorted(m["pair"]) for m in menus]
         assert pairs != sorted(pairs)
         got = load_exactly(instance_from_dict, data)
-        assert isinstance(got[0], Instance) and got[0].scale == 2
+        assert isinstance(got[0], Instance)
+        assert {d for _, d in got[0].levels} == {1, 2}
         assert got == load_exactly(oracle_instance_from_dict, data)
+
+
+class TestLevels:
+    def test_a_market_of_many_denominators_loads_in_little_time_and_memory(self):
+        # 40x40 with 6,400 prime denominators: a common denominator of the
+        # amounts would have about 27,600 digits. Ranks need none.
+        data = many_denominators(40)
+        tracemalloc.start()
+        try:
+            inst = instance_from_dict(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        seconds = []
+        for _ in range(3):
+            started = time.perf_counter()
+            instance_from_dict(data)
+            seconds.append(time.perf_counter() - started)
+        assert min(seconds) < 0.25
+        assert len(inst.levels) == 6401
+        assert instance_to_dict(inst) == data
+
+    @pytest.mark.parametrize(
+        "big, small",
+        [
+            ("1/100000000000000000000", "1/100000000000000000001"),
+            (f"{10**400 + 3}/2", f"{10**400 + 1}/2"),
+        ],
+        ids=["equal-as-floats", "past-float-range"],
+    )
+    def test_amounts_a_float_cannot_order_rank_in_exact_order(self, big, small):
+        # The two amounts of a pair agree to 20 significant digits, or lie
+        # past a float's range. Each amount met first is the one that ranks
+        # later, so that only an exact sort puts them in order.
+        data = {"agents": [1, 2, 3], "firms": [1], "workers": [2, 3], "menus": [
+            menu((1, 2), [{"1": big, "2": small}]),
+            menu((1, 3), [{"1": "-" + small, "3": "-" + big}]),
+        ]}
+        with pytest.warns(NegativeContractWarning):
+            inst = instance_from_dict(data)
+        assert (inst.xs, inst.ys) == ((2, -1), (1, -2))
+        with pytest.warns(NegativeContractWarning):
+            assert inst == oracle_instance_from_dict(data)
+        assert instance_to_dict(inst) == data
 
 
 class TestSerialization:
@@ -830,8 +882,9 @@ class TestSerialization:
                 markets += [inst, relabelled(inst, seed)]
             markets += [seeded_pool(seed) for seed in range(40)]
             for inst in markets:
-                assert instance_from_dict(instance_to_dict(inst)) == inst
-        assert sum(inst.scale > 1 for inst in markets) >= 20
+                data = instance_to_dict(inst)
+                assert instance_from_dict(data) == inst == oracle_instance_from_dict(data)
+        assert sum(any(d > 1 for _, d in inst.levels) for inst in markets) >= 20
         assert sum(x < 0 for inst in markets for x in inst.xs + inst.ys) >= 20
 
     def test_reads_documented_instance_shape(self):

@@ -1,6 +1,8 @@
+import importlib.util
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from contractmatch import (
     Proposal,
     TieBreakPolicy,
     build_proposal_space,
+    enumerate_core,
     enumerate_procedure_outcomes,
     gen_random,
     instance_from_dict,
@@ -24,17 +27,27 @@ from contractmatch import (
     is_stable,
     is_weakly_pareto_optimal_for_firms,
     outcome_is_feasible,
+    outcome_to_dict,
     run_procedure,
     solve,
 )
-from markets import corpus_params, instance_of, menu, outcome_of, two_sided
+from markets import corpus_params, instance_of, menu, ordinal_map, outcome_of, two_sided
 from oracles import (
     NotSingletonMenusError,
     classic_da,
     menus_of,
     oracle_run_procedure,
     oracle_tie_outcomes,
+    relabelled,
 )
+
+# bench/reference.py, as the benchmark and CI use it: market checks written
+# apart from the package, sharing no code with it.
+_spec = importlib.util.spec_from_file_location(
+    "reference", Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 
 def firm_payoff(proposal):
@@ -503,3 +516,68 @@ class TestDeadContracts:
     def test_a_seeded_60_by_60_market(self):
         inst = gen_random(GenParams(60, 60, (1, 3), (0, 6), 0.8, seed=60))
         assert assert_dead_contracts_change_nothing(inst, 60) > 1000
+
+
+def moved(outcome, maps):
+    """The payoffs of `outcome`, each moved by its agent's map."""
+    return tuple([(a, maps[a][v]) for a, v in outcome.payoffs])
+
+
+class TestOrdinalInvariance:
+    """A relation that holds at any size: every rule compares amounts of
+    one agent, or an amount with 0, so moving each agent's amounts by a
+    strictly increasing map that fixes 0 keeps each run's matching and
+    moves its payoffs by the maps; the core's outcomes move the same way.
+    The transform works on the dict form and shares no code with the
+    engine."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        n_firms=st.integers(1, 4),
+        n_workers=st.integers(1, 4),
+        values=st.sampled_from([(0, 6), (-2, 6), (1, 60)]),
+        forced=st.booleans(),
+        seed=st.integers(0, 10**6),
+    )
+    def test_small_markets(self, n_firms, n_workers, values, forced, seed):
+        forced = forced and values == (1, 60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeContractWarning)
+            inst = gen_random(
+                GenParams(n_firms, n_workers, (1, 3), values, 0.8, forced, forced, seed=seed)
+            )
+            data, maps = ordinal_map(instance_to_dict(inst), random.Random(seed))
+            image = instance_from_dict(data)
+        for policy in POLICIES.values():
+            run, mapped = run_procedure(inst, policy)[0], run_procedure(image, policy)[0]
+            assert mapped.matching == run.matching, policy
+            assert mapped.payoffs == moved(run, maps), policy
+        core = enumerate_core(inst)
+        assert [(o.matching, o.payoffs) for o in enumerate_core(image)] == [
+            (o.matching, moved(o, maps)) for o in core
+        ]
+
+    def test_a_seeded_50_by_50_market(self):
+        inst = gen_random(GenParams(50, 50, (1, 3), (0, 6), 0.8, seed=50))
+        data, maps = ordinal_map(instance_to_dict(inst), random.Random(50))
+        run, mapped = solve(inst), solve(instance_from_dict(data))
+        assert len(run.matching.pairs) > 40
+        assert mapped.matching == run.matching
+        assert mapped.payoffs == moved(run, maps)
+
+
+def test_solve_passes_the_reference_checks_on_a_seeded_60_by_60_market():
+    # bench/reference.py reads the market and the outcome from their JSON
+    # forms: the outcome is feasible, no pair blocks it, and no feasible
+    # outcome pays every firm more.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeContractWarning)
+        inst = relabelled(gen_random(GenParams(60, 60, (1, 3), (0, 6), 0.8, seed=61)), 61)
+    record = outcome_to_dict(solve(inst))
+    m = reference.Market(instance_to_dict(inst))
+    pairs, v = m.outcome(record)
+    assert len(pairs) > 50
+    assert m.scale == 6  # halves and thirds
+    assert reference.is_feasible(m, pairs, v)
+    assert not reference.blocking(m, v)
+    assert reference.firm_dominating_assignment(m, v) is None

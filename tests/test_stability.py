@@ -96,7 +96,7 @@ class TestBlocking:
 
     def test_agrees_with_naive_double_loop_across_200_instances(self):
         # Each outcome's payoffs are also moved by 1/1009 to 3/1009 either
-        # way, some below zero: payoffs off the market's common denominator,
+        # way, some below zero: payoffs that are no level of the market,
         # which payoffs_are_blocked must round down, not toward zero.
         rng = random.Random(5)
         flipped = 0
