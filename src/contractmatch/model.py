@@ -226,14 +226,19 @@ class Instance:
         return self.firms is not None and self.workers is not None
 
     @cached_property
+    def _zero(self) -> int:
+        """The index of zero in levels, which is the number of negative levels."""
+        return self.levels.index((0, 1))
+
+    @cached_property
     def _ranks(self) -> dict[tuple[int, int], int]:
         """The rank of each level, keyed by the level."""
-        return {level: r for r, level in enumerate(self.levels, -self.levels.index((0, 1)))}
+        return {level: r for r, level in enumerate(self.levels, -self._zero)}
 
     @cached_property
     def money(self) -> dict[int, Fraction]:
         """The amount of each rank, each built on first use and shared."""
-        levels, z = self.levels, self.levels.index((0, 1))
+        levels, z = self.levels, self._zero
         return _ParseMemo(lambda r: Fraction(*levels[r + z]))
 
     def allocation(self, a: int, x: int, b: int, y: int) -> Allocation:
@@ -279,7 +284,7 @@ class Instance:
         for a, r in floors.items():
             if r is None:
                 i = bisect_right(self.levels, payoffs[a], key=lambda level: Fraction(*level))
-                floors[a] = i - 1 - self.levels.index((0, 1))
+                floors[a] = i - 1 - self._zero
         return floors
 
 
@@ -465,7 +470,7 @@ def instance_to_dict(inst: Instance) -> dict:
     d: dict = {"agents": list(inst.agents)}
     if inst.two_sided:
         d["firms"], d["workers"] = list(inst.firms), list(inst.workers)
-    z = inst.levels.index((0, 1))  # texts[r] is rank r's string; a negative r counts from the end
+    z = inst._zero  # texts[r] is rank r's string; a negative r counts from the end
     texts = [str(n) if m == 1 else f"{n}/{m}" for n, m in inst.levels[z:] + inst.levels[:z]]
     xs, ys = inst.xs, inst.ys
     menus = d["menus"] = []

@@ -12,13 +12,14 @@ contracts) proposes again in the next stage, and the run stops at the
 first stage with no proposers. The held contracts form the final outcome,
 which is always stable.
 
-solve runs the procedure once; run_procedure also records each stage in a
-trace. Payoff ties are resolved by a TieBreakPolicy;
+solve runs the procedure once; run_procedure also reads a trace off the
+stages of its run. Payoff ties are resolved by a TieBreakPolicy;
 enumerate_procedure_outcomes explores every resolution instead and returns
 the set of reachable outcomes.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -150,11 +151,22 @@ class _Branch(Exception):
         self.n_options = n_options
 
 
+def _pick(picks: Iterator[int] | None, n: int) -> int:
+    """The option taken at a choice among n options: the first with no
+    script or no tie, else the script's next pick. A tie past the
+    script's end raises _Branch."""
+    if picks is None or n == 1:
+        return 0
+    for j in picks:
+        return j
+    raise _Branch(n)
+
+
 def _execute(
     firm_rows: list[list[tuple]],
     worker_keeps_held: bool,
     script: tuple[int, ...] | None = None,
-    record=None,
+    stages: list[tuple[dict, dict]] | None = None,
 ) -> dict[int, tuple]:
     """One proposing run over _proposal_rows lists, in firm id order.
 
@@ -164,88 +176,57 @@ def _execute(
     options goes to the first, in the policy's order: a firm's tied rows
     as sorted, a worker's tied offers with the incumbent first when
     worker_keeps_held, then by firm id. Otherwise script[k] is the option
-    taken at the k-th such tie, and a tie past the script's end raises
-    _Branch. A firm's tie is the leading run of its untried rows with equal
-    payoff; a scripted pick of a later row of that run moves the row to
-    the front, keeping the order of the rest, on a copy of the firm's list
-    made for this run. When `record` is given, it is called at the end of
-    each stage with the stage number, the rows proposed, the offers each
-    worker received, the held rows and the rows rejected.
+    taken at the k-th such tie, as _pick reads it. A firm's tie is the
+    leading run of its untried rows with equal payoff; a scripted pick of
+    a later row of that run moves the row to the front, keeping the
+    order of the rest, on a copy of the firm's list made for this run.
+    Each stage appends to `stages`, when given, the rows offered to each
+    worker and a copy of the held rows after it; the last has no offers.
     """
     lists = list(firm_rows)
     pos = [0] * len(lists)
     held: dict[int, tuple] = {}
     held_firms: set[int] = set()
-    picks = 0
-    stage = 0
+    picks = None if script is None else iter(script)
     while True:
-        stage += 1
         offers: dict[int, list[tuple]] = {}
-        proposed = []
         for i, rows in enumerate(lists):
             p = pos[i]
             if p == len(rows) or rows[p][3] in held_firms:
                 continue
-            n = 1
-            if script is not None:
+            if picks is not None:
+                n = 1
                 top = rows[p][0]
                 while p + n < len(rows) and rows[p + n][0] == top:
                     n += 1
-            if n > 1:
-                if picks == len(script):
-                    raise _Branch(n)
-                j = script[picks]
-                picks += 1
+                j = _pick(picks, n)
                 if j:
                     if rows is firm_rows[i]:
                         rows = lists[i] = rows.copy()
                     rows.insert(p, rows.pop(p + j))
             pos[i] = p + 1
             row = rows[p]
-            proposed.append(row)
             offers.setdefault(row[4], []).append(row)
-        if not proposed:
-            if record is not None:
-                record(stage, [], {}, held, [])
-            return held
-        rejected: list[tuple] = []
         for w in sorted(offers):
-            ps = offers[w]
             prev = held.get(w)
-            pool = [r for r in ps if r[2] >= 0]
+            pool = [r for r in offers[w] if r[2] >= 0]
             if prev is not None:
                 pool.append(prev)
             if not pool:
-                rejected += ps
                 continue
-            if len(pool) == 1:
-                choice = pool[0]
-            else:
-                best = max(r[2] for r in pool)
-                tied = [r for r in pool if r[2] == best]
-                if len(tied) == 1:
-                    choice = tied[0]
-                else:
-                    incumbent = prev if worker_keeps_held else None
-                    tied.sort(key=lambda r: (r is not incumbent, r[3]))
-                    if script is None:
-                        choice = tied[0]
-                    elif picks == len(script):
-                        raise _Branch(len(tied))
-                    else:
-                        choice = tied[script[picks]]
-                        picks += 1
+            incumbent = prev if worker_keeps_held else None
+            pool.sort(key=lambda r: (-r[2], r is not incumbent, r[3]))
+            tied = [r for r in pool if r[2] == pool[0][2]]
+            choice = tied[_pick(picks, len(tied))]
             if choice is not prev:
                 if prev is not None:
                     held_firms.discard(prev[3])
                 held[w] = choice
                 held_firms.add(choice[3])
-            if record is not None:
-                rejected += (r for r in ps if r is not choice)
-                if prev is not None and prev is not choice:
-                    rejected.append(prev)
-        if record is not None:
-            record(stage, proposed, offers, held, rejected)
+        if stages is not None:
+            stages.append((offers, dict(held)))
+        if not offers:
+            return held
 
 
 def _held_outcome(inst: Instance, held: dict[int, tuple]) -> Outcome:
@@ -263,26 +244,29 @@ def run_procedure(
 ) -> tuple[Outcome, Trace]:
     """Run the staged proposing procedure once, resolving ties by policy.
 
-    Returns the resulting outcome (always stable) and the full trace.
-    Identical instance and policy give a bit-for-bit identical trace.
+    Returns the resulting outcome (always stable) and the full trace, read
+    off the stages the run returns. A stage rejects, worker by worker in
+    id order, each offer and the row held before it, bar the row held
+    after. Identical instance and policy give a bit-for-bit identical
+    trace.
     """
-    rows = _proposal_rows(inst, policy)
     proposal = cache(partial(_proposal, inst))  # one Proposal per row
-    steps: list[TraceStep] = []
-
-    def record(stage, proposed, offers, held, rejected) -> None:
-        steps.append(
-            TraceStep(
-                stage,
-                tuple(r[3] for r in proposed),
-                {r[3]: proposal(r) for r in proposed},
-                {w: tuple(map(proposal, offers[w])) for w in sorted(offers)},
-                {w: proposal(r) for w, r in held.items()},
-                tuple(map(proposal, rejected)),
-            )
+    stages: list[tuple[dict, dict]] = []
+    held = _execute(_proposal_rows(inst, policy), policy.worker_keeps_held, stages=stages)
+    steps, before = [], {}
+    for stage, (offers, after) in enumerate(stages, 1):
+        offered = sorted((r for rows in offers.values() for r in rows), key=lambda r: r[3])
+        proposals = {r[3]: proposal(r) for r in offered}
+        received = {w: tuple(map(proposal, offers[w])) for w in sorted(offers)}
+        kept = {w: proposal(r) for w, r in after.items()}
+        rejected = tuple(
+            proposal(r)
+            for w in sorted(offers)
+            for r in (offers[w] + [before[w]] if w in before else offers[w])
+            if r is not after.get(w)
         )
-
-    held = _execute(rows, policy.worker_keeps_held, record=record)
+        steps.append(TraceStep(stage, tuple(proposals), proposals, received, kept, rejected))
+        before = after
     return _held_outcome(inst, held), Trace(tuple(steps))
 
 

@@ -188,6 +188,15 @@ class TestValidation:
             assert type(err.value) is error
             assert str(err.value) == message.replace("ID", shown)
 
+    def test_a_value_past_the_digit_limit_is_shown_by_its_type(self):
+        # A Fraction's repr meets the limit through its numerator; a value
+        # that is not an int, list, tuple or dict is shown by its type.
+        data = {"agents": [1, 2], "menus": [{"v": Fraction(10**5000, 3)}]}
+        with pytest.raises(FormatError) as err:
+            instance_from_dict(data)
+        assert type(err.value) is FormatError
+        assert str(err.value) == "malformed menu entry {'v': <Fraction too long to show>}"
+
     def test_normalizes_pair_order(self):
         inst = instance_of((1, 2), [menu((2, 1), [{1: 1, 2: 1}])])
         assert menus_of(inst)[0].pair == (1, 2)

@@ -381,6 +381,16 @@ class TestEngineMatchesOracle:
             )
         assert_engine_matches_oracle(inst, cap=20_000)
 
+    def test_a_seeded_60_by_60_trace(self):
+        # Ties on both sides and 110 to 136 stages, by policy.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeContractWarning)
+            inst = relabelled(gen_random(GenParams(60, 60, (1, 4), (0, 5), 0.8, seed=3)), 3)
+        for policy in POLICIES.values():
+            outcome, trace = run_procedure(inst, policy)
+            assert 110 <= len(trace.steps) <= 136, policy
+            assert (outcome, trace) == oracle_run_procedure(inst, policy), policy
+
 
 class TestClassicDA:
     def test_single_pair_with_positive_payoffs_matches(self):

@@ -409,6 +409,14 @@ class TestGroupTradeoff:
             with pytest.raises(FormatError, match="agent id must be an integer"):
                 check_group_tradeoff(modified, o, s, {member})
 
+    def test_infeasible_first_outcome_is_detected(self, illustration):
+        # No contract of the pair {1, 3} pays 9 and 9.
+        o = outcome_of(illustration, [(1, 3)], {1: 9, 3: 9})
+        s = enumerate_core(illustration)[0]
+        with pytest.raises(PreconditionViolatedError) as err:
+            check_group_tradeoff(illustration, o, s, [1])
+        assert err.value.precondition == "outcome"
+
     def test_no_blocking_precondition_is_detected(self, modified):
         # all-singles is blocked by {2, 3} via (3, 2), and 3 gains in the
         # stable outcome, so the hypothesis fails for group {3}
