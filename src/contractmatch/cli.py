@@ -30,10 +30,16 @@ _LEAVES = frozenset({str, int, bool, type(None)})
 
 
 def _jsonable(value):
-    # Leaves first, by exact type: Fraction's class is an ABC, so an
-    # isinstance test against it costs several times more.
-    if type(value) in _LEAVES:
+    # Leaves and containers first, by exact type: Fraction's class is an
+    # ABC, so an isinstance test against it costs several times more. The
+    # isinstance tests below catch subclasses.
+    kind = type(value)
+    if kind in _LEAVES:
         return value
+    if kind is tuple or kind is list:
+        return [_jsonable(v) for v in value]
+    if kind is dict:
+        return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, Outcome):
         return model.outcome_to_dict(value)
     if isinstance(value, model.Allocation):

@@ -29,10 +29,10 @@ class BlockingCertificate:
     allocation: Allocation
 
 
-def _blocking(inst: Instance, payoffs: dict[int, Fraction]):
-    """Each contract (a, x, b, y) paying both its agents more than `payoffs`,
-    which must cover all agents, in pair order then menu order."""
-    v = inst.floor_ranks(payoffs)
+def _blocking(inst: Instance, v: dict[int, int]):
+    """Each contract (a, x, b, y) paying both its agents more than the rank
+    map `v`, as Instance.floor_ranks gives it for all agents, in pair order
+    then menu order."""
     for a, b, x, y in zip(inst.firsts, inst.seconds, inst.xs, inst.ys):
         if x > v[a] and y > v[b]:
             yield a, x, b, y
@@ -41,7 +41,7 @@ def _blocking(inst: Instance, payoffs: dict[int, Fraction]):
 def payoffs_are_blocked(inst: Instance, payoffs: dict[int, Fraction]) -> bool:
     """True iff some pair blocks `payoffs`: the test behind is_stable and
     verify's stability check."""
-    return next(_blocking(inst, payoffs), None) is not None
+    return next(_blocking(inst, inst.floor_ranks(payoffs)), None) is not None
 
 
 def blocking_coalitions(inst: Instance, outcome: Outcome) -> list[BlockingCertificate]:
@@ -49,7 +49,7 @@ def blocking_coalitions(inst: Instance, outcome: Outcome) -> list[BlockingCertif
     _require_feasible(inst, outcome)
     return [
         BlockingCertificate((a, b) if a < b else (b, a), inst.allocation(a, x, b, y))
-        for a, x, b, y in _blocking(inst, outcome.payoff_map())
+        for a, x, b, y in _blocking(inst, inst.floor_ranks(outcome.payoff_map()))
     ]
 
 

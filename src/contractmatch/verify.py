@@ -5,12 +5,17 @@ that replay to a concrete violation. Checkers raise only when their
 hypotheses fail (PreconditionViolatedError and friends), never to signal
 a property failure. PropertyBattery runs the named properties of the
 `verify` command on one instance, sharing the enumerations they need.
+
+Properties that compare an agent's payoffs in two outcomes compare their
+ranks, as Instance.floor_ranks gives them: a feasible payoff is one of
+the instance's levels, so its rank compares as the amount does and is
+positive exactly when the amount is. Witnesses carry the exact amounts,
+read back from the ranks through Instance.money.
 """
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import islice
 from typing import Iterable
 
@@ -46,10 +51,26 @@ class PropertyReport:
     details: dict = field(default_factory=dict)
 
 
-def _require_stable(inst: Instance, outcome: Outcome, label: str) -> None:
+def _require_stable(inst: Instance, outcome: Outcome, label: str) -> dict[int, int]:
+    """The outcome's rank map, once it is found feasible and unblocked."""
     _require_feasible(inst, outcome)
-    if payoffs_are_blocked(inst, outcome.payoff_map()):
+    payoffs = outcome.payoff_map()
+    if payoffs_are_blocked(inst, payoffs):
         raise UnstableInputError(f"{label} admits a blocking pair")
+    return inst.floor_ranks(payoffs)
+
+
+def _rank_maps(inst: Instance, outcomes: list[Outcome]) -> list[dict[int, int]]:
+    """Each outcome's rank map: for feasible outcomes, one lookup per agent."""
+    return [inst.floor_ranks(o.payoff_map()) for o in outcomes]
+
+
+def _partners(matching: Matching) -> dict[int, int]:
+    """Each matched agent's partner."""
+    partner = {}
+    for a, b in matching.pairs:
+        partner[a], partner[b] = b, a
+    return partner
 
 
 def is_pairwise_efficient(inst: Instance) -> PropertyReport:
@@ -151,14 +172,15 @@ def check_firm_optimality(
     """Every stable outcome pays every firm at most what this outcome does."""
     _require_two_sided(inst)
     _require_feasible(inst, outcome)
-    return _firm_bound(inst, outcome, stability.enumerate_core(inst, budget))
+    core = stability.enumerate_core(inst, budget)
+    return _firm_bound(inst, inst.floor_ranks(outcome.payoff_map()), core, _rank_maps(inst, core))
 
 
-def _firm_bound(inst: Instance, outcome: Outcome, core: list[Outcome]) -> PropertyReport:
-    v = outcome.payoff_map()
+def _firm_bound(
+    inst: Instance, v: dict[int, int], core: list[Outcome], ranks: list[dict[int, int]]
+) -> PropertyReport:
     witnesses = []
-    for stable in core:
-        alt = stable.payoff_map()
+    for stable, alt in zip(core, ranks):
         witnesses.extend((f, stable) for f in inst.firms if v[f] < alt[f])
     return PropertyReport("firm-optimality", not witnesses, tuple(witnesses))
 
@@ -171,23 +193,22 @@ def check_pair_tradeoff(inst: Instance, o1: Outcome, o2: Outcome) -> PropertyRep
     at least as well in the second. The report's details also say whether
     the partner always does strictly better, which need not hold.
     """
-    _require_stable(inst, o1, "first outcome")
-    _require_stable(inst, o2, "second outcome")
-    return _pair_tradeoff_report(o1, o2)
+    v1 = _require_stable(inst, o1, "first outcome")
+    v2 = _require_stable(inst, o2, "second outcome")
+    return _pair_tradeoff_report(inst, o1, v1, v2)
 
 
-def _pair_tradeoff_report(o1: Outcome, o2: Outcome) -> PropertyReport:
-    v1 = o1.payoff_map()
-    v2 = o2.payoff_map()
+def _pair_tradeoff_report(
+    inst: Instance, o1: Outcome, v1: dict[int, int], v2: dict[int, int]
+) -> PropertyReport:
+    money = inst.money
     weak_witnesses = []
     strict_witnesses = []
     for pair in o1.matching.pairs:
         for a, b in (pair, pair[::-1]):
-            if v1[a] > v2[a]:
-                if not v2[b] >= v1[b]:
-                    weak_witnesses.append((a, b, v1[a], v2[a], v1[b], v2[b]))
-                elif not v2[b] > v1[b]:
-                    strict_witnesses.append((a, b, v1[a], v2[a], v1[b], v2[b]))
+            if v1[a] > v2[a] and not v2[b] > v1[b]:
+                found = strict_witnesses if v2[b] == v1[b] else weak_witnesses
+                found.append((a, b, money[v1[a]], money[v2[a]], money[v1[b]], money[v2[b]]))
     return PropertyReport(
         "pair-tradeoff",
         not weak_witnesses,
@@ -216,14 +237,13 @@ def check_group_tradeoff(
     if not outcome_is_feasible(inst, outcome):
         raise PreconditionViolatedError("outcome", "first outcome is not feasible")
     try:
-        _require_stable(inst, stable_outcome, "stable outcome")
+        vs = _require_stable(inst, stable_outcome, "stable outcome")
     except (InfeasibleOutcomeError, UnstableInputError) as exc:
         raise PreconditionViolatedError("stable-outcome", str(exc)) from exc
     if not set(members) <= set(inst.agents):
         raise PreconditionViolatedError("group", "group contains unknown agents")
-    v = outcome.payoff_map()
-    vs = stable_outcome.payoff_map()
-    mate = stable_outcome.matching.mate
+    v = inst.floor_ranks(outcome.payoff_map())
+    partner = _partners(stable_outcome.matching)
     blocking = _blocking_pairs(inst, v)
     for a in members:
         if not vs[a] > v[a]:
@@ -232,28 +252,30 @@ def check_group_tradeoff(
             )
         # A strict gain over a nonnegative payoff means the agent is matched
         # in the stable outcome, so the partner is always a distinct agent.
-        b = mate(a)
+        b = partner[a]
         if (a, b) in blocking:
             raise PreconditionViolatedError(
                 "no-blocking",
                 f"pair {{{_repr(a)}, {_repr(b)}}} blocks the first outcome",
             )
-    return _group_tradeoff_report(v, vs, mate, members)
+    return _group_tradeoff_report(inst, v, vs, partner, members)
 
 
-def _blocking_pairs(inst: Instance, payoffs: dict[int, Fraction]) -> set[tuple[int, int]]:
-    """Each pair, in both orders, with a contract paying both members more than `payoffs`."""
-    pairs = {(a, b) for a, _, b, _ in _blocking(inst, payoffs)}
+def _blocking_pairs(inst: Instance, v: dict[int, int]) -> set[tuple[int, int]]:
+    """Each pair, in both orders, with a contract paying both members more
+    than the rank map `v`."""
+    pairs = {(a, b) for a, _, b, _ in _blocking(inst, v)}
     return pairs | {(b, a) for a, b in pairs}
 
 
 def _group_tradeoff_report(
-    v: dict[int, Fraction], vs: dict[int, Fraction], mate, members: list[int]
+    inst: Instance, v: dict[int, int], vs: dict[int, int], partner: dict, members: list[int]
 ) -> PropertyReport:
+    money = inst.money
     witnesses = []
-    for b in sorted({mate(a) for a in members}):
+    for b in sorted({partner[a] for a in members}):
         if not v[b] >= vs[b]:
-            witnesses.append((b, v[b], vs[b]))
+            witnesses.append((b, money[v[b]], money[vs[b]]))
     return PropertyReport("group-tradeoff", not witnesses, tuple(witnesses))
 
 
@@ -277,20 +299,19 @@ def check_sides_opposed(inst: Instance, o1: Outcome, o2: Outcome) -> PropertyRep
     antecedent holds.
     """
     PropertyBattery(inst).require_hypotheses()
-    _require_stable(inst, o1, "first outcome")
-    _require_stable(inst, o2, "second outcome")
-    return _sides_opposed_report(inst, o1, o2)
+    v1 = _require_stable(inst, o1, "first outcome")
+    v2 = _require_stable(inst, o2, "second outcome")
+    return _sides_opposed_report(inst, v1, v2)
 
 
-def _sides_opposed_report(inst: Instance, o1: Outcome, o2: Outcome) -> PropertyReport:
+def _sides_opposed_report(inst: Instance, v1: dict[int, int], v2: dict[int, int]) -> PropertyReport:
+    money = inst.money
     witnesses = []
-    for direction, (x, y) in (("forward", (o1, o2)), ("reverse", (o2, o1))):
-        vx = x.payoff_map()
-        vy = y.payoff_map()
+    for direction, (vx, vy) in (("forward", (v1, v2)), ("reverse", (v2, v1))):
         if all(vy[f] >= vx[f] for f in inst.firms):
             for w in inst.workers:
                 if not vx[w] >= vy[w]:
-                    witnesses.append((direction, w, vx[w], vy[w]))
+                    witnesses.append((direction, w, money[vx[w]], money[vy[w]]))
     return PropertyReport("sides-opposed", not witnesses, tuple(witnesses))
 
 
@@ -300,10 +321,10 @@ def _sides_opposed_report(inst: Instance, o1: Outcome, o2: Outcome) -> PropertyR
 class PropertyBattery:
     """Runs named properties on one instance, sharing their enumerations.
 
-    Each report, the core and the outcomes reachable under some tie
-    resolution are computed at most once, when first needed. An error one
-    of them raised is kept, as a copy, and raised again, as a fresh copy,
-    to every later call that needs it.
+    Each report, the core, its rank maps and the outcomes reachable under
+    some tie resolution are computed at most once, when first needed. An
+    error one of them raised is kept, as a copy, and raised again, as a
+    fresh copy, to every later call that needs it.
     """
 
     def __init__(self, inst: Instance, budget: EnumerationBudget | None = None):
@@ -327,6 +348,10 @@ class PropertyBattery:
 
     def core(self) -> list[Outcome]:
         return self._once("core", stability.enumerate_core, self.inst, self.budget)
+
+    def ranks(self) -> list[dict[int, int]]:
+        """The rank map of each core outcome, in core order."""
+        return self._once("ranks", _rank_maps, self.inst, self.core())
 
     def runs(self) -> list[Outcome]:
         return self._once("runs", procedure.enumerate_procedure_outcomes, self.inst, self.budget)
@@ -362,7 +387,9 @@ def _firm_optimality(battery: PropertyBattery) -> PropertyReport:
         return PropertyReport(
             "firm-optimality", False, tuple(outcomes), {"reason": "not a singleton"}
         )
-    return _firm_bound(battery.inst, outcomes[0], battery.core())
+    inst = battery.inst
+    v = inst.floor_ranks(outcomes[0].payoff_map())
+    return _firm_bound(inst, v, battery.core(), battery.ranks())
 
 
 def _employment(battery: PropertyBattery) -> PropertyReport:
@@ -370,8 +397,7 @@ def _employment(battery: PropertyBattery) -> PropertyReport:
     inst = battery.inst
     reference = None
     witnesses = []
-    for stable in battery.core():
-        v = stable.payoff_map()
+    for stable, v in zip(battery.core(), battery.ranks()):
         employed = (
             frozenset(f for f in inst.firms if v[f] > 0),
             frozenset(w for w in inst.workers if v[w] > 0),
@@ -385,13 +411,16 @@ def _employment(battery: PropertyBattery) -> PropertyReport:
 
 def _over_stable_pairs(battery: PropertyBattery, name: str, report) -> PropertyReport:
     # Every ordered pair of distinct outcomes among the first six of the
-    # core. The core is stable, so only the battery's hypotheses remain.
-    core = battery.core()[:6]
+    # core, which lists no outcome twice. The core is stable, so only the
+    # battery's hypotheses remain.
+    core = list(zip(battery.core(), battery.ranks()))[:6]
     witnesses = []
-    for o1, o2 in [(o1, o2) for o1 in core for o2 in core if o1 != o2]:
-        verdict = report(o1, o2)
-        if not verdict.holds:
-            witnesses.append((o1, o2) + verdict.witnesses)
+    for i, (o1, v1) in enumerate(core):
+        for j, (o2, v2) in enumerate(core):
+            if i != j:
+                verdict = report(battery.inst, o1, v1, v2)
+                if not verdict.holds:
+                    witnesses.append((o1, o2) + verdict.witnesses)
     return PropertyReport(name, not witnesses, tuple(witnesses))
 
 
@@ -399,9 +428,9 @@ def _sides_opposed(battery: PropertyBattery) -> PropertyReport:
     # The hypotheses are tested at the first pair of stable outcomes, so
     # with fewer than two the property holds untested. On a pool they
     # raise NotTwoSidedError.
-    def report(o1: Outcome, o2: Outcome) -> PropertyReport:
+    def report(inst: Instance, o1: Outcome, v1: dict, v2: dict) -> PropertyReport:
         battery.require_hypotheses()
-        return _sides_opposed_report(battery.inst, o1, o2)
+        return _sides_opposed_report(inst, v1, v2)
 
     return _over_stable_pairs(battery, "sides-opposed", report)
 
@@ -413,29 +442,29 @@ def _pair_tradeoff(battery: PropertyBattery) -> PropertyReport:
 def _group_tradeoff(battery: PropertyBattery) -> PropertyReport:
     # The first eight outcomes against the first four stable ones.
     inst = battery.inst
-    outcomes = [
-        Outcome.of(Matching(pairs), v) for pairs, v in islice(iter_raw_outcomes(inst), 8)
-    ]
-    core = battery.core()[:4]
     # The outcomes are feasible, the core's stable, and each group gains
     # strictly by construction: of the checker's hypotheses, only
     # "no-blocking" is left to test.
-    stable = [(s, s.payoff_map()) for s in core]
+    stable = [
+        (s, vs, _partners(s.matching)) for s, vs in zip(battery.core()[:4], battery.ranks())
+    ]
     witnesses = []
     checked = 0
-    for o in outcomes:
-        vo = o.payoff_map()
-        blocking = _blocking_pairs(inst, vo)
-        for s, vs in stable:
+    for pairs, payoffs in islice(iter_raw_outcomes(inst), 8):
+        vo = inst.floor_ranks(payoffs)
+        blocking = None
+        for s, vs, partner in stable:
             group = [a for a in inst.agents if vs[a] > vo[a]]
             if not group:
                 continue
-            mate = s.matching.mate
-            if any((a, mate(a)) in blocking for a in group):
+            if blocking is None:
+                blocking = _blocking_pairs(inst, vo)
+            if any((a, partner[a]) in blocking for a in group):
                 continue
-            report = _group_tradeoff_report(vo, vs, mate, group)
+            report = _group_tradeoff_report(inst, vo, vs, partner, group)
             checked += 1
             if not report.holds:
+                o = Outcome.of(Matching(pairs), payoffs)
                 witnesses.append((o, s, tuple(group)) + report.witnesses)
     return PropertyReport(
         "group-tradeoff", not witnesses, tuple(witnesses), {"samples": checked}

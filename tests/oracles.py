@@ -15,7 +15,9 @@ a trace on every run. `classic_da`, textbook deferred acceptance on
 rank lists, was the library's own independent reference for one-contract
 menus. The pairwise-efficiency and disjoint-yields references keep the
 library's former checkers, which compare Fraction amounts looked up in
-each allocation.
+each allocation. The pair-tradeoff, sides-opposed, group-tradeoff and
+employment-invariance references compare the Fraction payoffs of outcomes, as the library's
+battery did before it compared amount ranks, over the ordered core.
 """
 import random
 import warnings
@@ -23,7 +25,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 from contractmatch import (
     DEFAULT_POLICY,
@@ -42,6 +44,7 @@ from contractmatch import (
     NegativeContractWarning,
     NotTwoSidedError,
     Outcome,
+    PreconditionViolatedError,
     PropertyReport,
     SameSideMenuError,
     UnknownAgentError,
@@ -271,6 +274,123 @@ def oracle_firm_pareto(inst, payoffs):
     return not any(
         all(dict(items)[f] > payoffs[f] for f in inst.firms)
         for _, items in oracle_outcomes(inst)
+    )
+
+
+def oracle_pair_report(o1, o2):
+    """check_pair_tradeoff's report on two outcomes, from their Fraction payoffs."""
+    v1, v2 = o1.payoff_map(), o2.payoff_map()
+    weak, strict = [], []
+    for a, b in o1.matching.pairs:
+        for x, y in ((a, b), (b, a)):
+            if v1[x] > v2[x] and v2[y] < v1[y]:
+                weak.append((x, y, v1[x], v2[x], v1[y], v2[y]))
+            elif v1[x] > v2[x] and v2[y] == v1[y]:
+                strict.append((x, y, v1[x], v2[x], v1[y], v2[y]))
+    return PropertyReport(
+        "pair-tradeoff",
+        not weak,
+        tuple(weak),
+        {"strict_holds": not weak and not strict, "strict_witnesses": tuple(strict)},
+    )
+
+
+def oracle_sides_report(inst, o1, o2):
+    """check_sides_opposed's report on two outcomes, from their Fraction payoffs."""
+    witnesses = []
+    for direction, x, y in (("forward", o1, o2), ("reverse", o2, o1)):
+        vx, vy = x.payoff_map(), y.payoff_map()
+        if all(vy[f] >= vx[f] for f in inst.firms):
+            witnesses += [(direction, w, vx[w], vy[w]) for w in inst.workers if vx[w] < vy[w]]
+    return PropertyReport("sides-opposed", not witnesses, tuple(witnesses))
+
+
+def _oracle_over_core_pairs(inst, name, report):
+    """The property `name` over ordered pairs of distinct outcomes among the
+    first six of the ordered core, each pair through `report`."""
+    core = oracle_ordered_core(inst)[:6]
+    witnesses = []
+    for o1 in core:
+        for o2 in core:
+            if o1 != o2:
+                verdict = report(o1, o2)
+                if not verdict.holds:
+                    witnesses.append((o1, o2) + verdict.witnesses)
+    return PropertyReport(name, not witnesses, tuple(witnesses))
+
+
+def oracle_pair_tradeoff(inst):
+    """The battery's pair-tradeoff report, from Fraction payoffs."""
+    return _oracle_over_core_pairs(inst, "pair-tradeoff", oracle_pair_report)
+
+
+def _oracle_hypotheses(inst):
+    """Raise PreconditionViolatedError naming the first of pairwise
+    efficiency and disjoint yields that fails; a pool raises
+    NotTwoSidedError."""
+    for name, oracle in (
+        ("pairwise-efficiency", oracle_pairwise_efficient),
+        ("disjoint-yields", oracle_disjoint_yields),
+    ):
+        if not oracle(inst).holds:
+            raise PreconditionViolatedError(name)
+
+
+def oracle_sides_opposed(inst):
+    """The battery's sides-opposed report, from Fraction payoffs. The
+    hypotheses are tested when the core has two outcomes or more."""
+    if len(oracle_ordered_core(inst)) >= 2:
+        _oracle_hypotheses(inst)
+    return _oracle_over_core_pairs(
+        inst, "sides-opposed", lambda o1, o2: oracle_sides_report(inst, o1, o2)
+    )
+
+
+def oracle_employment_invariance(inst):
+    """The battery's employment-invariance report, from Fraction payoffs:
+    each stable outcome whose employed firms and workers, those paid more
+    than zero, differ from the first stable outcome's."""
+    _oracle_hypotheses(inst)
+    core = oracle_ordered_core(inst)
+    employed = [
+        (
+            frozenset(f for f in inst.firms if payoff(o, f) > 0),
+            frozenset(w for w in inst.workers if payoff(o, w) > 0),
+        )
+        for o in core
+    ]
+    witnesses = [
+        (core[0], o, employed[0], e) for o, e in zip(core[1:], employed[1:]) if e != employed[0]
+    ]
+    return PropertyReport("employment-invariance", not witnesses, tuple(witnesses))
+
+
+def oracle_group_tradeoff(inst):
+    """The battery's group-tradeoff report, from Fraction payoffs.
+
+    Each of the first eight outcomes against each of the first four
+    stable ones: the group is every agent paid strictly more in the stable
+    outcome. A non-empty group none of whose members blocks the outcome
+    with its stable partner is a sample, and each partner must be paid at
+    least as much in the outcome as in the stable one.
+    """
+    core = oracle_ordered_core(inst)[:4]
+    witnesses = []
+    samples = 0
+    for pairs, vo in islice(iter_raw_outcomes(inst), 8):
+        blocking = {pair for pair, _ in oracle_blocking(inst, vo)}
+        for s in core:
+            vs = s.payoff_map()
+            group = [a for a in inst.agents if vs[a] > vo[a]]
+            mate = s.matching.mate
+            if not group or any(tuple(sorted((a, mate(a)))) in blocking for a in group):
+                continue
+            samples += 1
+            found = [(b, vo[b], vs[b]) for b in sorted({mate(a) for a in group}) if vo[b] < vs[b]]
+            if found:
+                witnesses.append((Outcome.of(Matching(pairs), vo), s, tuple(group)) + tuple(found))
+    return PropertyReport(
+        "group-tradeoff", not witnesses, tuple(witnesses), {"samples": samples}
     )
 
 

@@ -1,13 +1,17 @@
 import copy
 import gc
 import pickle
+import random
 import warnings
 import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contractmatch import (
+    BUILTIN_NAMES,
+    Allocation,
     EnumerationBudget,
     BudgetExceededError,
     ContractMatchError,
@@ -32,6 +36,8 @@ from contractmatch import (
     enumerate_procedure_outcomes,
     gen_random,
     has_disjoint_yields,
+    instance_from_dict,
+    instance_to_dict,
     is_pairwise_efficient,
     is_stable,
     is_weakly_pareto_optimal_for_firms,
@@ -40,13 +46,18 @@ from contractmatch import (
 )
 from contractmatch import verify
 from contractmatch.verify import PROPERTY_NAMES, PropertyBattery
-from markets import menu, outcome_of, two_sided
+from markets import menu, ordinal_map, outcome_of, two_sided
 from oracles import (
     menu_for,
     oracle_disjoint_yields,
+    oracle_employment_invariance,
     oracle_firm_pareto,
+    oracle_group_tradeoff,
     oracle_outcomes,
+    oracle_pair_report,
+    oracle_pair_tradeoff,
     oracle_pairwise_efficient,
+    oracle_sides_opposed,
     payoff,
     relabelled,
     seeded_pool,
@@ -630,6 +641,160 @@ class TestBatteryMatchesPublicCheckers:
                 elif several and got[0] is NotTwoSidedError:
                     seen["pool"] += 1
         assert all(seen.values()), seen
+
+
+class TestBatteryMatchesFractionOracles:
+    """The battery compares amount ranks, and the oracles the Fraction
+    payoffs of outcomes over the ordered core. Their reports and errors
+    agree, witnesses with their amounts and details included, on the
+    markets above, their relabelled images, and markets with negative
+    amounts."""
+
+    ORACLES = {
+        "employment-invariance": oracle_employment_invariance,
+        "sides-opposed": oracle_sides_opposed,
+        "pair-tradeoff": oracle_pair_tradeoff,
+        "group-tradeoff": oracle_group_tradeoff,
+    }
+
+    def markets(self):
+        for k, inst in enumerate(TestBatteryMatchesPublicCheckers().markets()):
+            yield inst
+            yield relabelled(inst, k)
+        for seed in range(60):
+            yield gen_random(
+                GenParams(1 + seed % 3, 1 + (seed // 3) % 3, (1, 3), (-3, 4), 0.8, seed=7000 + seed)
+            )
+
+    @pytest.mark.filterwarnings("ignore::contractmatch.NegativeContractWarning")
+    def test_reports_agree(self):
+        seen = {"witnesses": 0, "strict witnesses": 0, "group samples": 0, "raised": 0}
+        for inst in self.markets():
+            battery = PropertyBattery(inst)
+            for name, oracle in self.ORACLES.items():
+                got, want = verdict(battery.run, name), verdict(oracle, inst)
+                # repr tells a Fraction amount from an int rank of equal value.
+                assert (got, repr(got)) == (want, repr(want)), name
+                if not isinstance(got, PropertyReport):
+                    seen["raised"] += 1
+                else:
+                    seen["witnesses"] += len(got.witnesses)
+                    seen["group samples"] += got.details.get("samples", 0)
+            # check_pair_tradeoff's own report carries the strict witnesses.
+            core = battery.core()[:6]
+            for o1 in core:
+                for o2 in core:
+                    got, want = check_pair_tradeoff(inst, o1, o2), oracle_pair_report(o1, o2)
+                    assert (got, repr(got)) == (want, repr(want))
+                    seen["strict witnesses"] += len(got.details["strict_witnesses"])
+        assert all(seen.values()), seen
+
+
+class TestOrdinalInvariance:
+    """Every property compares amounts of one agent, or an amount with 0.
+    So moving each agent's amounts by a strictly increasing map that fixes
+    0 (tests/markets.py::ordinal_map) keeps every verdict, error, witness
+    agent and sample count, and moves every witness amount by its agent's
+    map."""
+
+    @staticmethod
+    def moved(value, maps):
+        """`value` with the amounts of its outcomes and allocations moved."""
+        if isinstance(value, Outcome):
+            return Outcome(value.matching, tuple([(a, maps[a][v]) for a, v in value.payoffs]))
+        if isinstance(value, Allocation):
+            return Allocation(tuple([(a, maps[a][v]) for a, v in value.payments]))
+        if isinstance(value, tuple):
+            return tuple(TestOrdinalInvariance.moved(v, maps) for v in value)
+        assert not isinstance(value, Fraction)
+        return value
+
+    def moved_witness(self, name, w, maps):
+        """Witness `w` of property `name`, its amounts moved: those of its
+        outcomes and allocations, and the bare ones, each by the map of
+        the agent it pays."""
+        if name == "disjoint-yields":
+            f, w1, w2, x = w
+            return (f, w1, w2, maps[f][x])
+        if name == "sides-opposed":
+            return self.moved(w[:2], maps) + tuple(
+                (d, a, maps[a][x], maps[a][y]) for d, a, x, y in w[2:]
+            )
+        if name == "pair-tradeoff":
+            return self.moved(w[:2], maps) + tuple(
+                (a, b, maps[a][xa], maps[a][ya], maps[b][xb], maps[b][yb])
+                for a, b, xa, ya, xb, yb in w[2:]
+            )
+        if name == "group-tradeoff":
+            return self.moved(w[:3], maps) + tuple(
+                (b, maps[b][x], maps[b][y]) for b, x, y in w[3:]
+            )
+        return self.moved(w, maps)
+
+    def moved_report(self, report, maps):
+        witnesses = tuple(self.moved_witness(report.name, w, maps) for w in report.witnesses)
+        return PropertyReport(report.name, report.holds, witnesses, report.details)
+
+    @staticmethod
+    def reports(inst):
+        battery = PropertyBattery(inst, EnumerationBudget(5000))
+        for name in PROPERTY_NAMES:
+            try:
+                yield battery.run(name)
+            except ContractMatchError as exc:
+                yield (name, type(exc), str(exc))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n_firms=st.integers(1, 4),
+        n_workers=st.integers(1, 4),
+        values=st.sampled_from([(0, 6), (-2, 6), (1, 60)]),
+        forced=st.booleans(),
+        seed=st.integers(0, 10**6),
+    )
+    def test_small_markets(self, n_firms, n_workers, values, forced, seed):
+        forced = forced and values == (1, 60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeContractWarning)
+            inst = gen_random(
+                GenParams(n_firms, n_workers, (1, 3), values, 0.8, forced, forced, seed=seed)
+            )
+        self.assert_invariant(inst, seed)
+
+    @pytest.mark.filterwarnings("ignore::contractmatch.NegativeContractWarning")
+    def test_seeded_markets_with_witnesses(self):
+        # The markets of the Fraction-oracle test and the builtins, among
+        # which five properties fail; pair- and group-tradeoff, and
+        # firm-pareto on the runs, are theorems.
+        markets = list(TestBatteryMatchesFractionOracles().markets())
+        markets += [builtin(name) for name in BUILTIN_NAMES]
+        witnessed = set()
+        for k, inst in enumerate(markets):
+            for report in self.assert_invariant(inst, k):
+                if isinstance(report, PropertyReport) and report.witnesses:
+                    witnessed.add(report.name)
+        assert witnessed == {
+            "pairwise-efficiency",
+            "disjoint-yields",
+            "firm-optimality",
+            "employment-invariance",
+            "sides-opposed",
+        }
+
+    def assert_invariant(self, inst, seed):
+        """Assert the relation on `inst` and the image ordinal_map makes of
+        it under `seed`; return the reports on `inst`."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeContractWarning)
+            data, maps = ordinal_map(instance_to_dict(inst), random.Random(seed))
+            image = instance_from_dict(data)
+        reports = list(self.reports(inst))
+        for report, mapped in zip(reports, self.reports(image), strict=True):
+            if isinstance(report, PropertyReport):
+                assert mapped == self.moved_report(report, maps)
+            else:
+                assert mapped == report
+        return reports
 
 
 def run_battery(battery):
