@@ -7,6 +7,7 @@ already at least the zero they would get alone.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,9 +70,13 @@ def enumerate_core(
     agent not yet assigned. A branch is rejected as soon as a contract of
     a newly assigned agent pays it more than its payoff and pays the other
     member more than that member has or, if still unassigned, more than
-    any contract with an unassigned partner would pay it. Amounts are
-    the ranks of the instance's columns, and the search runs on an explicit
-    stack, so its depth is not bounded by the recursion limit.
+    any contract with an unassigned partner would pay it. That bound is
+    read from the member's contracts, best first: the scan stops at the
+    first with an unassigned partner, or at the first paying less than the
+    contract, so the branch and its count are those of the full bound.
+    Amounts are the ranks of the instance's columns, and the search runs
+    on an explicit stack, so its depth is not bounded by the recursion
+    limit.
 
     The budget bounds the outcomes examined: stable outcomes reached plus
     branches rejected. A rejected branch with every later agent single is
@@ -79,31 +84,29 @@ def enumerate_core(
     outcomes than enumerate_outcomes would list.
     """
     cap = (budget or EnumerationBudget()).max_outcomes
-    agents = inst.agents
-    n = len(agents)
-    index = {a: i for i, a in enumerate(agents)}
-    # choices[i]: single, then (partner, own amount, partner's amount, pair,
-    # menu index) for each usable contract with a later partner.
-    single = (-1, 0, 0, None, -1)
-    choices: list[list[tuple]] = [[single] for _ in agents]
-    # offers[i]: (amount, partner) of i's usable contracts, best first.
-    offers: list[list[tuple[int, int]]] = [[] for _ in agents]
+    n = len(inst.agents)
+    index = {a: i for i, a in enumerate(inst.agents)}
+    # Per agent index, each a list of int tuples, built from the columns:
+    # choices[i]: single, then (partner, own amount, partner's amount,
+    # column) for each usable contract with a later partner, in column order;
+    # offers[i]: (amount, partner) of i's usable contracts, best first;
     # rivals[i]: (own, partner, partner's) of each contract paying both
     # members more than zero, the only ones that can block; best first.
-    rivals: list[list[tuple[int, int, int]]] = [[] for _ in agents]
-    for first, second, start, stop in inst.spans():
-        pair = a, b = (first, second) if first < second else (second, first)
+    choices: list[list[tuple[int, int, int, int]]] = [[(-1, 0, 0, -1)] for _ in range(n)]
+    offers: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    rivals: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for c, (a, b, x, y) in enumerate(zip(inst.firsts, inst.seconds, inst.xs, inst.ys)):
+        if x < 0 or y < 0:
+            continue
         i, j = index[a], index[b]
-        for k, (x, y) in enumerate(zip(inst.xs[start:stop], inst.ys[start:stop])):
-            if first != a:
-                x, y = y, x
-            if x >= 0 and y >= 0:
-                choices[i].append((j, x, y, pair, k))
-                offers[i].append((x, j))
-                offers[j].append((y, i))
-            if x > 0 and y > 0:
-                rivals[i].append((x, j, y))
-                rivals[j].append((y, i, x))
+        if i > j:
+            i, j, x, y = j, i, y, x
+        choices[i].append((j, x, y, c))
+        offers[i].append((x, j))
+        offers[j].append((y, i))
+        if x and y:
+            rivals[i].append((x, j, y))
+            rivals[j].append((y, i, x))
     for lists in (offers, rivals):
         for entries in lists:
             entries.sort(reverse=True)
@@ -116,33 +119,40 @@ def enumerate_core(
             if own <= mine:
                 return False
             has = val[j]
-            if has is None:
-                has = next((x for x, k in offers[j] if val[k] is None), 0)
-            if theirs > has:
+            if has is not None:
+                if theirs > has:
+                    return True
+                continue
+            # j is unassigned: blocked unless an unassigned partner could
+            # pay it at least `theirs`.
+            for x, k in offers[j]:
+                if x < theirs:
+                    return True
+                if val[k] is None:
+                    break
+            else:
                 return True
         return False
 
-    def undo(z: int, option: tuple) -> None:
-        val[z] = None
-        if option[0] >= 0:
-            val[option[0]] = None
-
     examined = 0
-    leaves: list[tuple] = []
-    trail: list[tuple] = []  # (agent, choice) of each agent assigned by choice
+    leaves: list[tuple[int, ...]] = []
+    trail: list[tuple[int, int, int, int]] = []  # the choice of each agent on the stack
     frames = [(0, iter(choices[0]))] if n else []
     while frames:
         z, options = frames[-1]
         if val[z] is not None:  # back from the branch below this choice
-            undo(*trail.pop())
-        for option in options:
-            j = option[0]
-            if j >= 0 and val[j] is not None:
-                continue
-            val[z] = option[1]
+            val[z] = None
+            j = trail.pop()[0]
             if j >= 0:
-                val[j] = option[2]
-            trail.append((z, option))
+                val[j] = None
+        for option in options:
+            j, x, y, _ = option
+            if j >= 0:
+                if val[j] is not None:
+                    continue
+                val[j] = y
+            val[z] = x
+            trail.append(option)
             nxt = z + 1
             while nxt < n and val[nxt] is not None:
                 nxt += 1
@@ -154,12 +164,20 @@ def enumerate_core(
                         f"more than {cap} outcomes examined; raise the enumeration budget"
                     )
                 if not rejected:
-                    leaves.append(tuple([o for _, o in trail if o[0] >= 0]))
-                undo(*trail.pop())
+                    leaves.append(tuple([o[3] for o in trail if o[3] >= 0]))
+                trail.pop()
+                val[z] = None
+                if j >= 0:
+                    val[j] = None
                 continue
             frames.append((nxt, iter(choices[nxt])))
             break
         else:
             frames.pop()
-    leaves.sort(key=lambda leaf: (tuple([o[3] for o in leaf]), tuple([o[4] for o in leaf])))
-    return [inst.outcome([(a, x, b, y) for _, x, y, (a, b), _ in leaf]) for leaf in leaves]
+    # By the pairs in trail order, then their menu positions: a menu's
+    # index orders as its pair does, and within equal menus the columns
+    # order as the positions do.
+    starts = inst._starts
+    leaves.sort(key=lambda leaf: ([bisect_right(starts, c) for c in leaf], leaf))
+    firsts, seconds, xs, ys = inst.firsts, inst.seconds, inst.xs, inst.ys
+    return [inst.outcome([(firsts[c], xs[c], seconds[c], ys[c]) for c in leaf]) for leaf in leaves]

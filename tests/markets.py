@@ -3,7 +3,8 @@
 `menu` and `instance_of` only assemble the dict form a file would hold and
 pass it to `instance_from_dict`, which parses and checks every id and
 amount. `many_denominators` builds a market in that form, and
-`ordinal_map` transforms one; neither compares amounts with engine code.
+`ordinal_map` and `renamed` transform one; none compares amounts with
+engine code.
 """
 import random
 from fractions import Fraction
@@ -90,6 +91,21 @@ def many_denominators(n: int, seed: int = 0) -> dict:
         for w in workers
     ]
     return {"agents": firms + workers, "firms": firms, "workers": workers, "menus": menus}
+
+
+def renamed(data: dict, rename) -> dict:
+    """The market `data` with each agent id a renamed `rename(a)`."""
+    image = {
+        key: [rename(a) for a in data[key]] for key in ("agents", "firms", "workers") if key in data
+    }
+    image["menus"] = [
+        {
+            "pair": [rename(a) for a in m["pair"]],
+            "contracts": [{str(rename(int(a))): x for a, x in c.items()} for c in m["contracts"]],
+        }
+        for m in data["menus"]
+    ]
+    return image
 
 
 def ordinal_map(data: dict, rng: random.Random) -> tuple[dict, dict]:

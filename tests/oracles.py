@@ -4,7 +4,9 @@ These deliberately take different routes than the library: outcomes are
 enumerated agent-first over all involutions (the library walks pair
 subsets), and blocking is a plain double loop over pairs and contracts.
 The ordered core keeps the library's former core engine, a sweep over
-every outcome. The loader reference reads in the loader's order and
+every outcome, and the core-search reference its former depth-first
+search, which also counts the outcomes it examines. The loader
+reference reads in the loader's order and
 raises the first fault, but keeps the library's older construction
 path, which parses every literal on its own, builds an Allocation per
 contract, drops duplicates by Fraction equality and derives the integer
@@ -163,6 +165,94 @@ def oracle_ordered_core(inst):
         for pairs, v in iter_raw_outcomes(inst)
         if not oracle_blocking(inst, v)
     ]
+
+
+def oracle_core_examined(inst):
+    """(core, outcomes examined) by the library's former core search.
+
+    The depth-first search of `enumerate_core` as it was before the
+    search read its bounds with an early stop: each unassigned partner's
+    bound is a full generator scan of its offers, choices carry their
+    pair and menu index, and the stable leaves keep their choices. With
+    no budget, it returns the core in enumerate_outcomes order and the
+    number of outcomes examined (stable leaves plus rejected branches).
+    """
+    agents = inst.agents
+    n = len(agents)
+    index = {a: i for i, a in enumerate(agents)}
+    single = (-1, 0, 0, None, -1)
+    choices = [[single] for _ in agents]
+    offers = [[] for _ in agents]
+    rivals = [[] for _ in agents]
+    for first, second, start, stop in inst.spans():
+        pair = a, b = (first, second) if first < second else (second, first)
+        i, j = index[a], index[b]
+        for k, (x, y) in enumerate(zip(inst.xs[start:stop], inst.ys[start:stop])):
+            if first != a:
+                x, y = y, x
+            if x >= 0 and y >= 0:
+                choices[i].append((j, x, y, pair, k))
+                offers[i].append((x, j))
+                offers[j].append((y, i))
+            if x > 0 and y > 0:
+                rivals[i].append((x, j, y))
+                rivals[j].append((y, i, x))
+    for lists in (offers, rivals):
+        for entries in lists:
+            entries.sort(reverse=True)
+
+    val = [None] * n
+
+    def blocked(i):
+        mine = val[i]
+        for own, j, theirs in rivals[i]:
+            if own <= mine:
+                return False
+            has = val[j]
+            if has is None:
+                has = next((x for x, k in offers[j] if val[k] is None), 0)
+            if theirs > has:
+                return True
+        return False
+
+    def undo(z, option):
+        val[z] = None
+        if option[0] >= 0:
+            val[option[0]] = None
+
+    examined = 0
+    leaves = []
+    trail = []
+    frames = [(0, iter(choices[0]))] if n else []
+    while frames:
+        z, options = frames[-1]
+        if val[z] is not None:
+            undo(*trail.pop())
+        for option in options:
+            j = option[0]
+            if j >= 0 and val[j] is not None:
+                continue
+            val[z] = option[1]
+            if j >= 0:
+                val[j] = option[2]
+            trail.append((z, option))
+            nxt = z + 1
+            while nxt < n and val[nxt] is not None:
+                nxt += 1
+            rejected = blocked(z) or (j >= 0 and blocked(j))
+            if rejected or nxt == n:
+                examined += 1
+                if not rejected:
+                    leaves.append(tuple([o for _, o in trail if o[0] >= 0]))
+                undo(*trail.pop())
+                continue
+            frames.append((nxt, iter(choices[nxt])))
+            break
+        else:
+            frames.pop()
+    leaves.sort(key=lambda leaf: (tuple([o[3] for o in leaf]), tuple([o[4] for o in leaf])))
+    core = [inst.outcome([(a, x, b, y) for _, x, y, (a, b), _ in leaf]) for leaf in leaves]
+    return core, examined
 
 
 def seeded_pool(seed):

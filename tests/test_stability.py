@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from contractmatch import (
+    BUILTIN_NAMES,
     Allocation,
     BudgetExceededError,
     EnumerationBudget,
@@ -12,18 +13,22 @@ from contractmatch import (
     InfeasibleOutcomeError,
     InfeasibleParamsError,
     blocking_coalitions,
+    builtin,
     enumerate_core,
     enumerate_outcomes,
     gen_random,
+    instance_from_dict,
+    instance_to_dict,
     is_stable,
     outcome_is_feasible,
     run_procedure,
 )
 from contractmatch.stability import payoffs_are_blocked
-from markets import instance_of, menu, outcome_of
+from markets import instance_of, menu, ordinal_map, outcome_of, renamed
 from oracles import (
     oracle_blocking,
     oracle_core,
+    oracle_core_examined,
     oracle_ordered_core,
     oracle_outcomes,
     relabelled,
@@ -204,8 +209,26 @@ class TestCore:
         assert [payoff_tuple(o) for o in core] == [(1, 1)]
 
 
+def assert_same_search(inst):
+    """enumerate_core lists the core of the former search, oracle_core_examined,
+    within a budget of exactly the outcomes that search examined, and one
+    fewer is exceeded: the two walk the same tree. Returns that core and
+    count."""
+    core, examined = oracle_core_examined(inst)
+    assert enumerate_core(inst, EnumerationBudget(examined)) == core
+    if examined > 1:
+        cap = examined - 1
+        with pytest.raises(
+            BudgetExceededError,
+            match=f"^more than {cap} outcomes examined; raise the enumeration budget$",
+        ):
+            enumerate_core(inst, EnumerationBudget(cap))
+    return core, examined
+
+
 class TestCoreSearch:
-    """The pruned core search against the outcome sweep it replaced."""
+    """The pruned core search against the outcome sweep it replaced, and
+    against the former search, branch count included."""
 
     @pytest.mark.filterwarnings("ignore::contractmatch.NegativeContractWarning")
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -238,6 +261,7 @@ class TestCoreSearch:
         for market in (inst, relabelled(inst, seed)):
             core = enumerate_core(market)
             assert core == oracle_ordered_core(market)
+            assert_same_search(market)
             # Never more outcomes examined than a sweep of all of them.
             assert enumerate_core(market, EnumerationBudget(len(oracle_outcomes(market)))) == core
 
@@ -248,7 +272,13 @@ class TestCoreSearch:
             core = enumerate_core(inst)
             assert core == oracle_ordered_core(inst)
             assert {(o.matching.pairs, o.payoffs) for o in core} == oracle_core(inst)
+            assert_same_search(inst)
             assert enumerate_core(inst, EnumerationBudget(len(oracle_outcomes(inst)))) == core
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_equals_the_former_search_on_the_builtins(self, name):
+        inst = builtin(name)
+        assert assert_same_search(inst)[0] == oracle_ordered_core(inst)
 
     def test_budget_counts_rejected_branches(self, gs4):
         # gs4 has no stable outcome, so every outcome examined is a
@@ -264,3 +294,39 @@ class TestCoreSearch:
         inst = instance_of(range(1, 2 * n + 1), menus)
         (outcome,) = enumerate_core(inst, EnumerationBudget(5000))
         assert len(outcome.matching.pairs) == n
+
+
+class TestCoreSearchPastTheOracles:
+    """Relations on a strict 12x12 market, far past the outcome sweep."""
+
+    def test_strict_12_by_12_images(self):
+        inst = gen_random(GenParams(12, 12, (1, 3), (1, 1000), 1.0, True, True, seed=5))
+        core, examined = assert_same_search(inst)
+        assert len(core) == 33
+        data = instance_to_dict(inst)
+
+        # Each agent's amounts moved by an increasing map that fixes 0: the
+        # search compares only one agent's amounts with each other and
+        # with 0, so it walks the same tree, to the same matchings.
+        image_data, maps = ordinal_map(data, random.Random(5))
+        image = instance_from_dict(image_data)
+        image_core = enumerate_core(image, EnumerationBudget(examined))
+        assert [o.matching for o in image_core] == [o.matching for o in core]
+        for o, mapped in zip(core, image_core):
+            assert mapped.payoffs == tuple((a, maps[a][v]) for a, v in o.payoffs)
+        with pytest.raises(BudgetExceededError, match=f"^more than {examined - 1} outcomes"):
+            enumerate_core(image, EnumerationBudget(examined - 1))
+
+        # Each id a renamed 25 - a, so the workers come first: the search
+        # assigns agents in another order, which needs more than the
+        # default budget, and finds the same outcomes renamed.
+        reversed_ = instance_from_dict(renamed(data, lambda a: 25 - a))
+        assert reversed_.workers == tuple(range(1, 13))
+        back = {
+            (
+                tuple(sorted(tuple(sorted((25 - a, 25 - b))) for a, b in o.matching.pairs)),
+                tuple(sorted((25 - a, v) for a, v in o.payoffs)),
+            )
+            for o in enumerate_core(reversed_, EnumerationBudget(1_000_000))
+        }
+        assert back == {(o.matching.pairs, o.payoffs) for o in core}

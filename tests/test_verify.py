@@ -49,6 +49,7 @@ from contractmatch.verify import PROPERTY_NAMES, PropertyBattery
 from markets import menu, ordinal_map, outcome_of, two_sided
 from oracles import (
     menu_for,
+    oracle_blocking,
     oracle_disjoint_yields,
     oracle_employment_invariance,
     oracle_firm_pareto,
@@ -687,6 +688,46 @@ class TestBatteryMatchesFractionOracles:
                     got, want = check_pair_tradeoff(inst, o1, o2), oracle_pair_report(o1, o2)
                     assert (got, repr(got)) == (want, repr(want))
                     seen["strict witnesses"] += len(got.details["strict_witnesses"])
+        assert all(seen.values()), seen
+
+    @pytest.mark.filterwarnings("ignore::contractmatch.NegativeContractWarning")
+    def test_report_helpers_on_unstable_pairs(self):
+        # The weak pair-tradeoff witnesses and the group-tradeoff witnesses
+        # need a blocked "stable" outcome, so no input to the battery or the
+        # public checkers reaches them. The report helpers are called here
+        # on pairs of feasible outcomes, most of them unstable.
+        seen = {"unstable pairs": 0, "weak witnesses": 0, "group witnesses": 0}
+        for inst in self.markets():
+            outcomes = [
+                Outcome.of(Matching(pairs), dict(items))
+                for pairs, items in sorted(oracle_outcomes(inst))[:8]
+            ]
+            ranks = [inst.floor_ranks(o.payoff_map()) for o in outcomes]
+            blocked = [bool(oracle_blocking(inst, o.payoff_map())) for o in outcomes]
+            for o1, r1, b1 in zip(outcomes, ranks, blocked):
+                v1 = o1.payoff_map()
+                for o2, r2, b2 in zip(outcomes, ranks, blocked):
+                    if o1 == o2:
+                        continue
+                    v2 = o2.payoff_map()
+                    seen["unstable pairs"] += b1 or b2
+                    got = verify._pair_tradeoff_report(inst, o1, r1, r2)
+                    want = oracle_pair_report(o1, o2)
+                    assert (got, repr(got)) == (want, repr(want))
+                    seen["weak witnesses"] += len(got.witnesses)
+                    # o2 as the "stable" outcome, its gainers as the group.
+                    group = [a for a in inst.agents if v2[a] > v1[a]]
+                    if not group:
+                        continue
+                    mate = o2.matching.mate
+                    partner = {a: mate(a) for a in o2.matching.matched_agents()}
+                    got = verify._group_tradeoff_report(inst, r1, r2, partner, group)
+                    found = tuple(
+                        (b, v1[b], v2[b]) for b in sorted({mate(a) for a in group}) if v1[b] < v2[b]
+                    )
+                    want = PropertyReport("group-tradeoff", not found, found)
+                    assert (got, repr(got)) == (want, repr(want))
+                    seen["group witnesses"] += len(found)
         assert all(seen.values()), seen
 
 
