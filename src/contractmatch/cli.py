@@ -28,6 +28,10 @@ BUDGET_ENV_VAR = "CONTRACTMATCH_MAX_OUTCOMES"
 
 _LEAVES = frozenset({str, int, bool, type(None)})
 
+# One encoder for every record. _jsonable's output is a fresh tree of
+# lists, dicts and leaves, so the circular-reference pass finds nothing.
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
 
 def _jsonable(value):
     # Leaves and containers first, by exact type: Fraction's class is an
@@ -60,7 +64,7 @@ def _print_json(data) -> None:
     if isinstance(data, model.Instance):
         text = json.dumps(model.instance_to_dict(data), indent=2, sort_keys=True)
     else:
-        text = json.dumps(_jsonable(data), sort_keys=True)
+        text = _encode(_jsonable(data))
     try:
         print(text, flush=True)
     except BrokenPipeError:

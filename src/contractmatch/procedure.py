@@ -15,7 +15,7 @@ which is always stable.
 solve runs the procedure once; run_procedure also reads a trace off the
 stages of its run. Payoff ties are resolved by a TieBreakPolicy;
 enumerate_procedure_outcomes explores every resolution instead and returns
-the set of reachable outcomes.
+the reachable outcomes as a list sorted by Outcome.sort_key, each once.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from functools import cache, partial
 
 from .errors import BudgetExceededError
 from .model import (
+    DEFAULT_MAX_OUTCOMES,
     Allocation,
     EnumerationBudget,
     Instance,
@@ -278,14 +279,16 @@ def enumerate_procedure_outcomes(
     Branches at every choice point with two or more tied options, on both
     sides. The budget bounds the number of replayed runs, since distinct
     tie resolutions may collapse to few distinct outcomes. Each run is
-    replayed from the first stage, with no trace.
+    replayed from the first stage, with no trace. The outcomes are listed
+    once each, sorted by Outcome.sort_key.
     """
     firm_rows = _proposal_rows(inst, DEFAULT_POLICY)
     keeps_held = DEFAULT_POLICY.worker_keeps_held
-    cap = (budget or EnumerationBudget()).max_outcomes
+    cap = DEFAULT_MAX_OUTCOMES if budget is None else budget.max_outcomes
 
     # Keyed by the ids of the held rows, which live as long as firm_rows:
-    # an Outcome is built once per distinct set of held contracts.
+    # an Outcome is built once per distinct set of held contracts. A menu
+    # repeats no contract, so distinct sets give distinct outcomes.
     reached: dict[frozenset[int], dict[int, tuple]] = {}
     stack: list[tuple[int, ...]] = [()]
     runs = 0
@@ -302,8 +305,9 @@ def enumerate_procedure_outcomes(
             stack.extend(script + (i,) for i in reversed(range(b.n_options)))
             continue
         reached.setdefault(frozenset(map(id, held.values())), held)
-    outcomes = {_held_outcome(inst, held) for held in reached.values()}
-    return sorted(outcomes, key=Outcome.sort_key)
+    outcomes = [_held_outcome(inst, held) for held in reached.values()]
+    outcomes.sort(key=Outcome.sort_key)
+    return outcomes
 
 
 # --- trace serialization ----------------------------------------------------

@@ -537,9 +537,9 @@ class TestOrdinalInvariance:
     """A relation that holds at any size: every rule compares amounts of
     one agent, or an amount with 0, so moving each agent's amounts by a
     strictly increasing map that fixes 0 keeps each run's matching and
-    moves its payoffs by the maps; the core's outcomes move the same way.
-    The transform works on the dict form and shares no code with the
-    engine."""
+    moves its payoffs by the maps; the core's outcomes and the tie list
+    move the same way. The transform works on the dict form and shares no
+    code with the engine."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
@@ -565,6 +565,13 @@ class TestOrdinalInvariance:
         core = enumerate_core(inst)
         assert [(o.matching, o.payoffs) for o in enumerate_core(image)] == [
             (o.matching, moved(o, maps)) for o in core
+        ]
+        # The tie list keeps its order: outcomes sort by matching, then by
+        # each agent's payoff in id order, and the maps keep every payoff
+        # comparison of one agent.
+        ties = enumerate_procedure_outcomes(inst)
+        assert [(o.matching, o.payoffs) for o in enumerate_procedure_outcomes(image)] == [
+            (o.matching, moved(o, maps)) for o in ties
         ]
 
     def test_a_seeded_50_by_50_market(self):
