@@ -358,15 +358,19 @@ class Outcome:
         return (self.matching.pairs, self.payoffs)
 
 
-def outcome_is_feasible(inst: Instance, outcome: Outcome) -> bool:
-    """True iff the outcome satisfies every feasibility invariant of the instance."""
+def _feasible_ranks(inst: Instance, outcome: Outcome) -> dict[int, int] | None:
+    """Each agent's payoff rank when the outcome is feasible for the
+    instance, else None. A feasible payoff is a level, so these are the
+    ranks Instance.floor_ranks gives."""
     if tuple([a for a, _ in outcome.payoffs]) != inst.agents:
-        return False
-    # Each payoff's rank. Zero is a level, so a payoff that is no level, of
-    # rank None, is feasible for no agent.
-    v = {a: inst._ranks.get(x.as_integer_ratio()) for a, x in outcome.payoffs}
+        return None
+    # Each payoff's rank, keyed by the instance's own agents, which its
+    # columns hold. Zero is a level, so a payoff that is no level, of rank
+    # None, is feasible for no agent.
+    ranks = inst._ranks
+    v = dict(zip(inst.agents, [ranks.get(x.as_integer_ratio()) for _, x in outcome.payoffs]))
     if None in v.values() or min(v.values()) < 0:
-        return False
+        return None
     mate = {}
     for a, b in outcome.matching.pairs:
         mate[a], mate[b] = b, a
@@ -377,14 +381,25 @@ def outcome_is_feasible(inst: Instance, outcome: Outcome) -> bool:
         for a, b, x, y in zip(inst.firsts, inst.seconds, inst.xs, inst.ys)
         if x == v[a] and y == v[b] and mate.get(a) == b
     ]
-    return len(met) == len(outcome.matching.pairs) and all(
+    if len(met) == len(outcome.matching.pairs) and all(
         v[a] == 0 for a in inst.agents if a not in mate
-    )
+    ):
+        return v
+    return None
 
 
-def _require_feasible(inst: Instance, outcome: Outcome) -> None:
-    if not outcome_is_feasible(inst, outcome):
+def outcome_is_feasible(inst: Instance, outcome: Outcome) -> bool:
+    """True iff the outcome satisfies every feasibility invariant of the instance."""
+    return _feasible_ranks(inst, outcome) is not None
+
+
+def _require_feasible(inst: Instance, outcome: Outcome) -> dict[int, int]:
+    """The outcome's payoff ranks, as _feasible_ranks gives them, or
+    InfeasibleOutcomeError."""
+    v = _feasible_ranks(inst, outcome)
+    if v is None:
         raise InfeasibleOutcomeError("outcome is not feasible for this instance")
+    return v
 
 
 def _require_two_sided(inst: Instance) -> None:
@@ -509,9 +524,13 @@ class _Literals(dict):
     """The loader's amounts: each money string met, to the index of its amount.
 
     `amounts` maps each distinct amount, an int when whole and (numerator,
-    denominator) otherwise, to its index, so that value-equal literals such
-    as "1", "2/2" and "1.0" share one index. A string is parsed once, on
-    first use. Only str keys are stored, so that True never stands for 1.
+    denominator) in lowest terms otherwise, to its index, so that
+    value-equal literals such as "1", "2/2" and "1.0" share one index. A
+    string is parsed once, on first use: the two shapes files use, digits
+    such as "1234" and digits over digits such as "617/2", here, and any
+    other by _money_ratio, so that every string reads as parse_money reads
+    it or raises its FormatError. Only str keys are stored, so that True
+    never stands for 1.
     """
 
     def __init__(self):
@@ -519,9 +538,29 @@ class _Literals(dict):
         self.amounts: dict = {}
 
     def __missing__(self, text):
-        n, d = _money_ratio(text)
+        # A gcd of 1, the usual case, divides nothing. Any other shape, an
+        # int() failure such as the digit limit, and a zero denominator go
+        # to _money_ratio.
+        key = None
+        try:
+            if text.isdecimal():
+                key = int(text)
+            else:
+                num, _, den = text.partition("/")
+                if num.isdecimal() and den.isdecimal():
+                    n, d = int(num), int(den)
+                    if d:
+                        g = math.gcd(n, d)
+                        if g != 1:
+                            n, d = n // g, d // g
+                        key = n if d == 1 else (n, d)
+        except ValueError:
+            pass
+        if key is None:
+            n, d = _money_ratio(text)
+            key = n if d == 1 else (n, d)
         amounts = self.amounts
-        i = self[text] = amounts.setdefault(n if d == 1 else (n, d), len(amounts))
+        i = self[text] = amounts.setdefault(key, len(amounts))
         return i
 
     def index(self, value) -> int:
@@ -544,6 +583,26 @@ def _key_of(agent: int):
         return object()
 
 
+def _menu_pair(entry, places: dict) -> tuple:
+    """(a, b, places[a], places[b]) of a menu entry's pair (a, b), read by
+    the loader's first checks of a pair in their order, each of which
+    raises: the entry's format, then a repeated agent, then an unknown
+    agent."""
+    if not isinstance(entry, Mapping) or not isinstance(entry.get("pair"), list):
+        raise FormatError(f"malformed menu entry {_shown(entry)}")
+    try:
+        a, b = entry["pair"]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"malformed menu entry {_shown(entry)}") from exc
+    a, b = parse_agent(a), parse_agent(b)
+    if a == b:
+        raise MalformedMenuError(f"menu pair {_repr((a, b))} repeats an agent")
+    for x in (a, b):
+        if x not in places:
+            raise UnknownAgentError(f"menu references unknown agent {_repr(x)}")
+    return a, b, places[a], places[b]
+
+
 def instance_from_dict(data: Mapping) -> Instance:
     """Build and validate an instance from its dict form: the one loader.
 
@@ -557,17 +616,22 @@ def instance_from_dict(data: Mapping) -> Instance:
     agents and their checks, then the partition and its checks, then each
     menu entry in input order. An entry's pair comes first: its format,
     then a repeated agent, an unknown agent, a pair already given and a
-    pair on one side. Its contracts follow one by one, each raised where
-    it is malformed or does not cover exactly the pair, and then an empty
-    menu. A contract is kept as the indexes of its first's and its
-    second's amounts among the distinct amounts, so that value-equal
-    literals such as "1", "2/2" and "1.0" collide as duplicates; each
-    distinct money string is parsed once. A contract of two string amounts
-    keyed by the pair's ids as canonical strings is read by those keys;
-    any other contract, or one that meets a format error there, is read
-    entry by entry in the order of the file. The ranks come from the
-    distinct amounts alone, and no container per menu or per contract
-    outlives the load.
+    pair on one side. A dict entry whose pair is a list of two known int
+    ids on two sides passes the first three by one lookup of each id; any
+    other entry is read by those checks in their order. Its contracts
+    follow one by one, each raised where it is malformed or does not cover
+    exactly the pair, and then an empty menu. A contract is kept as the
+    indexes of its first's and its second's amounts among the distinct
+    amounts, so that value-equal literals such as "1", "2/2" and "1.0"
+    collide as duplicates; each distinct money string is parsed once, as
+    _Literals reads it. A contract of two string amounts keyed by the
+    pair's ids as canonical strings is read by those keys; any other
+    contract, or one that meets a format error there, is read entry by
+    entry in the order of the file. Each menu keeps its first, its second
+    and its run of contracts, and the columns are laid out from whole runs
+    in pair order. The columns, the agents and the partition share one int
+    object per agent. The ranks come from the distinct amounts alone, and
+    no container per menu or per contract outlives the load.
     """
     if not isinstance(data, Mapping):
         raise FormatError("instance data must be a JSON object")
@@ -599,58 +663,62 @@ def instance_from_dict(data: Mapping) -> Instance:
 
     literals = _Literals()
     amounts = literals.amounts
-    # Each agent to the key a contract names it by, for the fast path below.
-    keys = {a: _key_of(a) for a in agent_set}
-    # Each menu's pair (lo, hi) as the int lo * span + hi, to the menu's
-    # index; the ints sort as the pairs do. Per menu, the offset of its
-    # first contract in us and vs, which hold each contract's first's and
-    # second's amount index.
+    # Each agent to itself, the key a contract names it by and its place. A
+    # menu's first is the member of lower place, and members of one place
+    # share a side: a firm's place is False and a worker's True on a
+    # two-sided instance, and on a pool each agent's place is its id. The
+    # instance holds one int object per agent, the one in agent_set, so
+    # that its columns touch few objects and lookups by agent match by
+    # identity.
+    if firms is None:
+        places = {a: (a, _key_of(a), a) for a in agent_set}
+    else:
+        places = {a: (a, _key_of(a), a not in firm_set) for a in agent_set}
+        firms = tuple([places[a][0] for a in firms])
+        workers = tuple([places[a][0] for a in workers])
+    # Each menu's pair (lo, hi) as the int lo * span + hi, which sort as the
+    # pairs do, to the menu's first, its second and the start and stop of
+    # its run in uv, which holds each contract's first's and second's
+    # amount indexes in turn. divmod(key, span) is the pair again.
     span = max(agent_set) + 1
-    menus: dict[int, int] = {}
-    offsets: list[int] = []
-    us: list[int] = []
-    vs: list[int] = []
+    menus: dict[int, tuple[int, int, int, int]] = {}
+    uv: list[int] = []
     for entry in entries:
-        if not (type(entry) is dict or isinstance(entry, Mapping)) or not isinstance(
-            entry.get("pair"), list
-        ):
-            raise FormatError(f"malformed menu entry {_shown(entry)}")
+        # A dict whose pair is a list of two known int ids of two places is
+        # read by one lookup per id; any other entry by _menu_pair.
+        pa = pb = None
+        if type(entry) is dict:
+            pair = entry.get("pair")
+            if type(pair) is list and len(pair) == 2:
+                a, b = pair
+                if type(a) is int is type(b):
+                    pa, pb = places.get(a), places.get(b)
+        if pa is None or pb is None or pa[2] == pb[2]:
+            a, b, pa, pb = _menu_pair(entry, places)
+        key = a * span + b if a < b else b * span + a
+        if key in menus:
+            raise DuplicateMenuError(f"more than one menu for pair {_repr(divmod(key, span))}")
+        if pa[2] == pb[2]:
+            raise SameSideMenuError(
+                f"pair {_repr(divmod(key, span))} joins two agents on the same side"
+            )
+        if pa[2] > pb[2]:
+            pa, pb = pb, pa
+        first, sf, _ = pa
+        second, sw, _ = pb
+        start = len(uv)
         try:
-            a, b = entry["pair"]
-            a = a if type(a) is int else parse_agent(a)
-            b = b if type(b) is int else parse_agent(b)
-            ka, kb = keys.get(a), keys.get(b)
-            if a == b:
-                raise MalformedMenuError(f"menu pair {_repr((a, b))} repeats an agent")
-            if ka is None:
-                raise UnknownAgentError(f"menu references unknown agent {_repr(a)}")
-            if kb is None:
-                raise UnknownAgentError(f"menu references unknown agent {_repr(b)}")
-            lo, hi, klo, khi = (a, b, ka, kb) if a < b else (b, a, kb, ka)
-            # A pair given before leaves the number of menus as it was.
-            menus[lo * span + hi] = len(offsets)
-            if len(menus) == len(offsets):
-                raise DuplicateMenuError(f"more than one menu for pair {_repr((lo, hi))}")
-            # The partition covers the agents, so a pair without exactly one
-            # firm joins two firms or two workers.
-            hi_firm = hi in firm_set
-            if firms is not None and hi_firm == (lo in firm_set):
-                raise SameSideMenuError(
-                    f"pair {_repr((lo, hi))} joins two agents on the same side"
-                )
-            first, second, sf, sw = (hi, lo, khi, klo) if hi_firm else (lo, hi, klo, khi)
-            offsets.append(len(us))
             for c in entry["contracts"]:
                 if type(c) is dict and len(c) == 2:
                     u, v = c.get(sf), c.get(sw)
-                    if type(u) is str and type(v) is str:
+                    if type(u) is str is type(v):
                         try:
                             u, v = literals[u], literals[v]
                         except FormatError:
                             pass  # raised below, in the order of the file
                         else:
-                            us.append(u)
-                            vs.append(v)
+                            uv.append(u)
+                            uv.append(v)
                             continue
                 parsed = {}
                 for x, v in c.items():
@@ -659,19 +727,22 @@ def instance_from_dict(data: Mapping) -> Instance:
                         raise FormatError(f"contract names agent {x} more than once")
                     parsed[x] = literals.index(v)
                 if len(parsed) == 2 and first in parsed and second in parsed:
-                    us.append(parsed[first])
-                    vs.append(parsed[second])
+                    uv.append(parsed[first])
+                    uv.append(parsed[second])
                     continue
                 values = [Fraction(*k) if type(k) is tuple else Fraction(k) for k in amounts]
                 shown = Allocation(tuple(sorted((p, values[i]) for p, i in parsed.items())))
                 raise MalformedMenuError(
-                    f"contract {shown!r} does not cover exactly the pair {_repr((lo, hi))}"
+                    f"contract {shown!r} does not cover exactly the pair "
+                    f"{_repr(divmod(key, span))}"
                 )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise FormatError(f"malformed menu entry {_shown(entry)}") from exc
-        if offsets[-1] == len(us):
-            raise EmptyContractSetError(f"menu for pair {_repr((lo, hi))} has no contracts")
-    offsets.append(len(us))
+        if start == len(uv):
+            raise EmptyContractSetError(
+                f"menu for pair {_repr(divmod(key, span))} has no contracts"
+            )
+        menus[key] = first, second, start, len(uv)
 
     # The levels: the distinct amounts and zero, sorted by their floats,
     # which keep their order, or exactly if two share a float or one lies
@@ -690,22 +761,17 @@ def instance_from_dict(data: Mapping) -> Instance:
     ranks = [0] * len(keys)
     for r, i in enumerate(by_amount, -z):
         ranks[i] = r
-    # The contracts in pair order, as indexes into us and vs, and the first
-    # and the second of their menus.
-    order: list[int] = []
-    firsts: list[int] = []
-    seconds: list[int] = []
+    # The contracts in pair order, a menu's run at a time: members holds
+    # each contract's first and second in turn, and runs its two amount
+    # indexes in turn, then their ranks. Each column is every other entry.
+    members: list[int] = []
+    runs: list[int] = []
     for key in sorted(menus):
-        m = menus[key]
-        start, stop = offsets[m], offsets[m + 1]
-        order += range(start, stop)
-        lo, hi = divmod(key, span)
-        if hi in firm_set:
-            lo, hi = hi, lo
-        firsts += [lo] * (stop - start)
-        seconds += [hi] * (stop - start)
-    xs = [ranks[us[k]] for k in order]
-    ys = [ranks[vs[k]] for k in order]
+        first, second, start, stop = menus[key]
+        members += [first, second] * ((stop - start) // 2)
+        runs += uv[start:stop]
+    ranked = list(map(ranks.__getitem__, runs))
+    firsts, seconds, xs, ys = members[0::2], members[1::2], ranked[0::2], ranked[1::2]
     # A menu's contracts share its first and second, so a contract repeated
     # within a menu repeats a whole row of the columns. Rows are compared
     # by hash first, which keeps no tuple per contract alive.

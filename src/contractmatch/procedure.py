@@ -82,11 +82,12 @@ def _proposal_rows(inst: Instance, policy: TieBreakPolicy) -> list[list[tuple]]:
     best-first, in firm id order.
 
     A row is (-firm amount, tie key, worker amount, firm, worker), all
-    ints, with both amounts from the instance's columns. Rows sort as
-    tuples: a firm's own payoff, then the policy's worker rule, then the
-    worker's amount, which in one firm's list orders contracts tied on
-    worker and firm payoff as their allocations compare. No two rows of
-    a firm are equal.
+    ints, with both amounts and both agents from the instance's columns,
+    which hold one int object per agent. One pass over the columns files
+    each row under its firm. Rows sort as tuples: a firm's own payoff,
+    then the policy's worker rule, then the worker's amount, which in one
+    firm's list orders contracts tied on worker and firm payoff as their
+    allocations compare. No two rows of a firm are equal.
     """
     _require_two_sided(inst)
     side = 1 if policy.firm_prefers_low_worker else -1

@@ -32,8 +32,8 @@ class BlockingCertificate:
 
 def _blocking(inst: Instance, v: dict[int, int]):
     """Each contract (a, x, b, y) paying both its agents more than the rank
-    map `v`, as Instance.floor_ranks gives it for all agents, in pair order
-    then menu order."""
+    map `v`, as Instance.floor_ranks or _require_feasible gives it for all
+    agents, in pair order then menu order."""
     for a, b, x, y in zip(inst.firsts, inst.seconds, inst.xs, inst.ys):
         if x > v[a] and y > v[b]:
             yield a, x, b, y
@@ -47,10 +47,9 @@ def payoffs_are_blocked(inst: Instance, payoffs: dict[int, Fraction]) -> bool:
 
 def blocking_coalitions(inst: Instance, outcome: Outcome) -> list[BlockingCertificate]:
     """Every (pair, contract) that blocks the outcome, in pair order then menu order."""
-    _require_feasible(inst, outcome)
     return [
         BlockingCertificate((a, b) if a < b else (b, a), inst.allocation(a, x, b, y))
-        for a, x, b, y in _blocking(inst, inst.floor_ranks(outcome.payoff_map()))
+        for a, x, b, y in _blocking(inst, _require_feasible(inst, outcome))
     ]
 
 

@@ -31,11 +31,11 @@ from .model import (
     Instance,
     Matching,
     Outcome,
+    _feasible_ranks,
     _repr,
     _require_feasible,
     _require_two_sided,
     iter_raw_outcomes,
-    outcome_is_feasible,
     parse_agent,
 )
 from .stability import _blocking, payoffs_are_blocked
@@ -53,11 +53,10 @@ class PropertyReport:
 
 def _require_stable(inst: Instance, outcome: Outcome, label: str) -> dict[int, int]:
     """The outcome's rank map, once it is found feasible and unblocked."""
-    _require_feasible(inst, outcome)
-    payoffs = outcome.payoff_map()
-    if payoffs_are_blocked(inst, payoffs):
+    v = _require_feasible(inst, outcome)
+    if payoffs_are_blocked(inst, outcome.payoff_map()):
         raise UnstableInputError(f"{label} admits a blocking pair")
-    return inst.floor_ranks(payoffs)
+    return v
 
 
 def _rank_maps(inst: Instance, outcomes: list[Outcome]) -> list[dict[int, int]]:
@@ -121,8 +120,7 @@ def is_weakly_pareto_optimal_for_firms(inst: Instance, outcome: Outcome) -> Prop
     the first such contract of its menu.
     """
     _require_two_sided(inst)
-    _require_feasible(inst, outcome)
-    v = inst.floor_ranks(outcome.payoff_map())
+    v = _require_feasible(inst, outcome)
     better: dict[int, dict[int, tuple]] = {f: {} for f in inst.firms}
     for f, w, start, stop in inst.spans():
         for x, y in zip(inst.xs[start:stop], inst.ys[start:stop]):
@@ -171,9 +169,9 @@ def check_firm_optimality(
 ) -> PropertyReport:
     """Every stable outcome pays every firm at most what this outcome does."""
     _require_two_sided(inst)
-    _require_feasible(inst, outcome)
+    v = _require_feasible(inst, outcome)
     core = stability.enumerate_core(inst, budget)
-    return _firm_bound(inst, inst.floor_ranks(outcome.payoff_map()), core, _rank_maps(inst, core))
+    return _firm_bound(inst, v, core, _rank_maps(inst, core))
 
 
 def _firm_bound(
@@ -234,7 +232,8 @@ def check_group_tradeoff(
     agent id raises FormatError.
     """
     members = sorted({parse_agent(a) for a in group})
-    if not outcome_is_feasible(inst, outcome):
+    v = _feasible_ranks(inst, outcome)
+    if v is None:
         raise PreconditionViolatedError("outcome", "first outcome is not feasible")
     try:
         vs = _require_stable(inst, stable_outcome, "stable outcome")
@@ -242,7 +241,6 @@ def check_group_tradeoff(
         raise PreconditionViolatedError("stable-outcome", str(exc)) from exc
     if not set(members) <= set(inst.agents):
         raise PreconditionViolatedError("group", "group contains unknown agents")
-    v = inst.floor_ranks(outcome.payoff_map())
     partner = _partners(stable_outcome.matching)
     blocking = _blocking_pairs(inst, v)
     for a in members:

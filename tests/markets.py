@@ -2,14 +2,22 @@
 
 `menu` and `instance_of` only assemble the dict form a file would hold and
 pass it to `instance_from_dict`, which parses and checks every id and
-amount. `many_denominators` builds a market in that form, and
-`ordinal_map` and `renamed` transform one; none compares amounts with
-engine code.
+amount. `many_denominators` and `solve_market_shaped` build a market in
+that form, and `ordinal_map` and `renamed` transform one; none compares
+amounts with engine code.
 """
 import random
 from fractions import Fraction
 
-from contractmatch import GenParams, Matching, Outcome, instance_from_dict, money_str
+from contractmatch import (
+    GenParams,
+    Matching,
+    Outcome,
+    gen_random,
+    instance_from_dict,
+    instance_to_dict,
+    money_str,
+)
 
 
 def menu(pair, contracts):
@@ -93,6 +101,38 @@ def many_denominators(n: int, seed: int = 0) -> dict:
     return {"agents": firms + workers, "firms": firms, "workers": workers, "menus": menus}
 
 
+def solve_market_shaped(values: tuple[int, int], seed: int) -> dict:
+    """The dict form of a 40x40 market written as the solve-market
+    workload writes its files, with its menus then shuffled.
+
+    gen_random's market, every agent relabelled from 1..800, and every
+    amount times k/2 for one odd k, written "n" or "n/2"; so firms often
+    take ids above workers', and the pairs come in no order.
+    """
+    rng = random.Random(seed)
+    inst = gen_random(GenParams(40, 40, (1, 4), values, 0.75, seed=seed))
+    new = dict(zip(inst.agents, rng.sample(range(1, 801), 80)))
+    k = 2 * rng.randrange(50) + 1
+    data = instance_to_dict(inst)
+    menus = [
+        {
+            "pair": [new[a] for a in m["pair"]],
+            "contracts": [
+                {str(new[int(a)]): money_str(Fraction(int(x) * k, 2)) for a, x in c.items()}
+                for c in m["contracts"]
+            ],
+        }
+        for m in data["menus"]
+    ]
+    rng.shuffle(menus)
+    return {
+        "agents": sorted(new.values()),
+        "firms": [new[a] for a in data["firms"]],
+        "workers": [new[a] for a in data["workers"]],
+        "menus": menus,
+    }
+
+
 def renamed(data: dict, rename) -> dict:
     """The market `data` with each agent id a renamed `rename(a)`."""
     image = {
@@ -112,11 +152,13 @@ def ordinal_map(data: dict, rng: random.Random) -> tuple[dict, dict]:
     """The market `data` with each agent's amounts moved by a map of its
     own that is strictly increasing and fixes 0, and those maps.
 
-    An agent's distinct positive amounts, in increasing order, go to the
-    running sums of random positive fractions, and its negative amounts,
-    in decreasing order, to those sums negated. So every comparison of
-    two amounts of one agent, or of one amount with 0, comes out as
-    before, in numbers with other denominators. The maps are
+    An agent's distinct positive amounts, in increasing order, go to as
+    many distinct random positive fractions, in increasing order, and its
+    negative amounts, in decreasing order, to such fractions negated. Each
+    fraction is drawn with a numerator and a denominator of its own, so an
+    image amount's denominator says nothing of its place in the order. So
+    every comparison of two amounts of one agent, or of one amount with 0,
+    comes out as before, in numbers with other denominators. The maps are
     {agent: {amount: image}}, with 0 to 0 for every agent.
     """
     received: dict[int, set] = {int(a): {Fraction(0)} for a in data["agents"]}
@@ -128,10 +170,12 @@ def ordinal_map(data: dict, rng: random.Random) -> tuple[dict, dict]:
     for a, amounts in received.items():
         image = maps[a] = {Fraction(0): Fraction(0)}
         for sign in (1, -1):
-            total = Fraction(0)
-            for x in sorted(x * sign for x in amounts if x * sign > 0):
-                total += Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
-                image[x * sign] = total * sign
+            xs = sorted(x * sign for x in amounts if x * sign > 0)
+            drawn: set[Fraction] = set()
+            while len(drawn) < len(xs):
+                drawn.add(Fraction(rng.randint(1, 10**6), rng.randint(1, 1000)))
+            for x, y in zip(xs, sorted(drawn)):
+                image[x * sign] = y * sign
     menus = [
         {
             "pair": m["pair"],

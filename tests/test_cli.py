@@ -3,9 +3,11 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import pytest
@@ -27,6 +29,7 @@ from contractmatch import (
     stability,
 )
 from contractmatch.cli import main
+from oracles import oracle_instance_from_dict
 
 
 def write_json(path, data):
@@ -834,6 +837,55 @@ class TestRelabelledFractionalMarket:
             '{"count": 3}\n',
             self.WARNING,
         )
+
+
+class TestOneFirmWithTenThousandMenus:
+    """One agent with 10^4 menus: a firm with a one-contract menu with each
+    of 10,000 workers. The firm has the highest id, so it is the second
+    member of every pair, and the menus come in no order."""
+
+    N = 10_000
+
+    @pytest.fixture(scope="class")
+    def market(self):
+        rng = random.Random(10_000)
+        firm, workers = self.N + 1, list(range(1, self.N + 1))
+        menus = [
+            {
+                "pair": [w, firm] if w % 2 else [firm, w],
+                "contracts": [
+                    {str(firm): str(rng.randint(1, 10**6)), str(w): f"{rng.randint(0, 10**6)}/2"}
+                ],
+            }
+            for w in workers
+        ]
+        rng.shuffle(menus)
+        return {"agents": workers + [firm], "firms": [firm], "workers": workers, "menus": menus}
+
+    def test_loads_as_the_oracle_does(self, market):
+        inst = instance_from_dict(market)
+        assert len(inst.xs) == self.N
+        assert inst == oracle_instance_from_dict(market)
+
+    def test_solve_then_check_is_stable_in_bounded_time(self, capsys, tmp_path, market):
+        path = write_json(tmp_path / "wide.json", market)
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "solve", path)
+        assert (code, err) == (0, "")
+        outcome = tmp_path / "wide.outcome"
+        outcome.write_text(out, encoding="utf-8")
+        code, checked, err = run_cli(capsys, "check", path, str(outcome))
+        assert time.perf_counter() - started < 20
+        assert (code, json_lines(checked), err) == (0, [{"stable": True}], "")
+        # The firm takes its best contract; the lowest worker id wins a tie.
+        firm = self.N + 1
+        best = max(
+            (int(m["contracts"][0][str(firm)]), -w)
+            for m in market["menus"]
+            for w in m["pair"]
+            if w != firm
+        )
+        assert json_lines(out)[0]["matches"] == [[-best[1], firm]]
 
 
 class TestGenAndExample:

@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import re
 import time
@@ -36,8 +37,8 @@ from contractmatch import (
     outcome_to_dict,
     parse_money,
 )
-from contractmatch.model import MAX_MONEY_EXPONENT
-from markets import instance_of, many_denominators, menu, outcome_of
+from contractmatch.model import MAX_MONEY_EXPONENT, _Literals
+from markets import instance_of, many_denominators, menu, outcome_of, solve_market_shaped
 from oracles import menus_of, oracle_instance_from_dict, oracle_outcomes, relabelled, seeded_pool
 
 
@@ -88,6 +89,80 @@ class TestMoney:
     def test_money_str_round_trips(self):
         for text in ("3", "-2", "3/2", "7/3"):
             assert money_str(parse_money(text)) == text
+
+
+def read_literal(text):
+    """The amount the loader's literal table keys `text` by, or its error
+    text. A key is the amount's int when it is whole, and else its
+    (numerator, denominator) in lowest terms."""
+    literals = _Literals()
+    try:
+        i = literals[text]
+    except FormatError as exc:
+        return str(exc)
+    (key,) = [k for k, j in literals.amounts.items() if j == i]
+    return key
+
+
+def parse_literal(text):
+    """The key of the amount parse_money reads from `text`, or its error text."""
+    try:
+        n, d = parse_money(text).as_integer_ratio()
+    except FormatError as exc:
+        return str(exc)
+    return n if d == 1 else (n, d)
+
+
+class TestLiteralsAgainstParseMoney:
+    """The loader reads the shapes files use, "1234" and "617/2", inline
+    (`model._Literals`) and leaves every other shape to the parser behind
+    parse_money. Either way a literal must mean what parse_money reads, or
+    raise its FormatError with the same text."""
+
+    literals = [
+        # digits
+        "0", "7", "1234", "007", "98765432109876543210",
+        # n/d with a gcd of 1
+        "617/2", "1/3", "1/1", "0/1", "12345678901234567891/10",
+        # n/d with a gcd above 1
+        "6/4", "4/2", "0/7", "100/25", "0006/0004",
+        # zero denominators
+        "1/0", "0/0", "5/000",
+        # Unicode decimal digits
+        "\u0663", "\u0663/\u0662", "\uff11\uff12", "\uff11\uff12/\uff18",
+        # shapes left to the parser
+        "+1", " 1", "1 ", "1.0", "1e3", "1_0", "-3", "-6/4", "1/-2", "+6/4", "1/ 2",
+        "", "/", "1/", "/2", "1/2/3", "\u00bd", "\u00b2", "x",
+        # past the digit limit: the limit itself reads, one digit more does not
+        "1" * 4300, "1" * 4301, "1" * 5000 + "/2", "2/" + "1" * 5000,
+    ]
+
+    @pytest.mark.parametrize("text", literals, ids=range(len(literals)))
+    def test_same_amount_or_same_error(self, text):
+        assert read_literal(text) == parse_literal(text)
+
+    def test_both_outcomes_occur(self):
+        read = [read_literal(text) for text in self.literals]
+        assert sum(not isinstance(r, str) for r in read) >= 25
+        assert sum(isinstance(r, str) for r in read) >= 15
+
+    def test_value_equal_literals_share_one_index(self):
+        literals = _Literals()
+        assert len({literals[t] for t in ("2", "4/2", "002", "2.0", "\u0662", " 2", "6/3")}) == 1
+        assert len({literals[t] for t in ("3/2", "6/4", "1.5", "\u0663/\u0662")}) == 1
+        assert len(literals.amounts) == 2
+
+    @pytest.mark.parametrize("text", literals, ids=range(len(literals)))
+    def test_a_loaded_contract_holds_the_amount_or_raises_the_error(self, text):
+        data = {"agents": [1, 2], "menus": [menu((1, 2), [{"1": text, "2": "1"}])]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeContractWarning)
+            try:
+                inst = instance_from_dict(data)
+            except FormatError as exc:
+                assert str(exc) == parse_literal(text)
+            else:
+                assert inst.money[inst.xs[0]] == parse_money(text)
 
 
 class TestValidation:
@@ -827,6 +902,23 @@ class TestBenchmarkShapedMarket:
         assert isinstance(got[0], Instance)
         assert {d for _, d in got[0].levels} == {1, 2}
         assert got == load_exactly(oracle_instance_from_dict, data)
+
+
+class TestSharedAgentObjects:
+    @pytest.mark.parametrize("two_sided", [True, False], ids=["two-sided", "pool"])
+    def test_the_columns_hold_the_agents_own_int_objects(self, two_sided):
+        # A file's JSON decoder makes a new int object for every id it
+        # reads. The loader keeps one per agent, so that the engine's rows
+        # and the stability sweep touch few objects.
+        data = json.loads(json.dumps(solve_market_shaped((0, 1000), seed=3)))
+        if not two_sided:
+            del data["firms"], data["workers"]
+        inst = instance_from_dict(data)
+        assert max(inst.agents) > 256
+        own = {id(a) for a in inst.agents}
+        held = inst.firsts + inst.seconds + (inst.firms or ()) + (inst.workers or ())
+        assert {id(a) for a in held} <= own
+        assert len(set(inst.firsts + inst.seconds)) > 40
 
 
 class TestLevels:

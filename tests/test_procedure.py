@@ -31,7 +31,16 @@ from contractmatch import (
     run_procedure,
     solve,
 )
-from markets import corpus_params, instance_of, menu, ordinal_map, outcome_of, two_sided
+from contractmatch.procedure import _proposal_rows
+from markets import (
+    corpus_params,
+    instance_of,
+    menu,
+    ordinal_map,
+    outcome_of,
+    solve_market_shaped,
+    two_sided,
+)
 from oracles import (
     NotSingletonMenusError,
     classic_da,
@@ -132,6 +141,36 @@ class TestProposalSpace:
                     assert list(got) == expected, (seed, policy, f)
                     ties += len({firm_payoff(p) for p in got}) < len(got)
         assert ties >= 100
+
+    @pytest.mark.parametrize("values", [(0, 5), (0, 1000)], ids=["ties", "near-strict"])
+    def test_rows_of_a_solve_market_shaped_market_sort_as_the_dict_form(self, values):
+        # The engine's rows at the size of a solve-market market, with ids
+        # relabelled and menus shuffled, against a sort of the dict form's
+        # amounts: each firm's contracts paying it more than 0, by its
+        # amount, best first, then the policy's worker rule, then the
+        # worker's amount.
+        data = solve_market_shaped(values, seed=values[1] + 7)
+        inst = instance_from_dict(data)
+        money = inst.money
+        offers = {f: [] for f in data["firms"]}
+        for m in data["menus"]:
+            f, w = m["pair"] if m["pair"][0] in offers else m["pair"][::-1]
+            for c in m["contracts"]:
+                x, y = Fraction(c[str(f)]), Fraction(c[str(w)])
+                if x > 0:
+                    offers[f].append((x, w, y))
+        ties = 0
+        for policy in POLICIES.values():
+            side = 1 if policy.firm_prefers_low_worker else -1
+            got = _proposal_rows(inst, policy)
+            assert [len(rows) for rows in got] == [len(offers[f]) for f in inst.firms]
+            for f, rows in zip(inst.firms, got):
+                assert all(row[1] == side * row[4] and row[3] == f for row in rows), f
+                expected = sorted(offers[f], key=lambda o: (-o[0], side * o[1], o[2]))
+                assert [(money[-x], w, money[y]) for x, _, y, _, w in rows] == expected, f
+                ties += len({x for x, _, _ in expected}) < len(expected)
+        assert sum(map(len, got)) > 1500
+        assert ties >= 40
 
 
 class TestRunProcedure:
