@@ -116,8 +116,9 @@ def _money_ratio(value) -> tuple[int, int]:
                     pass
                 else:
                     if d:
+                        # A gcd of 1, the usual case, divides nothing.
                         g = math.gcd(n, d)
-                        return n // g, d // g
+                        return (n, d) if g == 1 else (n // g, d // g)
     if isinstance(value, bool):
         raise FormatError(f"money amount must be an integer or string, got {value!r}")
     if isinstance(value, int):
@@ -526,11 +527,9 @@ class _Literals(dict):
     `amounts` maps each distinct amount, an int when whole and (numerator,
     denominator) in lowest terms otherwise, to its index, so that
     value-equal literals such as "1", "2/2" and "1.0" share one index. A
-    string is parsed once, on first use: the two shapes files use, digits
-    such as "1234" and digits over digits such as "617/2", here, and any
-    other by _money_ratio, so that every string reads as parse_money reads
-    it or raises its FormatError. Only str keys are stored, so that True
-    never stands for 1.
+    string is parsed once, on first use, by _money_ratio, so that it reads
+    as parse_money reads it or raises its FormatError. Only str keys are
+    stored, so that True never stands for 1.
     """
 
     def __init__(self):
@@ -538,29 +537,9 @@ class _Literals(dict):
         self.amounts: dict = {}
 
     def __missing__(self, text):
-        # A gcd of 1, the usual case, divides nothing. Any other shape, an
-        # int() failure such as the digit limit, and a zero denominator go
-        # to _money_ratio.
-        key = None
-        try:
-            if text.isdecimal():
-                key = int(text)
-            else:
-                num, _, den = text.partition("/")
-                if num.isdecimal() and den.isdecimal():
-                    n, d = int(num), int(den)
-                    if d:
-                        g = math.gcd(n, d)
-                        if g != 1:
-                            n, d = n // g, d // g
-                        key = n if d == 1 else (n, d)
-        except ValueError:
-            pass
-        if key is None:
-            n, d = _money_ratio(text)
-            key = n if d == 1 else (n, d)
+        n, d = _money_ratio(text)
         amounts = self.amounts
-        i = self[text] = amounts.setdefault(key, len(amounts))
+        i = self[text] = amounts.setdefault(n if d == 1 else (n, d), len(amounts))
         return i
 
     def index(self, value) -> int:
@@ -583,26 +562,6 @@ def _key_of(agent: int):
         return object()
 
 
-def _menu_pair(entry, places: dict) -> tuple:
-    """(a, b, places[a], places[b]) of a menu entry's pair (a, b), read by
-    the loader's first checks of a pair in their order, each of which
-    raises: the entry's format, then a repeated agent, then an unknown
-    agent."""
-    if not isinstance(entry, Mapping) or not isinstance(entry.get("pair"), list):
-        raise FormatError(f"malformed menu entry {_shown(entry)}")
-    try:
-        a, b = entry["pair"]
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise FormatError(f"malformed menu entry {_shown(entry)}") from exc
-    a, b = parse_agent(a), parse_agent(b)
-    if a == b:
-        raise MalformedMenuError(f"menu pair {_repr((a, b))} repeats an agent")
-    for x in (a, b):
-        if x not in places:
-            raise UnknownAgentError(f"menu references unknown agent {_repr(x)}")
-    return a, b, places[a], places[b]
-
-
 def instance_from_dict(data: Mapping) -> Instance:
     """Build and validate an instance from its dict form: the one loader.
 
@@ -616,10 +575,8 @@ def instance_from_dict(data: Mapping) -> Instance:
     agents and their checks, then the partition and its checks, then each
     menu entry in input order. An entry's pair comes first: its format,
     then a repeated agent, an unknown agent, a pair already given and a
-    pair on one side. A dict entry whose pair is a list of two known int
-    ids on two sides passes the first three by one lookup of each id; any
-    other entry is read by those checks in their order. Its contracts
-    follow one by one, each raised where it is malformed or does not cover
+    pair on one side, with one lookup of each id for its key string and
+    its side. Its contracts follow one by one, each raised where it is malformed or does not cover
     exactly the pair, and then an empty menu. A contract is kept as the
     indexes of its first's and its second's amounts among the distinct
     amounts, so that value-equal literals such as "1", "2/2" and "1.0"
@@ -684,30 +641,33 @@ def instance_from_dict(data: Mapping) -> Instance:
     menus: dict[int, tuple[int, int, int, int]] = {}
     uv: list[int] = []
     for entry in entries:
-        # A dict whose pair is a list of two known int ids of two places is
-        # read by one lookup per id; any other entry by _menu_pair.
-        pa = pb = None
-        if type(entry) is dict:
-            pair = entry.get("pair")
-            if type(pair) is list and len(pair) == 2:
-                a, b = pair
-                if type(a) is int is type(b):
-                    pa, pb = places.get(a), places.get(b)
-        if pa is None or pb is None or pa[2] == pb[2]:
-            a, b, pa, pb = _menu_pair(entry, places)
-        key = a * span + b if a < b else b * span + a
-        if key in menus:
-            raise DuplicateMenuError(f"more than one menu for pair {_repr(divmod(key, span))}")
-        if pa[2] == pb[2]:
-            raise SameSideMenuError(
-                f"pair {_repr(divmod(key, span))} joins two agents on the same side"
-            )
-        if pa[2] > pb[2]:
-            pa, pb = pb, pa
-        first, sf, _ = pa
-        second, sw, _ = pb
+        if not (type(entry) is dict or isinstance(entry, Mapping)) or not isinstance(
+            entry.get("pair"), list
+        ):
+            raise FormatError(f"malformed menu entry {_shown(entry)}")
         start = len(uv)
         try:
+            a, b = entry["pair"]
+            a = a if type(a) is int else parse_agent(a)
+            b = b if type(b) is int else parse_agent(b)
+            pa, pb = places.get(a), places.get(b)
+            if a == b:
+                raise MalformedMenuError(f"menu pair {_repr((a, b))} repeats an agent")
+            if pa is None:
+                raise UnknownAgentError(f"menu references unknown agent {_repr(a)}")
+            if pb is None:
+                raise UnknownAgentError(f"menu references unknown agent {_repr(b)}")
+            key = a * span + b if a < b else b * span + a
+            if key in menus:
+                raise DuplicateMenuError(f"more than one menu for pair {_repr(divmod(key, span))}")
+            if pa[2] == pb[2]:
+                raise SameSideMenuError(
+                    f"pair {_repr(divmod(key, span))} joins two agents on the same side"
+                )
+            if pa[2] > pb[2]:
+                pa, pb = pb, pa
+            first, sf, _ = pa
+            second, sw, _ = pb
             for c in entry["contracts"]:
                 if type(c) is dict and len(c) == 2:
                     u, v = c.get(sf), c.get(sw)
@@ -762,16 +722,21 @@ def instance_from_dict(data: Mapping) -> Instance:
     for r, i in enumerate(by_amount, -z):
         ranks[i] = r
     # The contracts in pair order, a menu's run at a time: members holds
-    # each contract's first and second in turn, and runs its two amount
-    # indexes in turn, then their ranks. Each column is every other entry.
+    # each contract's first and second in turn, and ranked its two amounts'
+    # ranks in turn. Each column is every other entry. Each list is let go
+    # once read, so that the load holds few lists per contract at a time.
+    uv = list(map(ranks.__getitem__, uv))
     members: list[int] = []
-    runs: list[int] = []
+    ranked: list[int] = []
     for key in sorted(menus):
         first, second, start, stop = menus[key]
         members += [first, second] * ((stop - start) // 2)
-        runs += uv[start:stop]
-    ranked = list(map(ranks.__getitem__, runs))
-    firsts, seconds, xs, ys = members[0::2], members[1::2], ranked[0::2], ranked[1::2]
+        ranked += uv[start:stop]
+    del uv
+    firsts, seconds = members[0::2], members[1::2]
+    del members
+    xs, ys = ranked[0::2], ranked[1::2]
+    del ranked
     # A menu's contracts share its first and second, so a contract repeated
     # within a menu repeats a whole row of the columns. Rows are compared
     # by hash first, which keeps no tuple per contract alive.

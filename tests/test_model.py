@@ -114,10 +114,11 @@ def parse_literal(text):
 
 
 class TestLiteralsAgainstParseMoney:
-    """The loader reads the shapes files use, "1234" and "617/2", inline
-    (`model._Literals`) and leaves every other shape to the parser behind
-    parse_money. Either way a literal must mean what parse_money reads, or
-    raise its FormatError with the same text."""
+    """The loader's literals (`model._Literals`) read the shapes files use,
+    "1234" and "617/2", by int() and a gcd, and leave every other shape to
+    the general path of the parser behind parse_money. Either way a literal
+    must mean what parse_money reads, or raise its FormatError with the
+    same text."""
 
     literals = [
         # digits
