@@ -576,12 +576,12 @@ def instance_from_dict(data: Mapping) -> Instance:
     menu entry in input order. An entry's pair comes first: its format,
     then a repeated agent, an unknown agent, a pair already given and a
     pair on one side, with one lookup of each id for its key string and
-    its side. Its contracts follow one by one, each raised where it is malformed or does not cover
-    exactly the pair, and then an empty menu. A contract is kept as the
-    indexes of its first's and its second's amounts among the distinct
-    amounts, so that value-equal literals such as "1", "2/2" and "1.0"
-    collide as duplicates; each distinct money string is parsed once, as
-    _Literals reads it. A contract of two string amounts keyed by the
+    its side. Its contracts follow one by one, each raised where it is
+    malformed or does not cover exactly the pair, and then an empty menu.
+    A contract is kept as the indexes of its first's and its second's
+    amounts among the distinct amounts, so that value-equal literals such
+    as "1", "2/2" and "1.0" collide as duplicates; each distinct money
+    string is parsed once, as _Literals reads it. A contract of two string amounts keyed by the
     pair's ids as canonical strings is read by those keys; any other
     contract, or one that meets a format error there, is read entry by
     entry in the order of the file. Each menu keeps its first, its second
