@@ -35,8 +35,7 @@ _encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 def _jsonable(value):
     # Leaves and containers first, by exact type: Fraction's class is an
-    # ABC, so an isinstance test against it costs several times more. The
-    # isinstance tests below catch subclasses.
+    # ABC, so an isinstance test against it costs several times more.
     kind = type(value)
     if kind in _LEAVES:
         return value
@@ -50,12 +49,8 @@ def _jsonable(value):
         return model.payments_to_dict(value.payments)
     if isinstance(value, Fraction):
         return money_str(value)
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted(_jsonable(v) for v in value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
     return value
 
 
@@ -114,14 +109,14 @@ def _cmd_solve(args) -> int:
     budget = _budget(args)
     if args.all_tiebreaks:
         for outcome in procedure.enumerate_procedure_outcomes(inst, budget):
-            _print_json(model.outcome_to_dict(outcome))
+            _print_json(outcome)
         return 0
     policy = POLICIES[args.policy]
     if not args.trace:
-        _print_json(model.outcome_to_dict(procedure.solve(inst, policy)))
+        _print_json(procedure.solve(inst, policy))
         return 0
     outcome, trace = procedure.run_procedure(inst, policy)
-    _print_json(model.outcome_to_dict(outcome))
+    _print_json(outcome)
     for step in trace.steps:
         _print_json(procedure.trace_step_to_dict(step))
     return 0
@@ -141,7 +136,7 @@ def _cmd_core(args) -> int:
     inst = _read(model.read_instance_file, args.instance)
     core = stability.enumerate_core(inst, _budget(args))
     for outcome in core:
-        _print_json(model.outcome_to_dict(outcome))
+        _print_json(outcome)
     _print_json({"count": len(core)})
     return 0
 

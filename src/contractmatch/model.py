@@ -300,6 +300,11 @@ class EnumerationBudget:
             raise ValueError("max_outcomes must be positive")
 
 
+def _budget_exceeded(cap: int, what: str) -> BudgetExceededError:
+    """The error of a search that would pass its budget of `cap` `what`."""
+    return BudgetExceededError(f"more than {cap} {what}; raise the enumeration budget")
+
+
 @dataclass(frozen=True)
 class Matching:
     """Disjoint matched pairs; agents not listed are single."""
@@ -359,6 +364,14 @@ class Outcome:
         return (self.matching.pairs, self.payoffs)
 
 
+def _partners(matching: Matching) -> dict[int, int]:
+    """Each matched agent's partner."""
+    partner = {}
+    for a, b in matching.pairs:
+        partner[a], partner[b] = b, a
+    return partner
+
+
 def _feasible_ranks(inst: Instance, outcome: Outcome) -> dict[int, int] | None:
     """Each agent's payoff rank when the outcome is feasible for the
     instance, else None. A feasible payoff is a level, so these are the
@@ -372,9 +385,7 @@ def _feasible_ranks(inst: Instance, outcome: Outcome) -> dict[int, int] | None:
     v = dict(zip(inst.agents, [ranks.get(x.as_integer_ratio()) for _, x in outcome.payoffs]))
     if None in v.values() or min(v.values()) < 0:
         return None
-    mate = {}
-    for a, b in outcome.matching.pairs:
-        mate[a], mate[b] = b, a
+    mate = _partners(outcome.matching)
     # The contracts that pay a matched pair its payoffs. A menu repeats no
     # contract, so there is at most one per matched pair.
     met = [
@@ -408,30 +419,11 @@ def _require_two_sided(inst: Instance) -> None:
         raise NotTwoSidedError("instance has no firm/worker partition")
 
 
-def _iter_matchings(pairs: list[tuple[int, int]]) -> Iterator[tuple[tuple[int, int], ...]]:
-    # Lexicographic order over sorted pair lists: a prefix precedes its
-    # extensions, so a DFS that always appends later pairs is already sorted.
-    chosen: list[tuple[int, int]] = []
-
-    def rec(start: int, used: set[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-        yield tuple(chosen)
-        for i in range(start, len(pairs)):
-            a, b = pairs[i]
-            if a in used or b in used:
-                continue
-            chosen.append(pairs[i])
-            used.update((a, b))
-            yield from rec(i + 1, used)
-            chosen.pop()
-            used.difference_update((a, b))
-
-    return rec(0, set())
-
-
 def iter_raw_outcomes(
     inst: Instance,
 ) -> Iterator[tuple[tuple[tuple[int, int], ...], dict[int, Fraction]]]:
-    """Yield every feasible outcome as (matched pairs, payoff dict), cheaply.
+    """Yield every feasible outcome as (matched pairs, payoff dict keyed in
+    agent order), cheaply.
 
     Order: matchings in lexicographic order of their sorted pair lists,
     then allocations per matched pair in menu order with the last pair
@@ -448,8 +440,19 @@ def iter_raw_outcomes(
         ]
         for a, b, start, stop in inst.spans()
     }
+    pairs = list(usable)
+
+    def matchings(start: int, chosen: tuple, used: frozenset) -> Iterator[tuple]:
+        # Lexicographic order over sorted pair lists: a prefix precedes its
+        # extensions, so a DFS that always appends later pairs is already sorted.
+        yield chosen
+        for i in range(start, len(pairs)):
+            a, b = pair = pairs[i]
+            if a not in used and b not in used:
+                yield from matchings(i + 1, chosen + (pair,), used | {a, b})
+
     base = {a: ZERO for a in inst.agents}
-    for matching in _iter_matchings(list(usable)):
+    for matching in matchings(0, (), frozenset()):
         for combo in product(*[usable[p] for p in matching]):
             v = dict(base)
             for a, x, b, y in combo:
@@ -466,10 +469,8 @@ def enumerate_outcomes(
     out: list[Outcome] = []
     for pairs, v in iter_raw_outcomes(inst):
         if len(out) >= cap:
-            raise BudgetExceededError(
-                f"more than {cap} outcomes; raise the enumeration budget"
-            )
-        out.append(Outcome.of(Matching(pairs), v))
+            raise _budget_exceeded(cap, "outcomes")
+        out.append(Outcome(Matching(pairs), tuple(v.items())))
     return out
 
 

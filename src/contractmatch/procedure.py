@@ -24,13 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 
-from .errors import BudgetExceededError
 from .model import (
     DEFAULT_MAX_OUTCOMES,
     Allocation,
     EnumerationBudget,
     Instance,
     Outcome,
+    _budget_exceeded,
     _require_two_sided,
     payments_to_dict,
 )
@@ -297,9 +297,7 @@ def enumerate_procedure_outcomes(
         script = stack.pop()
         runs += 1
         if runs > cap:
-            raise BudgetExceededError(
-                f"more than {cap} tie-break branches; raise the enumeration budget"
-            )
+            raise _budget_exceeded(cap, "tie-break branches")
         try:
             held = _execute(firm_rows, keeps_held, script)
         except _Branch as b:

@@ -11,12 +11,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError
 from .model import (
     Allocation,
     EnumerationBudget,
     Instance,
     Outcome,
+    _budget_exceeded,
     _require_feasible,
     iter_raw_outcomes,  # unused here; benchmark tracing wraps this attribute
 )
@@ -40,8 +40,8 @@ def _blocking(inst: Instance, v: dict[int, int]):
 
 
 def payoffs_are_blocked(inst: Instance, payoffs: dict[int, Fraction]) -> bool:
-    """True iff some pair blocks `payoffs`: the test behind is_stable and
-    verify's stability check."""
+    """True iff some pair blocks `payoffs`, which may belong to no outcome:
+    each is compared by its rank in Instance.floor_ranks."""
     return next(_blocking(inst, inst.floor_ranks(payoffs)), None) is not None
 
 
@@ -55,8 +55,7 @@ def blocking_coalitions(inst: Instance, outcome: Outcome) -> list[BlockingCertif
 
 def is_stable(inst: Instance, outcome: Outcome) -> bool:
     """True iff no pair blocks the outcome."""
-    _require_feasible(inst, outcome)
-    return not payoffs_are_blocked(inst, outcome.payoff_map())
+    return next(_blocking(inst, _require_feasible(inst, outcome)), None) is None
 
 
 def enumerate_core(
@@ -159,9 +158,7 @@ def enumerate_core(
             if rejected or nxt == n:
                 examined += 1
                 if examined > cap:
-                    raise BudgetExceededError(
-                        f"more than {cap} outcomes examined; raise the enumeration budget"
-                    )
+                    raise _budget_exceeded(cap, "outcomes examined")
                 if not rejected:
                     leaves.append(tuple([o[3] for o in trail if o[3] >= 0]))
                 trail.pop()

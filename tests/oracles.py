@@ -2,7 +2,8 @@
 
 These deliberately take different routes than the library: outcomes are
 enumerated agent-first over all involutions (the library walks pair
-subsets), and blocking is a plain double loop over pairs and contracts.
+subsets), and, for their order, as every disjoint subset of the usable
+pairs, sorted; blocking is a plain double loop over pairs and contracts.
 The ordered core keeps the library's former core engine, a sweep over
 every outcome, and the core-search reference its former depth-first
 search, which also counts the outcomes it examines. The loader
@@ -27,7 +28,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 from contractmatch import (
     DEFAULT_POLICY,
@@ -133,6 +134,35 @@ def oracle_outcomes(inst):
                 v.update(alloc.payments)
             results.add((pairs, tuple(sorted(v.items()))))
     return results
+
+
+def oracle_ordered_outcomes(inst):
+    """Every feasible outcome, in enumerate_outcomes order, from menus_of.
+
+    The matchings are the sets of disjoint pairs whose menus hold a
+    contract paying both members at least zero, each a sorted tuple of
+    pairs, listed in tuple order; within a matching, the contracts go in
+    menu order with the last pair varying fastest.
+    """
+    usable = {
+        m.pair: [c for c in m.contracts if all(v >= 0 for _, v in c.payments)]
+        for m in menus_of(inst)
+    }
+    pairs = sorted(p for p, cs in usable.items() if cs)
+    matchings = sorted(
+        chosen
+        for r in range(len(inst.agents) // 2 + 1)
+        for chosen in combinations(pairs, r)
+        if len({a for p in chosen for a in p}) == 2 * r
+    )
+    outcomes = []
+    for chosen in matchings:
+        for combo in product(*[usable[p] for p in chosen]):
+            v = {a: Fraction(0) for a in inst.agents}
+            for alloc in combo:
+                v.update(alloc.payments)
+            outcomes.append(Outcome.of(Matching(chosen), v))
+    return outcomes
 
 
 def oracle_blocking(inst, payoffs):

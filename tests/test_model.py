@@ -2,6 +2,8 @@ import gc
 import json
 import random
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -39,7 +41,14 @@ from contractmatch import (
 )
 from contractmatch.model import MAX_MONEY_EXPONENT, _Literals
 from markets import instance_of, many_denominators, menu, outcome_of, solve_market_shaped
-from oracles import menus_of, oracle_instance_from_dict, oracle_outcomes, relabelled, seeded_pool
+from oracles import (
+    menus_of,
+    oracle_instance_from_dict,
+    oracle_ordered_outcomes,
+    oracle_outcomes,
+    relabelled,
+    seeded_pool,
+)
 
 
 class TestMoney:
@@ -427,7 +436,9 @@ class TestEnumeration:
         assert len(enumerate_outcomes(gs4)) == 25
 
     def test_budget_exceeded(self, gs4):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(
+            BudgetExceededError, match="^more than 5 outcomes; raise the enumeration budget$"
+        ):
             enumerate_outcomes(gs4, EnumerationBudget(max_outcomes=5))
 
     def test_budget_must_be_positive(self):
@@ -461,6 +472,30 @@ class TestEnumeration:
             assert all(outcome_is_feasible(inst, o) for o in outs)
             # the all-singles zero outcome is always present
             assert any(not o.matching.pairs and set(dict(o.payoffs).values()) <= {Fraction(0)} for o in outs)
+            assert outs == oracle_ordered_outcomes(inst)
+        for seed in range(30):
+            with warnings.catch_warnings():
+                # Pools may hold contracts with negative amounts.
+                warnings.simplefilter("ignore", NegativeContractWarning)
+                pool = seeded_pool(seed)
+            assert enumerate_outcomes(pool) == oracle_ordered_outcomes(pool)
+
+    def test_the_walk_is_lazy(self):
+        # A 40x40 market has more matchings than could ever be listed;
+        # its first eight outcomes come at once. The child's address space
+        # is capped, so a walk that lists first fails fast.
+        code = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from itertools import islice\n"
+            "from contractmatch import GenParams, gen_random\n"
+            "from contractmatch.model import iter_raw_outcomes\n"
+            "inst = gen_random(GenParams(40, 40, seed=1))\n"
+            "print(len(list(islice(iter_raw_outcomes(inst), 8))))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "8\n", "")
 
 
 class TestFeasibility:

@@ -372,7 +372,10 @@ class TestEnumerateTieBreaks:
             assert outcome in reachable
 
     def test_branch_budget(self, modified):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(
+            BudgetExceededError,
+            match="^more than 1 tie-break branches; raise the enumeration budget$",
+        ):
             enumerate_procedure_outcomes(modified, EnumerationBudget(max_outcomes=1))
 
 

@@ -123,6 +123,7 @@ class TestBlocking:
                 for o in enumerate_outcomes(market)[:10]:
                     got = [(c.coalition, c.allocation) for c in blocking_coalitions(market, o)]
                     assert got == oracle_blocking(market, o.payoff_map())
+                    assert is_stable(market, o) == (got == [])
                     off = {
                         a: v + rng.choice([-1, 1]) * Fraction(rng.randint(1, 3), 1009)
                         for a, v in o.payoffs

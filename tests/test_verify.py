@@ -17,6 +17,7 @@ from contractmatch import (
     ContractMatchError,
     FormatError,
     GenParams,
+    InfeasibleOutcomeError,
     InfeasibleParamsError,
     Matching,
     NegativeContractWarning,
@@ -364,6 +365,21 @@ class TestPairTradeoff:
             check_pair_tradeoff(modified, unstable, stable)
         with pytest.raises(UnstableInputError):
             check_pair_tradeoff(modified, stable, unstable)
+        # Paid below every contract of {1, 3}, so blocked as well as
+        # infeasible: feasibility is checked first.
+        infeasible = outcome_of(modified, [(1, 3)], {1: Fraction(1, 2), 3: Fraction(1, 2)})
+        not_feasible = "outcome is not feasible for this instance"
+        for o1, o2, error, message in [
+            (infeasible, stable, InfeasibleOutcomeError, not_feasible),
+            (stable, infeasible, InfeasibleOutcomeError, not_feasible),
+            (infeasible, unstable, InfeasibleOutcomeError, not_feasible),
+            (unstable, infeasible, UnstableInputError, "first outcome admits a blocking pair"),
+            (unstable, unstable, UnstableInputError, "first outcome admits a blocking pair"),
+            (stable, unstable, UnstableInputError, "second outcome admits a blocking pair"),
+        ]:
+            with pytest.raises(error) as err:
+                check_pair_tradeoff(modified, o1, o2)
+            assert type(err.value) is error and str(err.value) == message
 
     def test_weak_form_never_fails_on_sampled_stable_pairs(self):
         samples = 0
