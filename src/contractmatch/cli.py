@@ -87,13 +87,13 @@ def _read(read, path):
             gc.enable()
 
 
-def _budget(args) -> EnumerationBudget:
-    if getattr(args, "max", None) is not None:
+def _budget(args) -> EnumerationBudget | None:
+    if args.max is not None:
         cap, source = args.max, "--max"
     else:
         env = os.environ.get(BUDGET_ENV_VAR)
         if not env:
-            return EnumerationBudget()
+            return None
         try:
             cap = int(env)
         except ValueError:
@@ -105,6 +105,8 @@ def _budget(args) -> EnumerationBudget:
 
 
 def _cmd_solve(args) -> int:
+    if args.trace and args.all_tiebreaks:
+        raise FormatError("--trace does not apply with --all-tiebreaks")
     inst = _read(model.read_instance_file, args.instance)
     budget = _budget(args)
     if args.all_tiebreaks:
@@ -148,16 +150,14 @@ def _cmd_verify(args) -> int:
     names = [n.strip() for n in args.properties.split(",")] if explicit else verify.PROPERTY_NAMES
     for name in names:
         if name not in verify.PROPERTY_NAMES:
-            print(f"error: unknown property {name!r}", file=sys.stderr)
-            return 2
+            raise FormatError(f"unknown property {name!r}")
     exit_code = 0
     for name in names:
         try:
             report = battery.run(name)
         except ContractMatchError as exc:
             if explicit:
-                print(f"error: {name}: {exc}", file=sys.stderr)
-                return 2
+                raise ContractMatchError(f"{name}: {exc}") from exc
             _print_json({"property": name, "skipped": str(exc)})
             continue
         record = {"property": name, "holds": report.holds, "witnesses": report.witnesses}

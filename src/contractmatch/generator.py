@@ -192,11 +192,7 @@ def gen_random(p: GenParams) -> Instance:
         if p.force_pairwise_efficient:
             fv = sorted(fv, reverse=True)
             wv = sorted(wv)
-        divisions = []
-        for x, y in zip(fv, wv):
-            if (x, y) not in divisions:
-                divisions.append((x, y))
-        menus.append(_menu(f, w, divisions))
+        menus.append(_menu(f, w, zip(fv, wv)))
 
     return instance_from_dict(
         {"agents": list(firms + workers), "firms": list(firms), "workers": list(workers),

@@ -465,7 +465,7 @@ def enumerate_outcomes(
     inst: Instance, budget: EnumerationBudget | None = None
 ) -> list[Outcome]:
     """Materialize every feasible outcome of the instance, in deterministic order."""
-    cap = (budget or EnumerationBudget()).max_outcomes
+    cap = DEFAULT_MAX_OUTCOMES if budget is None else budget.max_outcomes
     out: list[Outcome] = []
     for pairs, v in iter_raw_outcomes(inst):
         if len(out) >= cap:
@@ -523,35 +523,32 @@ class _ParseMemo(dict):
 
 
 class _Literals(dict):
-    """The loader's amounts: each money string met, to the index of its amount.
+    """The loader's amounts: each money string or int met, to the index of
+    its amount.
 
-    `amounts` maps each distinct amount, an int when whole and (numerator,
-    denominator) in lowest terms otherwise, to its index, so that
+    `amounts` maps each distinct amount, as the (numerator, denominator)
+    in lowest terms that _money_ratio gives, to its index, so that
     value-equal literals such as "1", "2/2" and "1.0" share one index. A
-    string is parsed once, on first use, by _money_ratio, so that it reads
-    as parse_money reads it or raises its FormatError. Only str keys are
-    stored, so that True never stands for 1.
+    string or int is parsed once, on first use, by _money_ratio, so that
+    it reads as parse_money reads it or raises its FormatError. No bool is
+    stored or looked up, so that True never stands for 1.
     """
 
     def __init__(self):
         super().__init__()
-        self.amounts: dict = {}
+        self.amounts: dict[tuple[int, int], int] = {}
 
-    def __missing__(self, text):
-        n, d = _money_ratio(text)
+    def __missing__(self, literal):
         amounts = self.amounts
-        i = self[text] = amounts.setdefault(n if d == 1 else (n, d), len(amounts))
+        i = self[literal] = amounts.setdefault(_money_ratio(literal), len(amounts))
         return i
 
     def index(self, value) -> int:
         """The index of an amount given as any value parse_money reads."""
+        if type(value) is str or type(value) is int:
+            return self[value]
         amounts = self.amounts
-        if type(value) is not int:
-            if type(value) is str:
-                return self[value]
-            n, d = _money_ratio(value)
-            value = n if d == 1 else (n, d)
-        return amounts.setdefault(value, len(amounts))
+        return amounts.setdefault(_money_ratio(value), len(amounts))
 
 
 def _key_of(agent: int):
@@ -582,7 +579,7 @@ def instance_from_dict(data: Mapping) -> Instance:
     A contract is kept as the indexes of its first's and its second's
     amounts among the distinct amounts, so that value-equal literals such
     as "1", "2/2" and "1.0" collide as duplicates; each distinct money
-    string is parsed once, as _Literals reads it. A contract of two string amounts keyed by the
+    string or int is parsed once, as _Literals reads it. A contract of two string amounts keyed by the
     pair's ids as canonical strings is read by those keys; any other
     contract, or one that meets a format error there, is read entry by
     entry in the order of the file. Each menu keeps its first, its second
@@ -691,7 +688,7 @@ def instance_from_dict(data: Mapping) -> Instance:
                     uv.append(parsed[first])
                     uv.append(parsed[second])
                     continue
-                values = [Fraction(*k) if type(k) is tuple else Fraction(k) for k in amounts]
+                values = [Fraction(*k) for k in amounts]
                 shown = Allocation(tuple(sorted((p, values[i]) for p, i in parsed.items())))
                 raise MalformedMenuError(
                     f"contract {shown!r} does not cover exactly the pair "
@@ -708,8 +705,8 @@ def instance_from_dict(data: Mapping) -> Instance:
     # The levels: the distinct amounts and zero, sorted by their floats,
     # which keep their order, or exactly if two share a float or one lies
     # past a float's range. ranks[i] is the rank of the amount of index i.
-    zero = amounts.setdefault(0, len(amounts))
-    ratios = [(k, 1) if type(k) is int else k for k in amounts]
+    zero = amounts.setdefault((0, 1), len(amounts))
+    ratios = list(amounts)
     try:
         keys = [n / d for n, d in ratios]
     except OverflowError:
@@ -781,18 +778,18 @@ def outcome_from_dict(data: Mapping) -> Outcome:
     if not isinstance(matches, list):
         raise FormatError("outcome 'matches' must be a list of pairs")
     matching = Matching.from_pairs(matches)
-    known = set(payoffs)
     for a in matching.matched_agents():
-        if a not in known:
+        if a not in payoffs:
             raise FormatError(f"matched agent {_repr(a)} has no payoff entry")
     singles = data.get("singles")
     if singles is not None:
         if not isinstance(singles, list):
             raise FormatError("outcome 'singles' must be a list of agent ids")
-        declared = {parse_agent(a) for a in singles} | matching.matched_agents()
-        if declared != known:
+        # Lists, not sets, so that an agent declared twice is caught.
+        declared = [parse_agent(a) for a in singles] + list(matching.matched_agents())
+        if sorted(declared) != sorted(payoffs):
             raise FormatError("matches plus singles must cover exactly the payoff keys")
-    return Outcome.of(matching, payoffs)
+    return Outcome(matching, tuple(sorted(payoffs.items())))
 
 
 # What reading a file as JSON raises on bad input: ValueError covers

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
+    DEFAULT_MAX_OUTCOMES,
     Allocation,
     EnumerationBudget,
     Instance,
@@ -81,7 +82,7 @@ def enumerate_core(
     a feasible outcome of its own, so the search never examines more
     outcomes than enumerate_outcomes would list.
     """
-    cap = (budget or EnumerationBudget()).max_outcomes
+    cap = DEFAULT_MAX_OUTCOMES if budget is None else budget.max_outcomes
     n = len(inst.agents)
     index = {a: i for i, a in enumerate(inst.agents)}
     # Per agent index, each a list of int tuples, built from the columns:

@@ -97,7 +97,7 @@ def has_disjoint_yields(inst: Instance) -> PropertyReport:
     for f, w, start, stop in inst.spans():
         yields[f].append((w, set(inst.xs[start:stop])))
     witnesses = []
-    for f, entries in sorted(yields.items()):
+    for f, entries in yields.items():
         for i, (w1, s1) in enumerate(entries):
             for w2, s2 in entries[i + 1:]:
                 witnesses += ((f, w1, w2, inst.money[x]) for x in sorted(s1 & s2))
@@ -323,7 +323,7 @@ class PropertyBattery:
 
     def __init__(self, inst: Instance, budget: EnumerationBudget | None = None):
         self.inst = inst
-        self.budget = budget or EnumerationBudget()
+        self.budget = budget
         self._memo: dict[str, tuple] = {}
 
     def _once(self, key: str, compute, *args):

@@ -5,10 +5,11 @@ enumerated agent-first over all involutions (the library walks pair
 subsets), and, for their order, as every disjoint subset of the usable
 pairs, sorted; blocking is a plain double loop over pairs and contracts.
 The ordered core keeps the library's former core engine, a sweep over
-every outcome, and the core-search reference its former depth-first
-search, which also counts the outcomes it examines. The loader
-reference reads in the loader's order and
-raises the first fault, but keeps the library's older construction
+every outcome, here as that sorted enumeration lists them, so that it
+shares no code with the library's walk; the core-search reference keeps
+its former depth-first search, which also counts the outcomes it
+examines. The loader reference reads in the loader's order and raises
+the first fault, but keeps the library's older construction
 path, which parses every literal on its own, builds an Allocation per
 contract, drops duplicates by Fraction equality and derives the integer
 columns from the Fraction menus. The tie replay
@@ -28,7 +29,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice, product
+from itertools import combinations, product
 
 from contractmatch import (
     DEFAULT_POLICY,
@@ -57,7 +58,7 @@ from contractmatch import (
     money_str,
     parse_money,
 )
-from contractmatch.model import ZERO, _shown, iter_raw_outcomes, parse_agent
+from contractmatch.model import ZERO, _shown, parse_agent
 from contractmatch.procedure import Trace, TraceStep
 from markets import instance_of, menu
 
@@ -187,13 +188,11 @@ def oracle_core(inst):
 def oracle_ordered_core(inst):
     """The core as a list, in enumerate_outcomes order: every outcome, swept.
 
-    Each outcome iter_raw_outcomes lists is kept when the naive double
-    loop finds no blocking pair.
+    Each outcome oracle_ordered_outcomes lists is kept when the naive
+    double loop finds no blocking pair.
     """
     return [
-        Outcome.of(Matching(pairs), v)
-        for pairs, v in iter_raw_outcomes(inst)
-        if not oracle_blocking(inst, v)
+        o for o in oracle_ordered_outcomes(inst) if not oracle_blocking(inst, o.payoff_map())
     ]
 
 
@@ -497,7 +496,8 @@ def oracle_group_tradeoff(inst):
     core = oracle_ordered_core(inst)[:4]
     witnesses = []
     samples = 0
-    for pairs, vo in islice(iter_raw_outcomes(inst), 8):
+    for o in oracle_ordered_outcomes(inst)[:8]:
+        vo = o.payoff_map()
         blocking = {pair for pair, _ in oracle_blocking(inst, vo)}
         for s in core:
             vs = s.payoff_map()
@@ -508,7 +508,7 @@ def oracle_group_tradeoff(inst):
             samples += 1
             found = [(b, vo[b], vs[b]) for b in sorted({mate(a) for a in group}) if vo[b] < vs[b]]
             if found:
-                witnesses.append((Outcome.of(Matching(pairs), vo), s, tuple(group)) + tuple(found))
+                witnesses.append((o, s, tuple(group)) + tuple(found))
     return PropertyReport(
         "group-tradeoff", not witnesses, tuple(witnesses), {"samples": samples}
     )

@@ -93,6 +93,13 @@ class TestSolve:
         assert stages[0]["proposers"] == [1, 2]
         assert stages[-1]["proposers"] == []
 
+    def test_trace_with_all_tiebreaks_exits_2(self, capsys, tmp_path, modified_file):
+        # Refused before anything is read, so a missing file is never opened.
+        for path in (modified_file, str(tmp_path / "missing.json")):
+            code, out, err = run_cli(capsys, "solve", path, "--trace", "--all-tiebreaks")
+            assert code == 2 and not out
+            assert err == "error: --trace does not apply with --all-tiebreaks\n"
+
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_trace_starts_with_the_untraced_output(self, capsys, tmp_path, name):
         # Only --trace runs the traced engine; the pool exits 2 under both.
@@ -434,6 +441,25 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", illustration_file, path)
         assert code == 2 and not out
         assert err == "error: outcome 'payoffs' names agent 1 more than once\n"
+
+    @pytest.mark.parametrize(
+        "matches, singles",
+        [([[1, 3], [2, 4]], [1, 2]), ([[1, 3]], [2, 2, 4])],
+        ids=["matched-agents-also-single", "single-listed-twice"],
+    )
+    def test_agent_declared_twice_exits_2(
+        self, capsys, tmp_path, illustration_file, matches, singles
+    ):
+        # Every agent is declared, but one of them twice.
+        outcome = {
+            "matches": matches,
+            "singles": singles,
+            "payoffs": {"1": "3", "2": "4", "3": "1", "4": "2"},
+        }
+        path = write_json(tmp_path / "outcome.json", outcome)
+        code, out, err = run_cli(capsys, "check", illustration_file, path)
+        assert code == 2 and not out
+        assert err == "error: matches plus singles must cover exactly the payoff keys\n"
 
     def test_round_trip_solve_then_check(self, capsys, tmp_path, modified_file):
         code, out, _ = run_cli(capsys, "solve", modified_file)

@@ -102,15 +102,16 @@ class TestMoney:
 
 def read_literal(text):
     """The amount the loader's literal table keys `text` by, or its error
-    text. A key is the amount's int when it is whole, and else its
-    (numerator, denominator) in lowest terms."""
+    text. The table keys an amount by its (numerator, denominator) in
+    lowest terms; this gives the int when the amount is whole, as
+    parse_literal does."""
     literals = _Literals()
     try:
         i = literals[text]
     except FormatError as exc:
         return str(exc)
-    (key,) = [k for k, j in literals.amounts.items() if j == i]
-    return key
+    ((n, d),) = [k for k, j in literals.amounts.items() if j == i]
+    return n if d == 1 else (n, d)
 
 
 def parse_literal(text):
